@@ -33,6 +33,10 @@ struct AppRun
     std::string label;
     apps::WorkloadResult result;
     Tick runtime = 0;
+    /** Events the run consumed a sequence number for (scheduledCount). */
+    std::uint64_t events = 0;
+    /** Of those, fiber wakes the run loop took inline (elidedWakes). */
+    std::uint64_t elided_wakes = 0;
 };
 
 /**
@@ -101,6 +105,8 @@ runApp(unsigned index, const hw::MachineConfig &config)
     run.label = appLabel(index);
     run.result = app->execute(kernel);
     run.runtime = run.result.virtual_runtime;
+    run.events = kernel.machine().ctx().queue().scheduledCount();
+    run.elided_wakes = kernel.machine().ctx().elidedWakes();
     return run;
 }
 

@@ -133,8 +133,9 @@ Cpu::preemptibleSleep(Tick dt)
               ctx.fiberName(sleeping_fiber_).c_str());
     }
     sleeping_fiber_ = ctx.currentFiber();
-    sleep_event_ = ctx.scheduleWake(sleeping_fiber_, ctx.now() + dt);
-    ctx.block();
+    // blockUntil stores the wake's id before blocking, so a kick
+    // arriving meanwhile can cancel it.
+    ctx.blockUntil(ctx.now() + dt, &sleep_event_);
     sleeping_fiber_ = 0;
     // Cancel in case we were woken by a different (earlier) event and
     // the original wake is still pending; harmless if already fired.

@@ -566,7 +566,7 @@ ShootdownController::respond(kern::Cpu &cpu)
     obs::Recorder &rec = machine_.recorder();
     obs::SpanGuard respond_span(
         rec, rec.cpuTrack(cpu.id()), "shoot.respond", "shoot",
-        "shoot.responder_us", obs::Arg{"had_work", had_work ? 1 : 0});
+        "shoot.responder_us", obs::Arg{"had_work", had_work ? 1u : 0u});
     // The interrupt runs on whatever thread was dispatched here; if
     // that thread had a request in flight, the stall + drain time is
     // the request's Drain component (tail latency stolen by *other*

@@ -10,9 +10,10 @@ namespace mach::sim
 FiberId
 Context::spawn(std::string name, Fiber::Entry entry, Tick delay)
 {
-    FiberId id = next_fiber_id_++;
-    fibers_.emplace(id, std::make_unique<Fiber>(std::move(name),
-                                                std::move(entry)));
+    fibers_.push_back(
+        std::make_unique<Fiber>(std::move(name), std::move(entry)));
+    ++live_fibers_;
+    const FiberId id = fibers_.size();
     scheduleWake(id, now_ + delay);
     return id;
 }
@@ -20,8 +21,8 @@ Context::spawn(std::string name, Fiber::Entry entry, Tick delay)
 std::string
 Context::fiberName(FiberId id) const
 {
-    auto it = fibers_.find(id);
-    return it == fibers_.end() ? "<gone>" : it->second->name();
+    const Fiber *f = fiber(id);
+    return f == nullptr ? "<gone>" : f->name();
 }
 
 FiberId
@@ -69,26 +70,45 @@ Context::cancel(EventId id)
 }
 
 void
+Context::blockUntil(Tick when, EventId *pending)
+{
+    const FiberId self = currentFiber();
+    MACH_ASSERT(when >= now_);
+    if (eliding_ && !stop_requested_ && queue_.claimNext(&when, until_)) {
+        now_ = when;
+        ++elided_wakes_;
+        if (pending != nullptr)
+            *pending = {};
+        return;
+    }
+    const EventId id = scheduleWake(self, when);
+    if (pending != nullptr)
+        *pending = id;
+    block();
+}
+
+void
 Context::sleep(Tick dt)
 {
-    scheduleWake(currentFiber(), now_ + dt);
-    block();
+    blockUntil(now_ + dt);
 }
 
 void
 Context::resumeFiber(FiberId id)
 {
-    auto it = fibers_.find(id);
-    if (it == fibers_.end())
+    Fiber *f = fiber(id);
+    if (f == nullptr)
         return; // Fiber finished before a stale wake fired.
 
     FiberId prev = current_id_;
     current_id_ = id;
-    it->second->resume();
+    f->resume();
     current_id_ = prev;
 
-    if (it->second->finished())
-        fibers_.erase(it);
+    if (f->finished()) {
+        fibers_[id - 1].reset();
+        --live_fibers_;
+    }
 }
 
 std::uint64_t
@@ -97,7 +117,10 @@ Context::run(Tick until)
     MACH_ASSERT(Fiber::current() == nullptr);
     MACH_ASSERT(!running_);
     running_ = true;
+    eliding_ = true;
+    until_ = until;
     stop_requested_ = false;
+    const std::uint64_t elided_before = elided_wakes_;
 
     // The queue dispatches whole ticks at a time: all the bookkeeping
     // of finding, sweeping, and popping the front bucket is paid once
@@ -113,7 +136,8 @@ Context::run(Tick until)
     }
 
     running_ = false;
-    return dispatched;
+    eliding_ = false;
+    return dispatched + (elided_wakes_ - elided_before);
 }
 
 std::uint64_t

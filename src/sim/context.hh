@@ -14,7 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "base/types.hh"
 #include "sim/event_queue.hh"
@@ -70,6 +70,20 @@ class Context
     void cancel(EventId id);
 
     /**
+     * From within a fiber: scheduleWake(currentFiber(), @p when), then
+     * block(). The wake's id is stored to @p pending (if non-null)
+     * *before* blocking, so another fiber can cancel() it meanwhile.
+     *
+     * Self-wake elision: inside run() (never runGuarded(), whose guard
+     * must see every event), with no stop requested, a wake whose
+     * perturbed time is within run()'s horizon and strictly earlier
+     * than every live event is taken inline instead: it consumes its
+     * sequence number, advances now(), counts as dispatched, and
+     * leaves an invalid id in @p pending. Outcomes are identical.
+     */
+    void blockUntil(Tick when, EventId *pending = nullptr);
+
+    /**
      * From within a fiber: advance simulated time by @p dt without any
      * possibility of early wakeup.
      */
@@ -77,7 +91,8 @@ class Context
 
     /**
      * Drain events until the queue is empty or simulated time would pass
-     * @p until. Returns the number of events dispatched.
+     * @p until. Returns the number of events dispatched, counting the
+     * wakes blockUntil() took inline.
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
@@ -100,7 +115,10 @@ class Context
     void requestStop() { stop_requested_ = true; }
 
     /** Number of live (spawned, unfinished) fibers. */
-    std::size_t liveFiberCount() const { return fibers_.size(); }
+    std::size_t liveFiberCount() const { return live_fibers_; }
+
+    /** Wakes blockUntil() has taken inline: a counter, not a setting. */
+    std::uint64_t elidedWakes() const { return elided_wakes_; }
 
     /** Expose the queue for white-box tests and micro benchmarks. */
     EventQueue &queue() { return queue_; }
@@ -109,6 +127,12 @@ class Context
     std::string fiberName(FiberId id) const;
 
   private:
+    /** The live fiber @p id, or nullptr once it has finished. */
+    Fiber *
+    fiber(FiberId id) const
+    {
+        return id - 1 < fibers_.size() ? fibers_[id - 1].get() : nullptr;
+    }
     void resumeFiber(FiberId id);
     /** EventQueue raw-event thunk for fiber wakes (token = FiberId). */
     static void wakeTrampoline(void *ctx, std::uint64_t token);
@@ -117,9 +141,14 @@ class Context
     Tick now_ = 0;
     bool stop_requested_ = false;
     bool running_ = false;
-    FiberId next_fiber_id_ = 1;
+    /** Inside run(), not runGuarded(): blockUntil may elide to until_. */
+    bool eliding_ = false;
+    Tick until_ = 0;
+    std::uint64_t elided_wakes_ = 0;
     FiberId current_id_ = 0;
-    std::unordered_map<FiberId, std::unique_ptr<Fiber>> fibers_;
+    /** Indexed by FiberId - 1; null once the fiber has finished. */
+    std::vector<std::unique_ptr<Fiber>> fibers_;
+    std::size_t live_fibers_ = 0;
 };
 
 } // namespace mach::sim

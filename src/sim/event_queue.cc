@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "base/logging.hh"
@@ -21,128 +20,49 @@ EventQueue::allocNode()
     return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-void
-EventQueue::releaseNode(std::uint32_t slot)
+EventQueue::Node &
+EventQueue::clearPayload(std::uint32_t slot)
 {
     Node &node = slab_[slot];
-    node.seq = 0;
     node.raw_fn = nullptr;
     node.raw_ctx = nullptr;
     node.raw_token = 0;
     node.cb = nullptr; // Release closure resources eagerly.
+    return node;
+}
+
+void
+EventQueue::releaseNode(std::uint32_t slot)
+{
+    Node &node = clearPayload(slot);
+    node.seq = 0;
     node.next = free_head_;
     free_head_ = slot;
 }
 
 std::uint32_t
-EventQueue::allocBucket(Tick when)
+EventQueue::allocBucket()
 {
-    std::uint32_t index;
-    if (bucket_free_head_ != kNil) {
-        index = bucket_free_head_;
-        bucket_free_head_ = buckets_[index].next_free;
-    } else {
+    if (bucket_free_head_ == kNil) {
         buckets_.emplace_back();
-        index = static_cast<std::uint32_t>(buckets_.size() - 1);
+        return static_cast<std::uint32_t>(buckets_.size() - 1);
     }
-    Bucket &bucket = buckets_[index];
-    bucket.head = kNil;
-    bucket.tail = kNil;
-    bucket.next_free = kNil;
-    tickInsert(when, index);
+    const std::uint32_t index = bucket_free_head_;
+    bucket_free_head_ = buckets_[index].head;
     return index;
 }
 
 void
-EventQueue::releaseBucket(std::uint32_t index)
+EventQueue::releaseBucket(const HeapItem &item)
 {
-    buckets_[index].next_free = bucket_free_head_;
+    const auto index = static_cast<std::uint32_t>(item.key & kSlotMask);
+    // The cache holds open buckets only: a drained bucket must never
+    // take appends again, even if a new event lands on its tick.
+    TickCacheEntry &cached = tick_cache_[tickCacheIndex(item.when)];
+    if (cached.bucket == index)
+        cached.bucket = kNil;
+    buckets_[index].head = bucket_free_head_;
     bucket_free_head_ = index;
-}
-
-// ---- Tick -> bucket table -----------------------------------------------
-
-std::uint64_t
-EventQueue::hashTick(Tick when)
-{
-    std::uint64_t k = when;
-    k *= 0x9E3779B97F4A7C15ull;
-    k ^= k >> 29;
-    return k;
-}
-
-std::uint32_t
-EventQueue::tickLookup(Tick when) const
-{
-    if (ticks_.empty())
-        return kNil;
-    std::uint32_t i =
-        static_cast<std::uint32_t>(hashTick(when)) & tick_mask_;
-    for (;; i = (i + 1) & tick_mask_) {
-        const TickSlot &slot = ticks_[i];
-        if (slot.bucket == kNil)
-            return kNil;
-        if (slot.bucket != kTombstone && slot.when == when)
-            return slot.bucket;
-    }
-}
-
-void
-EventQueue::tickInsert(Tick when, std::uint32_t bucket)
-{
-    if (ticks_.empty())
-        tickRebuild(64);
-    std::uint32_t i =
-        static_cast<std::uint32_t>(hashTick(when)) & tick_mask_;
-    while (ticks_[i].bucket != kNil &&
-           ticks_[i].bucket != kTombstone)
-        i = (i + 1) & tick_mask_;
-    if (ticks_[i].bucket == kNil) {
-        // Claiming a virgin slot shrinks the empty margin that
-        // terminates probes; rebuild before chains degenerate.
-        if ((tick_used_ + 1) * 4 > 3 * ticks_.size()) {
-            tickRebuild(std::max<std::size_t>(64, 4 * heap_.size()));
-            tickInsert(when, bucket);
-            return;
-        }
-        ++tick_used_;
-    }
-    ticks_[i] = {when, bucket};
-}
-
-void
-EventQueue::tickErase(Tick when)
-{
-    std::uint32_t i =
-        static_cast<std::uint32_t>(hashTick(when)) & tick_mask_;
-    for (;; i = (i + 1) & tick_mask_) {
-        TickSlot &slot = ticks_[i];
-        MACH_ASSERT(slot.bucket != kNil);
-        if (slot.bucket != kTombstone && slot.when == when) {
-            slot.bucket = kTombstone;
-            return;
-        }
-    }
-}
-
-void
-EventQueue::tickRebuild(std::size_t capacity)
-{
-    std::size_t size = 64;
-    while (size < capacity)
-        size <<= 1;
-    ticks_.assign(size, TickSlot{});
-    tick_mask_ = static_cast<std::uint32_t>(size - 1);
-    tick_used_ = 0;
-    for (const HeapItem &item : heap_) {
-        std::uint32_t i =
-            static_cast<std::uint32_t>(hashTick(item.when)) &
-            tick_mask_;
-        while (ticks_[i].bucket != kNil)
-            i = (i + 1) & tick_mask_;
-        ticks_[i] = {item.when, item.bucket};
-        ++tick_used_;
-    }
 }
 
 // ---- Scheduling ---------------------------------------------------------
@@ -155,23 +75,25 @@ EventQueue::enqueue(Tick when, std::uint32_t slot)
     slab_[slot].seq = seq;
     slab_[slot].next = kNil;
 
-    const std::uint32_t existing = tickLookup(when);
-    if (existing != kNil) {
-        // The tick is already pending: FIFO append. Arrival order is
-        // sequence order, so the chain preserves the (when, seq)
-        // contract without touching the heap.
-        Bucket &bucket = buckets_[existing];
-        if (bucket.tail == kNil)
-            bucket.head = slot;
-        else
-            slab_[bucket.tail].next = slot;
+    if (tick_cache_.empty())
+        tick_cache_.resize(kTickCacheEntries);
+    TickCacheEntry &cached = tick_cache_[tickCacheIndex(when)];
+    if (cached.bucket != kNil && cached.when == when) {
+        // The tick's newest bucket is open (so never empty): FIFO
+        // append. Arrival order is sequence order, so the chain keeps
+        // the (when, seq) contract without touching the heap.
+        Bucket &bucket = buckets_[cached.bucket];
+        slab_[bucket.tail].next = slot;
         bucket.tail = slot;
     } else {
-        const std::uint32_t index = allocBucket(when);
-        Bucket &bucket = buckets_[index];
-        bucket.head = slot;
-        bucket.tail = slot;
-        heap_.push_back({when, index});
+        // A new tick, or one whose bucket the cache evicted: open a
+        // bucket. Its creation sequence is above every sequence in an
+        // older bucket of the same tick, which therefore fires first.
+        const std::uint32_t index = allocBucket();
+        MACH_ASSERT(index <= kSlotMask);
+        buckets_[index] = {slot, slot};
+        cached = {when, index};
+        heap_.push_back({when, (seq & ~kSlotMask) | index});
         siftUp(heap_.size() - 1);
     }
     ++live_;
@@ -204,6 +126,21 @@ EventQueue::scheduleRaw(Tick when, RawFn fn, void *ctx,
     return enqueue(when, slot);
 }
 
+bool
+EventQueue::claimNext(Tick *when, Tick until)
+{
+    Tick at = *when;
+    if (perturber_ != nullptr)
+        at += perturber_->eventDelay(next_seq_);
+    // Equal to the front tick is not enough: the pending events there
+    // hold lower sequence numbers and would fire first.
+    if (at > until || (live_ != 0 && at >= nextTime()))
+        return false;
+    ++next_seq_;
+    *when = at;
+    return true;
+}
+
 void
 EventQueue::cancel(EventId id)
 {
@@ -214,12 +151,7 @@ EventQueue::cancel(EventId id)
     // The node stays linked in its bucket chain (no back pointers to
     // unlink in O(1)); release its resources now and let the chain
     // sweep reclaim the slot when the tick drains.
-    Node &node = slab_[id.slot];
-    node.seq = kCancelledSeq;
-    node.raw_fn = nullptr;
-    node.raw_ctx = nullptr;
-    node.raw_token = 0;
-    node.cb = nullptr;
+    clearPayload(id.slot).seq = kCancelledSeq;
     MACH_ASSERT(live_ > 0);
     --live_;
     ++tombstones_;
@@ -239,7 +171,7 @@ EventQueue::siftUp(std::size_t i)
     HeapItem item = heap_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (item.when >= heap_[parent].when)
+        if (!(item < heap_[parent]))
             break;
         heap_[i] = heap_[parent];
         i = parent;
@@ -256,9 +188,9 @@ EventQueue::siftDown(std::size_t i)
         std::size_t child = 2 * i + 1;
         if (child >= n)
             break;
-        if (child + 1 < n && heap_[child + 1].when < heap_[child].when)
+        if (child + 1 < n && heap_[child + 1] < heap_[child])
             ++child;
-        if (heap_[child].when >= item.when)
+        if (!(heap_[child] < item))
             break;
         heap_[i] = heap_[child];
         i = child;
@@ -267,11 +199,21 @@ EventQueue::siftDown(std::size_t i)
 }
 
 void
-EventQueue::sweepFront()
+EventQueue::popFrontBucket()
+{
+    releaseBucket(heap_.front());
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty())
+        siftDown(0);
+}
+
+void
+EventQueue::sweepTombstones()
 {
     for (;;) {
         MACH_ASSERT(!heap_.empty());
-        Bucket &bucket = buckets_[heap_.front().bucket];
+        Bucket &bucket = buckets_[heap_.front().key & kSlotMask];
         while (bucket.head != kNil &&
                slab_[bucket.head].seq == kCancelledSeq) {
             const std::uint32_t dead = bucket.head;
@@ -282,30 +224,19 @@ EventQueue::sweepFront()
         }
         if (bucket.head != kNil)
             return;
-        // The tick drained to nothing but tombstones: retire it.
-        tickErase(heap_.front().when);
-        releaseBucket(heap_.front().bucket);
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0);
+        // The bucket drained to nothing but tombstones: retire it.
+        popFrontBucket();
     }
 }
 
 std::uint32_t
 EventQueue::takeFront()
 {
-    Bucket &bucket = buckets_[heap_.front().bucket];
+    Bucket &bucket = buckets_[heap_.front().key & kSlotMask];
     const std::uint32_t slot = bucket.head;
     bucket.head = slab_[slot].next;
-    if (bucket.head == kNil) {
-        tickErase(heap_.front().when);
-        releaseBucket(heap_.front().bucket);
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0);
-    }
+    if (bucket.head == kNil)
+        popFrontBucket();
     --live_;
     return slot;
 }
@@ -315,7 +246,7 @@ EventQueue::compact()
 {
     std::size_t kept = 0;
     for (const HeapItem &item : heap_) {
-        Bucket &bucket = buckets_[item.bucket];
+        Bucket &bucket = buckets_[item.key & kSlotMask];
         // Relink the chain keeping only live nodes; order within the
         // chain (= sequence order) is preserved.
         std::uint32_t head = kNil;
@@ -336,8 +267,7 @@ EventQueue::compact()
             slot = next;
         }
         if (head == kNil) {
-            tickErase(item.when);
-            releaseBucket(item.bucket);
+            releaseBucket(item);
             continue;
         }
         bucket.head = head;
@@ -347,8 +277,8 @@ EventQueue::compact()
     heap_.resize(kept);
     tombstones_ = 0;
     // Bottom-up heapify. The internal layout differs from the
-    // incremental one, but buckets still pop in unique-tick order, so
-    // observable behavior is unchanged.
+    // incremental one, but buckets still pop in unique (when, key)
+    // order, so observable behavior is unchanged.
     for (std::size_t i = heap_.size() / 2; i-- > 0;)
         siftDown(i);
 }
@@ -378,12 +308,9 @@ EventQueue::popFront(Tick *when)
     return cb;
 }
 
-Tick
-EventQueue::fireFront()
+void
+EventQueue::dispatch(std::uint32_t slot)
 {
-    sweepFront();
-    const Tick when = heap_.front().when;
-    const std::uint32_t slot = takeFront();
     Node &node = slab_[slot];
     if (node.raw_fn != nullptr) {
         const RawFn fn = node.raw_fn;
@@ -396,6 +323,14 @@ EventQueue::fireFront()
         releaseNode(slot);
         cb();
     }
+}
+
+Tick
+EventQueue::fireFront()
+{
+    sweepFront();
+    const Tick when = heap_.front().when;
+    dispatch(takeFront());
     return when;
 }
 
@@ -414,19 +349,7 @@ EventQueue::fireTickBatch(Tick until, Tick *now, const bool *stop)
     *now = when;
     std::uint64_t dispatched = 0;
     for (;;) {
-        const std::uint32_t slot = takeFront();
-        Node &node = slab_[slot];
-        if (node.raw_fn != nullptr) {
-            const RawFn fn = node.raw_fn;
-            void *ctx = node.raw_ctx;
-            const std::uint64_t token = node.raw_token;
-            releaseNode(slot);
-            fn(ctx, token);
-        } else {
-            Callback cb = std::move(node.cb);
-            releaseNode(slot);
-            cb();
-        }
+        dispatch(takeFront());
         ++dispatched;
         if (*stop || live_ == 0)
             break;

@@ -11,12 +11,13 @@
  *
  *   - same-tick events chain into a FIFO bucket (their arrival order IS
  *     their sequence order), and a binary min-heap of 16-byte items
- *     orders only the distinct pending ticks -- so the common case of
- *     many simultaneous events pays the O(log n) sift once per tick,
- *     not once per event, and popping within a tick is O(1);
- *   - an open-addressed tick -> bucket table finds an event's bucket in
- *     O(1), so scheduling into a tick that is already pending never
- *     touches the heap at all;
+ *     orders the open buckets by (tick, creation sequence) -- so a burst
+ *     of simultaneous events pays the O(log n) sift once, not once per
+ *     event, and popping within a bucket is O(1);
+ *   - a 256-entry direct-mapped cache maps a tick to its newest open
+ *     bucket, so appending to a pending tick never probes or touches
+ *     the heap; a miss (new or evicted tick) just opens another bucket,
+ *     whose sequence numbers all exceed the older bucket's;
  *   - payloads live in a slab of recycled nodes (free-list), so neither
  *     scheduling nor cancelling allocates once the slab is warm;
  *   - cancel() is O(1): it releases the payload's resources immediately
@@ -27,11 +28,11 @@
  *     (function pointer, context, token) triple, bypassing
  *     std::function entirely on the schedule *and* dispatch paths.
  *
- * None of this changes the order contract: buckets fire in tick order
- * (ticks are unique, one bucket each) and chains preserve insertion
- * order within a tick, which is exactly the (when, seq) total order the
- * original std::map implementation used. tests/determinism_test.cc
- * pins that contract with golden digests.
+ * None of this changes the order contract: buckets fire in (tick,
+ * creation sequence) order and chains preserve insertion order within
+ * a bucket, which is exactly the (when, seq) total order the original
+ * std::map implementation used. tests/determinism_test.cc pins that
+ * contract with golden digests.
  */
 
 #ifndef MACH_SIM_EVENT_QUEUE_HH
@@ -132,7 +133,16 @@ class EventQueue
     std::uint64_t fireTickBatch(Tick until, Tick *now,
                                 const bool *stop);
 
-    /** Total events ever scheduled (monotonic; used by micro benches). */
+    /**
+     * The self-wake fast path (Context::blockUntil). If an event
+     * scheduled now for @p *when, after its perturbation delay, would
+     * fire no later than @p until and strictly before every pending
+     * event, consume its sequence number as schedule() would, store the
+     * delayed time in @p *when and return true; else change nothing.
+     */
+    bool claimNext(Tick *when, Tick until);
+
+    /** Sequence numbers consumed, claimNext() included (monotonic). */
     std::uint64_t scheduledCount() const { return next_seq_ - 1; }
 
     /**
@@ -156,7 +166,7 @@ class EventQueue
     /** Slab capacity ever allocated (white-box tests). */
     std::size_t slabSize() const { return slab_.size(); }
 
-    /** Distinct pending ticks, i.e. the heap's size (white-box tests). */
+    /** Open buckets: distinct pending ticks plus splits (white-box). */
     std::size_t pendingTickCount() const { return heap_.size(); }
 
   private:
@@ -191,63 +201,77 @@ class EventQueue
         std::uint32_t next = kNil;
     };
 
-    /** FIFO of the events pending on one tick. */
+    /** FIFO of one tick's events; when free, head links the free list. */
     struct Bucket
     {
         std::uint32_t head = kNil;
         std::uint32_t tail = kNil;
-        /** Free-list link (only meaningful while the bucket is free). */
-        std::uint32_t next_free = kNil;
     };
 
-    /** Heap item: one per distinct pending tick. Ticks are unique. */
+    /** Heap item: one per open bucket; (when, key) pairs are unique. */
     struct HeapItem
     {
         Tick when;
-        std::uint32_t bucket;
+        /** Packed (creation sequence << kSlotBits | bucket index). */
+        std::uint64_t key;
+
+        bool
+        operator<(const HeapItem &o) const
+        {
+            return when != o.when ? when < o.when : key < o.key;
+        }
     };
 
-    /** One tick -> bucket mapping in the open-addressed table. */
-    struct TickSlot
+    /** Tick -> newest open bucket; bucket == kNil marks an empty entry. */
+    struct TickCacheEntry
     {
         Tick when = 0;
-        /** kNil = empty, kTombstone = erased, else a bucket index. */
         std::uint32_t bucket = kNil;
     };
-    static constexpr std::uint32_t kTombstone = kNil - 1;
+    static constexpr std::size_t kTickCacheEntries = 256;
+
+    static std::size_t
+    tickCacheIndex(Tick when)
+    {
+        return (when * 0x9E3779B97F4A7C15ull) >> 56;
+    }
 
     std::uint32_t allocNode();
     void releaseNode(std::uint32_t slot);
-    std::uint32_t allocBucket(Tick when);
-    void releaseBucket(std::uint32_t index);
-    /** Append a filled node to @p when's bucket, creating it if new. */
+    std::uint32_t allocBucket();
+    void releaseBucket(const HeapItem &item);
+    Node &clearPayload(std::uint32_t slot);
+    /** Release the node in @p slot and run its payload. */
+    void dispatch(std::uint32_t slot);
+    /** Append a filled node to @p when's newest bucket, or open one. */
     EventId enqueue(Tick when, std::uint32_t slot);
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
+    /** Release the front bucket and pop it off the heap. */
+    void popFrontBucket();
     /**
      * Drop cancelled nodes off the front bucket's chain (and empty
      * buckets off the heap) until a live event leads; panics if none.
      */
-    void sweepFront();
+    void
+    sweepFront()
+    {
+        if (heap_.empty() ||
+            slab_[buckets_[heap_.front().key & kSlotMask].head].seq ==
+                kCancelledSeq)
+            sweepTombstones();
+    }
+    void sweepTombstones();
     /** Unlink the front event; sweepFront must have run. */
     std::uint32_t takeFront();
     /** Drop every tombstone and rebuild the heap (amortized, bulk). */
     void compact();
 
-    // Tick -> bucket table (open addressing, linear probing).
-    static std::uint64_t hashTick(Tick when);
-    std::uint32_t tickLookup(Tick when) const;
-    void tickInsert(Tick when, std::uint32_t bucket);
-    void tickErase(Tick when);
-    void tickRebuild(std::size_t capacity);
-
     std::vector<HeapItem> heap_;
     std::vector<Node> slab_;
     std::vector<Bucket> buckets_;
-    std::vector<TickSlot> ticks_;
-    std::uint32_t tick_mask_ = 0;
-    /** Non-empty tick slots (mappings or tombstones); drives rebuilds. */
-    std::uint32_t tick_used_ = 0;
+    /** Sized by the first enqueue: building a machine allocates none. */
+    std::vector<TickCacheEntry> tick_cache_;
     std::uint32_t free_head_ = kNil;
     std::uint32_t bucket_free_head_ = kNil;
     std::uint64_t next_seq_ = 1;

@@ -436,6 +436,27 @@ TEST(Interrupts, KickWakesSleepingCpuPromptly)
     });
 }
 
+TEST(Interrupts, KickCancelsThePendingNap)
+{
+    // A kick swaps the sleeper's pending wake for a prompt one. The
+    // old wake must be cancelled, not left queued as a stray: the
+    // sleep publishes its wake's handle before the fiber blocks.
+    inKernel(smallConfig(2), [](vm::Kernel &kernel, kern::Thread &drv) {
+        kern::Machine &m = kernel.machine();
+        m.setIrqHandler(hw::Irq::Shootdown, [](kern::Cpu &) {});
+        kern::Thread *sleeper = kernel.spawnThread(
+            nullptr, "computer",
+            [](kern::Thread &self) { self.compute(500 * kMsec); }, 1);
+        drv.sleep(5 * kMsec);
+        const std::size_t pending = m.ctx().queue().size();
+        const std::uint64_t scheduled = m.ctx().queue().scheduledCount();
+        m.intr().post(1, hw::Irq::Shootdown);
+        EXPECT_EQ(m.ctx().queue().scheduledCount(), scheduled + 1);
+        EXPECT_EQ(m.ctx().queue().size(), pending);
+        drv.join(*sleeper);
+    });
+}
+
 TEST(Interrupts, TimerInterruptsFireOnBusyCpus)
 {
     hw::MachineConfig config = smallConfig(2);
