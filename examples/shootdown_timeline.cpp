@@ -1,8 +1,8 @@
 /**
  * @file
  * Render one shootdown as a per-processor timeline, reconstructed from
- * the trace stream -- a visual walk through the four phases of
- * Figure 1.
+ * the recorder's text trace -- a visual walk through the four phases
+ * of Figure 1.
  *
  *   ./build/examples/shootdown_timeline [children]
  */
@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "apps/consistency_tester.hh"
-#include "base/trace.hh"
+#include "kern/machine.hh"
+#include "obs/recorder.hh"
 #include "vm/kernel.hh"
 #include "xpr/analysis.hh"
 
@@ -28,20 +29,18 @@ main(int argc, char **argv)
     if (children < 1 || children > 15)
         fatal("children must be in 1..15");
 
-    // Capture the shootdown trace stream.
+    // Capture the shootdown category of the text trace (the lines
+    // outlive the kernel, whose teardown still records).
     std::vector<std::string> lines;
-    trace::setMask(trace::Shootdown);
-    trace::setSink([&lines](const std::string &line) {
-        lines.push_back(line);
-    });
-
     hw::MachineConfig config;
     vm::Kernel kernel(config);
+    kernel.machine().recorder().enableText(
+        obs::kShootCategory.bit,
+        [&lines](const std::string &line) { lines.push_back(line); });
+
     apps::ConsistencyTester tester(
         {.children = children, .warmup = 25 * kMsec});
     const apps::WorkloadResult result = tester.execute(kernel);
-    trace::setMask(trace::None);
-    trace::setSink(nullptr);
 
     std::printf("One %u-processor shootdown, as the trace stream saw "
                 "it:\n\n", children);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "obs/recorder.hh"
 
 namespace mach::apps
 {

@@ -213,7 +213,7 @@ class Explorer
      * the most recent events survive (flight-recorder mode). The
      * TrialResult -- digest included -- is identical to an unrecorded
      * runTrial() of the same pair, because recording charges no
-     * simulated time unless the scenario config sets obs_record_cost.
+     * simulated time.
      */
     TrialResult runTrialRecorded(const Scenario &scenario,
                                  const SchedulePerturber &perturber,

@@ -490,8 +490,8 @@ lazyAsidConfig()
  * revoke into the writer's 2.5 ms sleep makes CPU 1 a deferred-flush
  * target; the healthy context-load hook then flushes A's stale
  * entries when the writer wakes, while the planted bug
- * (chk_skip_asid_gen_check) leaves the revoked translation live and
- * the writer's next store lands through it.
+ * (PlantedBug::SkipAsidGenCheck) leaves the revoked translation live
+ * and the writer's next store lands through it.
  *
  * After the writer exits, one more revocation is issued while the
  * filler's space is current: that one must take the deferred path
@@ -646,10 +646,10 @@ devConfig(unsigned devices, unsigned ncpus = 4)
  * unrelated task's page @p probes times: each toggle is a pmap op,
  * and each op is a stale-translation audit. The healthy drain leaves
  * nothing for those audits to find; the planted drain bug
- * (chk_skip_iotlb_invalidate) clears the action-needed excuse while
- * skipping the invalidations, so a probe landing between the device's
- * drain and the sweep's eviction sees the stale writable entry
- * against the read-only PTE.
+ * (PlantedBug::SkipIotlbInvalidate) clears the action-needed excuse
+ * while skipping the invalidations, so a probe landing between the
+ * device's drain and the sweep's eviction sees the stale writable
+ * entry against the read-only PTE.
  *
  * The predicate is the device-side analog of watchRevoked: the
  * writes_committed counter may not move between the revocation's
@@ -1259,7 +1259,7 @@ brokenStallScenario()
     s.name = "broken-stall";
     s.summary = "planted bug: responders skip the phase-2 stall";
     s.config = smallConfig();
-    s.config.chk_skip_responder_stall = true;
+    s.config.planted_bug = hw::PlantedBug::SkipResponderStall;
     s.bound = 400 * kMsec;
     // One writer: with a single responder the no-stall window is a
     // few microseconds wide and the unperturbed run happens to
@@ -1282,7 +1282,7 @@ brokenReplicaScenario()
     // (the oracle's TLB-vs-primary audit catches the stale entry).
     s.config = numaConfig(2, 2);
     s.config.numa_pt_replicas = true;
-    s.config.chk_defer_replica_sync = true;
+    s.config.planted_bug = hw::PlantedBug::DeferReplicaSync;
     s.bound = 600 * kMsec;
     s.launch = stormLaunch(1, 3, 4 * kMsec, 2 * kMsec);
     return s;
@@ -1295,7 +1295,7 @@ brokenL0Scenario()
     s.name = "broken-l0";
     s.summary = "planted bug: responders skip the L0 cache clear";
     s.config = smallConfig(4);
-    s.config.chk_skip_l0_invalidate = true;
+    s.config.planted_bug = hw::PlantedBug::SkipL0Invalidate;
     s.bound = 400 * kMsec;
     s.launch = [](vm::Kernel &kernel, ScenarioState *state) {
         vm::Kernel *kp = &kernel;
@@ -1397,7 +1397,7 @@ brokenAsidScenario()
     // CPU 1), so the run survives; detection requires a schedule that
     // pushes a revoke into the writer's sleep.
     s.config = lazyAsidConfig();
-    s.config.chk_skip_asid_gen_check = true;
+    s.config.planted_bug = hw::PlantedBug::SkipAsidGenCheck;
     s.bound = 400 * kMsec;
     s.launch = lazyAsidLaunch();
     return s;
@@ -1419,7 +1419,7 @@ brokenIotlbScenario()
     // driver's audit probes land, which the oracle's IOTLB-vs-page-
     // table audit flags.
     s.config = devConfig(1);
-    s.config.chk_skip_iotlb_invalidate = true;
+    s.config.planted_bug = hw::PlantedBug::SkipIotlbInvalidate;
     s.bound = 600 * kMsec;
     s.launch = devStormLaunch(3, 8, 250 * kUsec, 1500 * kUsec, 8);
     return s;

@@ -77,7 +77,7 @@ std::vector<Scenario> builtinScenarios();
 
 /**
  * The deliberately broken protocol: the writer/reprotect storm on a
- * machine with MachineConfig::chk_skip_responder_stall set, so
+ * machine with PlantedBug::SkipResponderStall set, so
  * responders rejoin the active set without stalling for the pmap
  * lock. The explorer must find schedules where a responder's reload
  * re-caches the pre-change PTE (the golden detection test).
@@ -86,7 +86,7 @@ Scenario brokenStallScenario();
 
 /**
  * The NUMA analog of the planted bug: per-node page-table replicas
- * with MachineConfig::chk_defer_replica_sync set, so the initiator
+ * with PlantedBug::DeferReplicaSync set, so the initiator
  * publishes the primary PTE change but syncs the replicas only after
  * unlocking and rejoining. A remote CPU whose hardware reload lands
  * in that window re-caches the revoked translation from its stale
@@ -97,7 +97,7 @@ Scenario brokenReplicaScenario();
 /**
  * The third planted bug: the per-CPU L0 translation cache keeps
  * serving an entry after the shootdown protocol revoked it, because
- * MachineConfig::chk_skip_l0_invalidate makes the responder's L0
+ * PlantedBug::SkipL0Invalidate makes the responder's L0
  * clear a no-op. The writer signals each target touch through a
  * shared beat counter and immediately evicts the stale slot (a sweep
  * of 8 decoy pages through the 4-slot round-robin L0, ~40 us); the
@@ -112,7 +112,7 @@ Scenario brokenL0Scenario();
 
 /**
  * The fourth planted bug, aimed at the LazyAsid shootdown-avoidance
- * policy: MachineConfig::chk_skip_asid_gen_check makes the policy's
+ * policy: PlantedBug::SkipAsidGenCheck makes the policy's
  * context-load hook return before consulting the deferred-flush set,
  * so a space whose flush was deferred (the target CPU was running
  * another space when the revocation fired) comes back current with
@@ -130,7 +130,7 @@ Scenario brokenAsidScenario();
 
 /**
  * The fifth planted bug, aimed at the device/IOTLB responder role
- * (docs/DEVICES.md): MachineConfig::chk_skip_iotlb_invalidate makes
+ * (docs/DEVICES.md): PlantedBug::SkipIotlbInvalidate makes
  * the device's action-queue drain clear the action-needed flag (the
  * stale-entry audit excuse) and charge full cost while skipping the
  * IOTLB invalidations themselves. The dev-dma-race workload streams a

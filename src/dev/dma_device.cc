@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hw/bus.hh"
 #include "kern/machine.hh"
 #include "pmap/pmap.hh"
@@ -42,12 +41,6 @@ DmaDevice::requestDrain()
             std::min(transfer_end_,
                      machine_.now() + machine_.cfg().dev_drain_bound);
     }
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "dev%u drain requested (transfer ends %llu, "
-                   "deadline %llu)",
-                   index_,
-                   static_cast<unsigned long long>(transfer_end_),
-                   static_cast<unsigned long long>(deadline_));
 }
 
 void
@@ -65,13 +58,15 @@ DmaDevice::drainPending()
     // slept. That atomicity is what makes skipping the action lock
     // safe: an initiator's queueAction mutates the queue within one
     // instant too, so every interleaving sees either a fully queued
-    // action or none. The planted chk_skip_iotlb_invalidate bug skips
+    // action or none. The planted SkipIotlbInvalidate bug skips
     // the invalidations themselves but still clears the flags and
     // charges the cost -- the protocol looks healthy from the
     // initiator's side while stale entries survive in the IOTLB.
+    const bool invalidate =
+        cfg.planted_bug != hw::PlantedBug::SkipIotlbInvalidate;
     Tick cost = 0;
     if (st.overflow) {
-        if (!cfg.chk_skip_iotlb_invalidate)
+        if (invalidate)
             iotlb_.flushAll();
         cost += cfg.tlb_flush_cost;
         st.overflow = false;
@@ -81,11 +76,11 @@ DmaDevice::drainPending()
                 continue; // Nulled by purgePmap; overflow covers it.
             const unsigned npages = action.end - action.start;
             if (npages > cfg.tlb_flush_threshold) {
-                if (!cfg.chk_skip_iotlb_invalidate)
+                if (invalidate)
                     iotlb_.flushAll();
                 cost += cfg.tlb_flush_cost;
             } else {
-                if (!cfg.chk_skip_iotlb_invalidate) {
+                if (invalidate) {
                     iotlb_.invalidateRange(action.pmap->space(),
                                            action.start, action.end);
                 }
@@ -250,9 +245,6 @@ DmaDevice::dmaWrite(pmap::Pmap &pmap, Vpn vpn, unsigned offset,
         // healthy protocol depends on this -- a commit here would go
         // through the translation the initiator is revoking.
         ++dma_aborts;
-        MACH_TRACE_LOG(Shootdown, machine_.now(),
-                       "dev%u aborts DMA write to vpn 0x%x", index_,
-                       vpn);
     } else {
         machine_.mem().write32((static_cast<PAddr>(pfn) << kPageShift) |
                                    (offset & kPageMask & ~3u),

@@ -51,10 +51,10 @@
  * actions indefinitely -- exactly like an idle processor -- because
  * it performs no translations until the next drain.
  *
- * MachineConfig::chk_skip_iotlb_invalidate plants the checker's
- * device bug here: the drain clears the action-needed flag and
- * charges full cost but skips the invalidations, leaving stale IOTLB
- * entries the stale-translation oracle must catch.
+ * PlantedBug::SkipIotlbInvalidate plants the checker's device bug
+ * here: the drain clears the action-needed flag and charges full cost
+ * but skips the invalidations, leaving stale IOTLB entries the
+ * stale-translation oracle must catch.
  */
 
 #ifndef MACH_DEV_DMA_DEVICE_HH

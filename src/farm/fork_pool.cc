@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "base/trace.hh"
 #include "obs/recorder.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -70,14 +69,17 @@ spawnChild(std::size_t i,
     }
     if (pid == 0) {
         close(fds[0]);
-        // Children share the parent's stderr: prefix every trace line
-        // with the child id and flush per line so concurrent children
-        // cannot shear each other's output mid-line. Trace-JSON dumps
-        // get a per-child file suffix for the same reason.
+        // Children share the parent's stderr: the process file tag
+        // prefixes every text-trace line with the child id, and
+        // stderr flushes whole lines (an explicit buffer: unbuffered
+        // stderr's one-byte buffer would survive a null one and split
+        // each line's first byte off) so concurrent children cannot
+        // shear each other's output. Trace-JSON dumps get a per-child
+        // file suffix for the same reason.
         char tag[32];
         std::snprintf(tag, sizeof(tag), "child%zu", i);
-        trace::setLinePrefix("[" + std::string(tag) + "] ");
-        std::setvbuf(stderr, nullptr, _IOLBF, 0);
+        static char stderr_line[BUFSIZ];
+        std::setvbuf(stderr, stderr_line, _IOLBF, sizeof(stderr_line));
         obs::setProcessFileTag(tag);
         std::string payload;
         try {

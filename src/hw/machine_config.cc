@@ -111,12 +111,6 @@ MachineConfig::validate() const
         fatal("MachineConfig: range_flush_crossover (%u) must be >= "
               "tlb_flush_threshold (%u)",
               range_flush_crossover, tlb_flush_threshold);
-    if (chk_skip_asid_gen_check &&
-        shootdown_policy != ShootdownPolicy::LazyAsid) {
-        fatal("MachineConfig: chk_skip_asid_gen_check plants a bug in "
-              "the lazy-asid context-load hook; set shootdown_policy "
-              "to LazyAsid");
-    }
     if (numa_nodes == 0 || numa_nodes > 8)
         fatal("MachineConfig: numa_nodes (%u) out of range [1,8]",
               numa_nodes);
@@ -140,9 +134,6 @@ MachineConfig::validate() const
     if (numa_pt_replicas && numa_nodes < 2)
         fatal("MachineConfig: per-node page-table replicas need "
               "numa_nodes > 1");
-    if (chk_defer_replica_sync && !numa_pt_replicas)
-        fatal("MachineConfig: chk_defer_replica_sync plants a bug in "
-              "the replica sync path; set numa_pt_replicas");
     if (ncpus + devices > 1024) {
         fatal("MachineConfig: ncpus (%u) + devices (%u) exceed the "
               "1024-wide responder id space",
@@ -150,15 +141,32 @@ MachineConfig::validate() const
     }
     if (devices > 0 && iotlb_entries == 0)
         fatal("MachineConfig: an IOTLB must have at least one entry");
-    if (chk_skip_iotlb_invalidate && devices == 0)
-        fatal("MachineConfig: chk_skip_iotlb_invalidate plants a bug "
-              "in the device drain path; set devices > 0");
     if (numa_nodes > 1 && kernel_pools > 1 &&
         kernel_pools % numa_nodes != 0 &&
         numa_nodes % kernel_pools != 0) {
         fatal("MachineConfig: kernel_pools (%u) and numa_nodes (%u) "
               "must nest",
               kernel_pools, numa_nodes);
+    }
+    switch (planted_bug) {
+      case PlantedBug::SkipAsidGenCheck:
+        if (shootdown_policy != ShootdownPolicy::LazyAsid)
+            fatal("MachineConfig: PlantedBug::SkipAsidGenCheck plants a "
+                  "bug in the lazy-asid context-load hook; set "
+                  "shootdown_policy to LazyAsid");
+        break;
+      case PlantedBug::DeferReplicaSync:
+        if (!numa_pt_replicas)
+            fatal("MachineConfig: PlantedBug::DeferReplicaSync plants a "
+                  "bug in the replica sync path; set numa_pt_replicas");
+        break;
+      case PlantedBug::SkipIotlbInvalidate:
+        if (devices == 0)
+            fatal("MachineConfig: PlantedBug::SkipIotlbInvalidate plants "
+                  "a bug in the device drain path; set devices > 0");
+        break;
+      default:
+        break;
     }
 }
 

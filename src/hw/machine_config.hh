@@ -140,6 +140,49 @@ enum class PlacementPolicy : std::uint8_t
     Migrate,
 };
 
+/**
+ * TEST ONLY -- a protocol bug planted so the model checker's golden
+ * tests can prove the stale-translation oracle catches it (see
+ * docs/CHECKER.md). Never set outside tests and checker scenarios.
+ */
+enum class PlantedBug : std::uint8_t
+{
+    None,
+    /**
+     * Responders skip the phase-2 stall on hardware that requires it,
+     * so a hardware reload (or a ref/mod writeback) can race the
+     * initiator's pmap change exactly as Section 3 warns.
+     */
+    SkipResponderStall,
+    /**
+     * The host-side L0 translation cache skips its invalidation
+     * maintenance, so flushes and entry retirements leave it serving
+     * stale translations (a missed invalidation must be a checker
+     * failure, not a silent wrong answer).
+     */
+    SkipL0Invalidate,
+    /**
+     * The lazy-asid context-load hook skips its stale-generation
+     * check, so a deferred flush marked while the space was switched
+     * out is never consumed when the space is next loaded -- the
+     * classic forgotten generation bump. Requires the LazyAsid policy.
+     */
+    SkipAsidGenCheck,
+    /**
+     * pmap updates write the primary page table immediately but sync
+     * the per-node replicas only after dropping the pmap lock, so a
+     * remote hardware reload can re-cache the pre-change PTE from its
+     * stale local replica. Requires numa_pt_replicas.
+     */
+    DeferReplicaSync,
+    /**
+     * A device's drain acknowledges the queued consistency actions
+     * without invalidating its IOTLB entries, so a revoked translation
+     * keeps serving DMA. Requires devices > 0.
+     */
+    SkipIotlbInvalidate,
+};
+
 /** Full parameter set for one simulated machine. */
 struct MachineConfig
 {
@@ -293,13 +336,6 @@ struct MachineConfig
     unsigned xpr_responder_cpus = 5;
     /** Capacity of the circular event buffer. */
     std::size_t xpr_capacity = 1u << 16;
-    /**
-     * Simulated cost charged per timeline-observability span (Section
-     * 6.1's measurement-perturbation knob for the obs::Recorder). Zero
-     * (default) keeps recording invisible to simulated time, so traced
-     * and untraced runs of the same seed produce identical digests.
-     */
-    Tick obs_record_cost = 0;
 
     // ---- Section 9 hardware-support options -------------------------
 
@@ -433,37 +469,6 @@ struct MachineConfig
     /** Per-CPU consistency-action queue depth (overflow => full flush). */
     unsigned action_queue_size = 8;
 
-    /**
-     * TEST ONLY -- plant a protocol bug: responders skip the phase-2
-     * stall on hardware that requires it, so a hardware reload (or a
-     * ref/mod writeback) can race the initiator's pmap change exactly
-     * as Section 3 warns. Exists so the model checker's golden test can
-     * prove the stale-translation oracle actually detects broken
-     * protocols (see docs/CHECKER.md); never set it outside tests.
-     */
-    bool chk_skip_responder_stall = false;
-
-    /**
-     * TEST ONLY -- plant an L0-cache bug: the host-side L0 translation
-     * cache skips its invalidation maintenance, so flushes and entry
-     * retirements leave it serving stale translations. Exists so tests
-     * can prove the stale-translation oracle audits the L0 for real
-     * (a missed invalidation is a checker failure, not a silent wrong
-     * answer); never set it outside tests.
-     */
-    bool chk_skip_l0_invalidate = false;
-
-    /**
-     * TEST ONLY -- plant a lazy-ASID policy bug: the context-load hook
-     * skips its stale-generation check, so a deferred flush marked
-     * while the space was switched out is never consumed when the
-     * space is next loaded -- the classic lazy-invalidation bug of
-     * forgetting the generation bump on context load. The reactivated
-     * CPU keeps serving pre-revocation translations. Exists for the
-     * checker's broken-asid golden test; never set it outside tests.
-     */
-    bool chk_skip_asid_gen_check = false;
-
     // ---- NUMA topology (src/numa) ------------------------------------
 
     /**
@@ -510,16 +515,6 @@ struct MachineConfig
      */
     bool numa_pt_replicas = false;
 
-    /**
-     * TEST ONLY -- plant a replica-coherence bug: pmap updates write
-     * the primary page table immediately but sync the per-node
-     * replicas only after dropping the pmap lock, leaving a window
-     * where a remote CPU's hardware reload re-caches the pre-change
-     * PTE from its stale local replica. Schedule-dependent by design,
-     * like chk_skip_responder_stall; never set it outside tests.
-     */
-    bool chk_defer_replica_sync = false;
-
     // ---- DMA devices and IOMMU (src/dev) -----------------------------
 
     /**
@@ -565,14 +560,8 @@ struct MachineConfig
      */
     Tick dev_drain_bound = 60 * kUsec;
 
-    /**
-     * TEST ONLY -- plant an IOTLB bug: a device's drain acknowledges
-     * the queued consistency actions without actually invalidating its
-     * IOTLB entries, so a revoked translation keeps serving DMA. The
-     * device-side twin of chk_skip_responder_stall; exists for the
-     * checker's broken-iotlb golden test. Never set it outside tests.
-     */
-    bool chk_skip_iotlb_invalidate = false;
+    /** TEST ONLY -- the checker's planted protocol bug, if any. */
+    PlantedBug planted_bug = PlantedBug::None;
 
     /** Number of CPUs per node (ncpus / numa_nodes). */
     unsigned cpusPerNode() const

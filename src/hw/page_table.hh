@@ -122,7 +122,7 @@ class PageTable
      * TEST ONLY -- defer replica fan-out: writePte updates only the
      * primary and records the write; replicas catch up at the next
      * syncReplicas(). The planted bug behind
-     * MachineConfig::chk_defer_replica_sync.
+     * PlantedBug::DeferReplicaSync.
      */
     void setDeferredSync(bool on) { deferred_sync_ = on; }
     bool deferredSyncPending() const { return !pending_.empty(); }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/recorder.hh"
+#include "obs/probe.hh"
 
 namespace mach::hw
 {
@@ -105,7 +105,7 @@ Tlb::l0Fill(std::uint64_t key, std::uint32_t entry_index)
 void
 Tlb::l0ClearKey(std::uint64_t key)
 {
-    if (config_->chk_skip_l0_invalidate)
+    if (config_->planted_bug == PlantedBug::SkipL0Invalidate)
         return;
     for (unsigned i = 0; i < l0_size_; ++i) {
         if (l0_[i].key == key)
@@ -116,7 +116,7 @@ Tlb::l0ClearKey(std::uint64_t key)
 void
 Tlb::l0ClearSpace(SpaceId space)
 {
-    if (config_->chk_skip_l0_invalidate)
+    if (config_->planted_bug == PlantedBug::SkipL0Invalidate)
         return;
     for (unsigned i = 0; i < l0_size_; ++i) {
         if ((l0_[i].key >> 32) == space)
@@ -127,7 +127,7 @@ Tlb::l0ClearSpace(SpaceId space)
 void
 Tlb::l0ClearAll()
 {
-    if (config_->chk_skip_l0_invalidate)
+    if (config_->planted_bug == PlantedBug::SkipL0Invalidate)
         return;
     for (unsigned i = 0; i < l0_size_; ++i)
         l0_[i].key = kNoL0Key;
@@ -263,12 +263,12 @@ Tlb::retireEntry(TlbEntry &entry)
         --st.live;
         --live_count_;
     } else {
-        // Only the planted chk_skip_l0_invalidate bug can route a
+        // Only the planted PlantedBug::SkipL0Invalidate bug can route a
         // retire to an entry that already left the live set (a stale
         // L0 slot serving a dead entry to find()); the liveness
         // accounting must not double-decrement for it. With L0
         // maintenance intact every caller holds a live entry.
-        MACH_ASSERT(config_->chk_skip_l0_invalidate);
+        MACH_ASSERT(config_->planted_bug == PlantedBug::SkipL0Invalidate);
     }
     entry.valid = false;
     // Single chokepoint for page invalidations, range invalidations,
@@ -328,7 +328,7 @@ Tlb::lookup(SpaceId space, Vpn vpn, Prot want, PAddr pte_addr)
             // retries against the same stale rights forever. (When the
             // stale rights suffice, the entry is served as-is: that
             // stale window is exactly the hazard the checker hunts.)
-            MACH_ASSERT(config_->chk_skip_l0_invalidate);
+            MACH_ASSERT(config_->planted_bug == PlantedBug::SkipL0Invalidate);
             result.hit = false;
         }
         return result;
@@ -420,7 +420,7 @@ void
 Tlb::invalidateRange(SpaceId space, Vpn start, Vpn end)
 {
     if (obs_ != nullptr && obs_->enabled()) {
-        obs_->instant(obs_track_, "tlb.invalidate_range", "tlb",
+        obs_->instant(obs_track_, obs::kTlbInvalidateRange,
                       obs::Arg{"npages", end - start});
     }
     if (live_count_ == 0)
@@ -446,7 +446,7 @@ void
 Tlb::flushSpace(SpaceId space)
 {
     if (obs_ != nullptr && obs_->enabled()) {
-        obs_->instant(obs_track_, "tlb.flush_space", "tlb",
+        obs_->instant(obs_track_, obs::kTlbFlushSpace,
                       obs::Arg{"space", space});
     }
     ++flushes;
@@ -475,7 +475,7 @@ void
 Tlb::flushAll()
 {
     if (obs_ != nullptr && obs_->enabled()) {
-        obs_->instant(obs_track_, "tlb.flush_all", "tlb",
+        obs_->instant(obs_track_, obs::kTlbFlushAll,
                       obs::Arg{"live", live_count_});
     }
     ++flushes;

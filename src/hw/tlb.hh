@@ -283,7 +283,7 @@ class Tlb
      * caches a slow-path hit in the L0; invalidation probes pass
      * false -- maintenance must not allocate into a translation
      * cache it is about to clear (under the planted
-     * chk_skip_l0_invalidate bug that allocation would plant the
+     * PlantedBug::SkipL0Invalidate bug that allocation would plant the
      * very stale slot the protocol was retiring, on every drain).
      */
     TlbEntry *find(SpaceId space, Vpn vpn, bool fill_l0 = true);

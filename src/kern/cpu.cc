@@ -2,7 +2,7 @@
 
 #include "base/logging.hh"
 #include "kern/machine.hh"
-#include "obs/recorder.hh"
+#include "obs/probe.hh"
 
 namespace mach::kern
 {
@@ -12,13 +12,13 @@ namespace
 /** Idle nap length; idle CPUs are woken by kicks and enqueues. */
 constexpr Tick kIdleNap = 10 * kSec;
 
-const char *
-irqSpanName(hw::Irq irq)
+const obs::Site &
+irqSite(hw::Irq irq)
 {
     switch (irq) {
-      case hw::Irq::Shootdown: return "irq.shootdown";
-      case hw::Irq::Timer: return "irq.timer";
-      default: return "irq.device";
+      case hw::Irq::Shootdown: return obs::kIrqShootdown;
+      case hw::Irq::Timer: return obs::kIrqTimer;
+      default: return obs::kIrqDevice;
     }
 }
 } // namespace
@@ -55,6 +55,7 @@ Cpu::pollInterrupts()
         if (irq_index < 0)
             return;
         const auto irq = static_cast<hw::Irq>(irq_index);
+        const obs::Site &site = irqSite(irq);
         obs::Recorder &rec = machine_->recorder();
         if (rec.enabled()) {
             // Post-to-deliver latency: how long the line sat pending
@@ -62,13 +63,9 @@ Cpu::pollInterrupts()
             const Tick posted = machine_->intr().postTick(id_, irq);
             const Tick latency =
                 posted != 0 ? machine_->now() - posted : 0;
-            rec.begin(rec.cpuTrack(id_), irqSpanName(irq), "irq",
+            rec.begin(rec.cpuTrack(id_), site,
                       obs::Arg{"post_to_deliver_ns", latency});
-            rec.metrics()
-                .histogram("irq.post_to_deliver_us")
-                .record(latency / kUsec);
-            if (machine_->cfg().obs_record_cost > 0)
-                advanceNoPoll(machine_->cfg().obs_record_cost);
+            rec.metrics().histogram(site.histogram).record(latency / kUsec);
         }
         machine_->intr().clear(id_, irq);
         ++interrupts_taken;
@@ -95,7 +92,7 @@ Cpu::pollInterrupts()
 
         advanceNoPoll(machine_->cfg().intr_return_cost);
         if (rec.enabled())
-            rec.end(rec.cpuTrack(id_), irqSpanName(irq));
+            rec.end(rec.cpuTrack(id_), site);
         spl_ = saved;
     }
 }

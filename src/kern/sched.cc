@@ -4,7 +4,7 @@
 
 #include "base/logging.hh"
 #include "kern/machine.hh"
-#include "obs/recorder.hh"
+#include "obs/probe.hh"
 
 namespace mach::kern
 {
@@ -138,8 +138,8 @@ Sched::dispatchNext(Cpu &cpu)
     obs::Recorder &rec = machine_->recorder();
     if (rec.enabled()) {
         // Thread names are owned by the scheduler and outlive the run.
-        rec.instant(rec.cpuTrack(cpu.id()), "sched.dispatch", "sched",
-                    {}, {}, next->name().c_str());
+        rec.instant(rec.cpuTrack(cpu.id()), obs::kSchedDispatch, {}, {},
+                    next->name().c_str());
     }
     machine_->switchSpace(cpu, *prev, *next);
     cpu.cur_thread = next;
@@ -227,7 +227,7 @@ Sched::idleLoop(Thread &self)
         cpu.active = false;
         obs::Recorder &rec = machine_->recorder();
         if (rec.enabled())
-            rec.begin(rec.cpuTrack(cpu.id()), "idle", "sched");
+            rec.begin(rec.cpuTrack(cpu.id()), obs::kIdle);
         if (machine_->cfg().consistency_strategy ==
             hw::ConsistencyStrategy::DelayedFlush) {
             // Under technique 2 idle processors take no timer ticks,
@@ -247,7 +247,7 @@ Sched::idleLoop(Thread &self)
         if (idle_exit_)
             idle_exit_(cpu);
         if (rec.enabled())
-            rec.end(rec.cpuTrack(cpu.id()), "idle");
+            rec.end(rec.cpuTrack(cpu.id()), obs::kIdle);
         cpu.idle = false;
         cpu.active = true;
 

@@ -1,5 +1,6 @@
 #include "obs/recorder.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -10,6 +11,10 @@ namespace
 {
 
 std::string g_process_file_tag;
+std::uint32_t g_process_text_trace = 0;
+
+/** Counters belong to no category and never reach the text trace. */
+constexpr Category kNoCategory{nullptr, 0};
 
 /** "12345678" ticks (ns) -> "12.345" (µs with fixed 3-digit fraction). */
 void
@@ -63,6 +68,36 @@ suffixedPath(const std::string &path, const std::string &tag)
     return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
+bool
+parseCategories(const std::string &spec, std::uint32_t *mask,
+                std::string *bad)
+{
+    static constexpr Category kNamed[] = {
+        kShootCategory, kVmCategory, kSchedCategory, kIrqCategory,
+        kTlbCategory,
+    };
+    *mask = 0;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t comma = std::min(spec.find(',', pos),
+                                           spec.size());
+        const std::string word = spec.substr(pos, comma - pos);
+        std::uint32_t bit = word == "all" ? kAllCategories : 0;
+        for (const Category &c : kNamed) {
+            if (word == c.name)
+                bit = c.bit;
+        }
+        if (bit == 0) {
+            *bad = word;
+            return false;
+        }
+        *mask |= bit;
+        if (comma == spec.size())
+            return true;
+        pos = comma + 1;
+    }
+}
+
 void
 setProcessFileTag(const std::string &tag)
 {
@@ -75,9 +110,17 @@ processFileTag()
     return g_process_file_tag;
 }
 
+void
+setProcessTextTrace(std::uint32_t categories)
+{
+    g_process_text_trace = categories;
+}
+
 Recorder::Recorder(Clock clock) : clock_(std::move(clock))
 {
     tracks_.push_back("machine");
+    if (g_process_text_trace != 0)
+        enableText(g_process_text_trace);
 }
 
 void
@@ -105,10 +148,23 @@ Recorder::enableStats()
 }
 
 void
+Recorder::enableText(std::uint32_t categories, TextSink sink)
+{
+    text_mask_ = categories;
+    text_sink_ = std::move(sink);
+    if (!enabled_ && categories != 0) {
+        enabled_ = true;
+        stats_only_ = true;
+        ring_capacity_ = 0;
+    }
+}
+
+void
 Recorder::disable()
 {
     enabled_ = false;
     stats_only_ = false;
+    text_mask_ = 0;
 }
 
 TrackId
@@ -130,8 +186,10 @@ Recorder::setCpuTracks(unsigned ncpus)
 }
 
 void
-Recorder::push(Event event)
+Recorder::push(const Event &event, const Category &category)
 {
+    if ((text_mask_ & category.bit) != 0)
+        writeLine(event, category.name);
     if (stats_only_)
         return;
     if (ring_capacity_ != 0 && events_.size() >= ring_capacity_) {
@@ -142,30 +200,69 @@ Recorder::push(Event event)
 }
 
 void
-Recorder::begin(TrackId track, const char *name, const char *category,
-                Arg arg0, Arg arg1)
+Recorder::writeLine(const Event &event, const char *category) const
 {
-    push(Event{clock_(), 'B', track, name, category, arg0, arg1, nullptr});
+    std::string line;
+    if (!g_process_file_tag.empty())
+        line += "[" + g_process_file_tag + "] ";
+    char stamp[48];
+    std::snprintf(stamp, sizeof(stamp), "%10llu us [%s] ",
+                  static_cast<unsigned long long>(event.ts / kUsec),
+                  category);
+    line += stamp;
+    line += event.track < tracks_.size() ? tracks_[event.track] : "?";
+    line += ' ';
+    line += event.phase;
+    line += ' ';
+    line += event.name;
+    for (const Arg &arg : {event.arg0, event.arg1}) {
+        if (arg.key == nullptr)
+            continue;
+        line += ' ';
+        line += arg.key;
+        line += '=';
+        appendU64(line, arg.value);
+    }
+    if (event.detail != nullptr) {
+        line += " detail=";
+        line += event.detail;
+    }
+    if (text_sink_)
+        text_sink_(line);
+    else
+        std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 void
-Recorder::end(TrackId track, const char *name)
+Recorder::begin(TrackId track, const Site &site, Arg arg0, Arg arg1)
 {
-    push(Event{clock_(), 'E', track, name, nullptr, {}, {}, nullptr});
+    push(Event{clock_(), 'B', track, site.name, site.category.name, arg0,
+               arg1, nullptr},
+         site.category);
 }
 
 void
-Recorder::instant(TrackId track, const char *name, const char *category,
-                  Arg arg0, Arg arg1, const char *detail)
+Recorder::end(TrackId track, const Site &site)
 {
-    push(Event{clock_(), 'i', track, name, category, arg0, arg1, detail});
+    push(Event{clock_(), 'E', track, site.name, nullptr, {}, {}, nullptr},
+         site.category);
+}
+
+void
+Recorder::instant(TrackId track, const Site &site, Arg arg0, Arg arg1,
+                  const char *detail)
+{
+    push(Event{clock_(), 'i', track, site.name, site.category.name, arg0,
+               arg1, detail},
+         site.category);
 }
 
 void
 Recorder::counter(TrackId track, const char *name, std::uint64_t value)
 {
     push(Event{clock_(), 'C', track, name, nullptr,
-               Arg{"value", value}, {}, nullptr});
+               Arg{"value", value}, {}, nullptr},
+         kNoCategory);
 }
 
 std::string

@@ -13,19 +13,23 @@
  *
  * Design constraints, in the spirit of the xpr package (Section 6):
  *
- *  - off by default, one predictable branch per site when disabled
- *    (the trace::enabled pattern);
- *  - recording never perturbs simulated time on its own; the
- *    MachineConfig::obs_record_cost knob (machsim --obs-cost) charges
- *    the Section 6.1-style instrumentation cost explicitly when the
- *    measurement-perturbation experiment wants it;
+ *  - off by default, one predictable branch per site when disabled;
+ *  - recording never touches simulated time: the Section 6.1-style
+ *    perturbation experiment is the xpr package's (xpr_record_cost);
  *  - deterministic: timestamps come from the simulated clock and the
  *    JSON is formatted with integer arithmetic only, so the same seed
  *    and flags produce byte-identical files (a golden digest test
  *    enforces this);
  *  - a bounded-ring "flight recorder" mode keeps only the most recent
  *    events and dumps them to a file when a failure is detected (a
- *    stale translation, a failed verdict, a minimized schedule).
+ *    stale translation, a failed verdict, a minimized schedule);
+ *  - the text trace is one more consumer of the same event stream:
+ *    each event of the chosen categories is rendered as one line as
+ *    it is recorded, and nothing extra is stored.
+ *
+ * Events are recorded through the boundary declarations of
+ * obs/probe.hh, so each boundary's name, category, histogram and
+ * request component are spelled once.
  */
 
 #ifndef MACH_OBS_RECORDER_HH
@@ -39,6 +43,7 @@
 
 #include "base/types.hh"
 #include "obs/metrics.hh"
+#include "obs/request.hh"
 
 namespace mach::obs
 {
@@ -52,6 +57,47 @@ struct Arg
 {
     const char *key = nullptr; ///< Static string; null = absent.
     std::uint64_t value = 0;
+};
+
+/** An event category: the name events carry, one text-trace bit. */
+struct Category
+{
+    const char *name;
+    std::uint32_t bit;
+};
+
+inline constexpr Category kShootCategory{"shoot", 1u << 0};
+inline constexpr Category kVmCategory{"vm", 1u << 1};
+inline constexpr Category kSchedCategory{"sched", 1u << 2};
+inline constexpr Category kIrqCategory{"irq", 1u << 3};
+inline constexpr Category kTlbCategory{"tlb", 1u << 4};
+inline constexpr std::uint32_t kAllCategories = (1u << 5) - 1;
+
+/**
+ * Parse a comma-separated category list ("shoot,vm", "all") into a
+ * text-trace mask. An unknown (or empty) name fails with the name in
+ * @p bad.
+ */
+bool parseCategories(const std::string &spec, std::uint32_t *mask,
+                     std::string *bad);
+
+/**
+ * One instrumented boundary, declared once in obs/probe.hh: what every
+ * sink needs to know about it.
+ */
+struct Site
+{
+    /** Timeline event name (static); null = attribution only. */
+    const char *name;
+    Category category;
+    /**
+     * Latency histogram (whole microseconds), or null. An obs::Probe
+     * feeds it the span's duration; unscoped sites record their own
+     * value (the irq post-to-deliver latency, the delayed-flush wait).
+     */
+    const char *histogram = nullptr;
+    /** Request component the boundary banks to; Compute = none. */
+    ReqComponent component = ReqComponent::Compute;
 };
 
 /** One recorded timeline event. */
@@ -87,11 +133,21 @@ std::string suffixedPath(const std::string &path, const std::string &tag);
 void setProcessFileTag(const std::string &tag);
 const std::string &processFileTag();
 
+/**
+ * Process-wide text-trace categories: every Recorder constructed
+ * afterwards starts with enableText(@p categories), so `machsim
+ * --trace` reaches every machine the process builds (farm workers,
+ * checker trials, fork children).
+ */
+void setProcessTextTrace(std::uint32_t categories);
+
 /** The per-machine timeline recorder. */
 class Recorder
 {
   public:
     using Clock = std::function<Tick()>;
+    /** Receives one rendered text-trace line (no trailing newline). */
+    using TextSink = std::function<void(const std::string &)>;
 
     /** @p clock reads the owning machine's simulated time. */
     explicit Recorder(Clock clock);
@@ -112,13 +168,23 @@ class Recorder
     void enableRing(std::size_t capacity);
 
     /**
-     * Stats-only mode: every instrumentation site runs (SpanGuards
-     * feed their histograms, samplers feed counters-as-histograms)
-     * but no timeline events are stored -- the memory-flat mode the
+     * Stats-only mode: every instrumentation site runs (probes feed
+     * their histograms, samplers feed counters-as-histograms) but no
+     * timeline events are stored -- the memory-flat mode the
      * serving-tier runs and `machsim --stats-json` use, where only
      * the latency distributions matter, not the timeline.
      */
     void enableStats();
+
+    /**
+     * Text trace: render every event of the @p categories (a mask of
+     * Category bits) as one line, `<us> us [<category>] <track>
+     * <phase> <name> k=v...`, to @p sink (stderr when null). Lines of
+     * a fork child carry its processFileTag() as a "[tag] " prefix.
+     * Combines with the other modes; alone it records like
+     * enableStats() and stores no events.
+     */
+    void enableText(std::uint32_t categories, TextSink sink = nullptr);
 
     void disable();
 
@@ -144,12 +210,12 @@ class Recorder
 
     // ---- Recording (call only when enabled()) ------------------------
 
-    void begin(TrackId track, const char *name, const char *category,
-               Arg arg0 = {}, Arg arg1 = {});
-    void end(TrackId track, const char *name);
-    void instant(TrackId track, const char *name, const char *category,
-                 Arg arg0 = {}, Arg arg1 = {},
-                 const char *detail = nullptr);
+    void begin(TrackId track, const Site &site, Arg arg0 = {},
+               Arg arg1 = {});
+    /** Span end; the stored 'E' event carries the name only. */
+    void end(TrackId track, const Site &site);
+    void instant(TrackId track, const Site &site, Arg arg0 = {},
+                 Arg arg1 = {}, const char *detail = nullptr);
     void counter(TrackId track, const char *name, std::uint64_t value);
 
     Tick now() const { return clock_(); }
@@ -192,11 +258,16 @@ class Recorder
     bool dumped() const { return dumped_; }
 
   private:
-    void push(Event event);
+    /** Render @p event to the text sink if its category is traced,
+     *  then store it unless stats-only. */
+    void push(const Event &event, const Category &category);
+    void writeLine(const Event &event, const char *category) const;
 
     Clock clock_;
     bool enabled_ = false;
     bool stats_only_ = false;
+    std::uint32_t text_mask_ = 0;
+    TextSink text_sink_;
     std::size_t ring_capacity_ = 0; ///< 0 = unbounded.
     std::uint64_t dropped_ = 0;
     std::deque<Event> events_;
@@ -206,52 +277,6 @@ class Recorder
     std::string dump_path_;
     bool dumped_ = false;
     const char *dump_reason_ = nullptr;
-};
-
-/**
- * RAII span: emits a 'B' event at construction and the matching 'E' at
- * destruction on the same track (so migrating callers cannot split a
- * span across tracks). Costs one branch when the recorder is disabled.
- * Optionally feeds the span's duration (in whole microseconds) into a
- * named latency histogram.
- */
-class SpanGuard
-{
-  public:
-    SpanGuard(Recorder &recorder, TrackId track, const char *name,
-              const char *category, const char *histogram = nullptr,
-              Arg arg0 = {}, Arg arg1 = {})
-    {
-        if (!recorder.enabled())
-            return;
-        recorder_ = &recorder;
-        track_ = track;
-        name_ = name;
-        histogram_ = histogram;
-        begin_ = recorder.now();
-        recorder.begin(track, name, category, arg0, arg1);
-    }
-
-    ~SpanGuard()
-    {
-        if (recorder_ == nullptr)
-            return;
-        recorder_->end(track_, name_);
-        if (histogram_ != nullptr) {
-            recorder_->metrics().histogram(histogram_).record(
-                (recorder_->now() - begin_) / kUsec);
-        }
-    }
-
-    SpanGuard(const SpanGuard &) = delete;
-    SpanGuard &operator=(const SpanGuard &) = delete;
-
-  private:
-    Recorder *recorder_ = nullptr;
-    TrackId track_ = 0;
-    const char *name_ = nullptr;
-    const char *histogram_ = nullptr;
-    Tick begin_ = 0;
 };
 
 } // namespace mach::obs

@@ -11,9 +11,11 @@
  * RequestSlot carries a small component stack; every instrumented
  * kernel boundary (vm.fault entry, the pmap walk window, the
  * shootdown IPI-post and sync phases, the responder service routine)
- * pushes its component on entry and pops on exit, and each switch
- * banks the elapsed interval to the component that was current. Time
- * belonging to no instrumented section is Compute, the residual. By
+ * is an obs::Probe (obs/probe.hh) whose declaration names its
+ * component; the probe pushes it on entry and pops it on exit, and
+ * each switch banks the elapsed interval to the component that was
+ * current. Time belonging to no instrumented section is Compute, the
+ * residual. By
  * construction the components sum *exactly* to the measured
  * end-to-end request latency -- the property tests/serving_test.cc
  * enforces (the acceptance bound is 1%; the identity is integral).
@@ -31,7 +33,7 @@
 #include <cstdint>
 
 #include "base/types.hh"
-#include "obs/recorder.hh"
+#include "obs/metrics.hh"
 
 namespace mach::obs
 {
@@ -39,7 +41,7 @@ namespace mach::obs
 /** Where a request's wall-clock interval is banked. */
 enum class ReqComponent : std::uint8_t
 {
-    Compute = 0,    ///< Residual: the request's own work.
+    Compute = 0,    ///< Residual: the request's own work (never pushed).
     Fault,          ///< vm.fault resolution (incl. COW, pagein, zfill).
     Walk,           ///< TLB-miss page-table walk + refill window.
     IpiPost,        ///< Shootdown initiator: posting the IPIs.
@@ -130,40 +132,6 @@ class RequestSlot
     unsigned depth_ = 0;
     std::array<ReqComponent, kMaxDepth> stack_{};
     std::array<Tick, kReqComponents> acc_{};
-};
-
-/**
- * RAII component section for the kernel hook sites. Null @p slot (no
- * request in flight on this thread -- every non-serving workload) is
- * one branch; otherwise the component is entered at construction and
- * left at destruction, with timestamps read through @p recorder's
- * simulated clock.
- */
-class ReqScope
-{
-  public:
-    ReqScope(Recorder &recorder, RequestSlot *slot,
-             ReqComponent component)
-    {
-        if (slot == nullptr)
-            return;
-        slot_ = slot;
-        recorder_ = &recorder;
-        slot->push(component, recorder.now());
-    }
-
-    ~ReqScope()
-    {
-        if (slot_ != nullptr)
-            slot_->pop(recorder_->now());
-    }
-
-    ReqScope(const ReqScope &) = delete;
-    ReqScope &operator=(const ReqScope &) = delete;
-
-  private:
-    RequestSlot *slot_ = nullptr;
-    Recorder *recorder_ = nullptr;
 };
 
 /**

@@ -21,10 +21,10 @@
  * The hash folds (phase, track, name) per event with FNV-1a over the
  * name *characters* -- never pointers -- so signatures are stable
  * across processes, builds, and hosts. Because recording is
- * timing-neutral (obs_record_cost = 0), the signatures of a run are a
- * pure function of its interleaving: the same (scenario, schedule)
- * pair yields the same signature list with or without full JSON
- * export and with or without the host-side L0/walk caches.
+ * timing-neutral, the signatures of a run are a pure function of its
+ * interleaving: the same (scenario, schedule) pair yields the same
+ * signature list with or without full JSON export and with or without
+ * the host-side L0/walk caches.
  */
 
 #ifndef MACH_OBS_SIGNATURE_HH

@@ -4,9 +4,8 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "kern/sched.hh"
-#include "obs/request.hh"
+#include "obs/probe.hh"
 #include "pmap/policy.hh"
 #include "pmap/responder.hh"
 #include "pmap/shootdown.hh"
@@ -29,7 +28,7 @@ Pmap::Pmap(PmapSystem *sys, bool is_kernel)
         table_.setWalkCache(false);
     if (cfg.numa_pt_replicas && sys->machine().numaNodes() > 1) {
         table_.enableReplicas(sys->machine().numaNodes());
-        if (cfg.chk_defer_replica_sync)
+        if (cfg.planted_bug == hw::PlantedBug::DeferReplicaSync)
             table_.setDeferredSync(true);
     }
     sys_->spaces_[space_] = this;
@@ -144,13 +143,8 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     unsigned mapped = 0;
     if (need_consistency) {
         need_consistency = mayBeCached(cpu, start, end, &mapped);
-        if (!need_consistency) {
+        if (!need_consistency)
             ++shootdowns_avoided_lazy;
-            MACH_TRACE_LOG(Pmap, sys_->machine().now(),
-                           "cpu%u: lazy evaluation skips consistency "
-                           "actions for vpn [0x%x,0x%x)",
-                           cpu.id(), start, end);
-        }
     }
     if (need_consistency &&
         sys_->shoot().policy().reuseElideCheck(cpu, *this, start, end)) {
@@ -200,7 +194,7 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     cpu.active = true;
 
     if (table_.deferredSyncPending()) {
-        // TEST ONLY (chk_defer_replica_sync): replica fan-out was
+        // TEST ONLY (PlantedBug::DeferReplicaSync): replica fan-out was
         // deferred past the unlock and the active-set rejoin, so a
         // released responder whose stall-exit, drain, and reload all
         // land before the sync below re-caches a pre-change PTE from
@@ -656,9 +650,8 @@ Cpu::access(VAddr va, Prot want)
             // writeback, per-level latency -- to the requesting
             // thread's Walk component (one branch when no request is
             // in flight).
-            obs::ReqScope walk_scope(machine_->recorder(),
-                                     thread->obs_request,
-                                     obs::ReqComponent::Walk);
+            obs::Probe walk_probe(machine_->recorder(), obs::kTlbWalk,
+                                  obs::kNoTrack, thread->obs_request);
             if (cfg.tlb_software_reload) {
                 // Software reload (MIPS style): the miss handler checks
                 // whether the pmap is being modified and stalls only in

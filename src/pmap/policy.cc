@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hw/bus.hh"
 #include "kern/cpu.hh"
 #include "kern/machine.hh"
@@ -42,7 +41,7 @@ class BaselinePolicy : public ShootdownPolicy
  * the hook before the space becomes current; the hook stalls while
  * the pmap is mid-update, so the flush cannot land between a defer
  * decision and the pmap change it covers (that would let the reload
- * walk re-cache pre-change PTEs). chk_skip_asid_gen_check plants
+ * walk re-cache pre-change PTEs). PlantedBug::SkipAsidGenCheck plants
  * exactly that omitted-flush bug for the checker to find.
  */
 class LazyAsidPolicy : public ShootdownPolicy
@@ -72,10 +71,6 @@ class LazyAsidPolicy : public ShootdownPolicy
         if (!cpu.idle &&
             !machine_.intr().pending(target, hw::Irq::Shootdown))
             ++ipis_elided;
-        MACH_TRACE_LOG(Shootdown, machine_.now(),
-                       "cpu%u defers flush of space %u on cpu%u "
-                       "(not current there)",
-                       self.id(), pmap.space(), target);
         return true;
     }
 
@@ -87,8 +82,9 @@ class LazyAsidPolicy : public ShootdownPolicy
         hw::Tlb &tlb = cpu.tlb();
         if (!tlb.hasDeferredFlush(pmap.space()))
             return;
-        if (machine_.cfg().chk_skip_asid_gen_check) {
-            // PLANTED BUG (chk_skip_asid_gen_check): load the space
+        if (machine_.cfg().planted_bug ==
+            hw::PlantedBug::SkipAsidGenCheck) {
+            // PLANTED BUG (PlantedBug::SkipAsidGenCheck): load the space
             // without applying the deferred flush -- the "skipped
             // generation bump". The stale residue becomes reachable
             // the instant the space is current; the checker's oracle
@@ -110,10 +106,6 @@ class LazyAsidPolicy : public ShootdownPolicy
         if (tlb.consumeDeferredFlush(pmap.space())) {
             ++deferred_flushes_applied;
             cpu.advanceNoPoll(machine_.cfg().tlb_flush_cost);
-            MACH_TRACE_LOG(Shootdown, machine_.now(),
-                           "cpu%u applies deferred flush of space %u "
-                           "at context load",
-                           cpu.id(), pmap.space());
         }
     }
 };
@@ -174,10 +166,6 @@ class BatchedPolicy : public ShootdownPolicy
             machine_.cfg().ipi_coalesce_window)
             return false;
         ++ipis_elided;
-        MACH_TRACE_LOG(Shootdown, machine_.now(),
-                       "cpu%u coalesces IPI into cpu%u's in-progress "
-                       "responder pass",
-                       self.id(), target);
         return true;
     }
 };
@@ -269,11 +257,6 @@ class ReuseElidePolicy : public ShootdownPolicy
                 return false;
         }
         ++reuse_elisions;
-        MACH_TRACE_LOG(Shootdown, machine_.now(),
-                       "cpu%u elides consistency actions for space %u "
-                       "vpn [0x%x,0x%x): no page referenced since its "
-                       "last clean instant",
-                       self.id(), pmap.space(), start, end);
         return true;
     }
 };

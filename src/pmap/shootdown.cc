@@ -1,13 +1,11 @@
 #include "pmap/shootdown.hh"
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hw/bus.hh"
 #include "kern/cpu.hh"
 #include "kern/machine.hh"
 #include "kern/sched.hh"
-#include "obs/recorder.hh"
-#include "obs/request.hh"
+#include "obs/probe.hh"
 #include "pmap/pmap.hh"
 #include "pmap/policy.hh"
 #include "pmap/responder.hh"
@@ -61,7 +59,7 @@ ShootdownController::responderMustStall() const
     // mid-update and because the TLB writes ref/mod bits back to the
     // PTE. Either Section 9 remedy removes the need for it.
     const hw::MachineConfig &cfg = machine_.cfg();
-    if (cfg.chk_skip_responder_stall)
+    if (cfg.planted_bug == hw::PlantedBug::SkipResponderStall)
         return false; // Planted bug for the checker's golden test.
     return !(cfg.tlb_software_reload || cfg.tlb_no_refmod_writeback ||
              cfg.tlb_interlocked_refmod);
@@ -116,8 +114,8 @@ ShootdownController::queueAction(kern::Cpu &self, CpuId target,
         ++queue_overflows;
         obs::Recorder &rec = machine_.recorder();
         if (rec.enabled()) {
-            rec.instant(rec.cpuTrack(target), "shoot.queue_overflow",
-                        "shoot", obs::Arg{"by", self.id()});
+            rec.instant(rec.cpuTrack(target), obs::kShootQueueOverflow,
+                        obs::Arg{"by", self.id()});
         }
     } else {
         st.queue.push_back({&pmap, start, end});
@@ -137,12 +135,10 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     ++initiated;
 
     obs::Recorder &rec = machine_.recorder();
-    obs::SpanGuard initiate_span(
-        rec, rec.cpuTrack(self.id()), "shoot.initiate", "shoot",
-        "shoot.initiator_us", obs::Arg{"pages", mapped_pages},
-        obs::Arg{"npages", end - start});
-    if (rec.enabled() && cfg.obs_record_cost > 0)
-        self.advanceNoPoll(cfg.obs_record_cost);
+    obs::Probe initiate_probe(rec, obs::kShootInitiate,
+                              rec.cpuTrack(self.id()), nullptr,
+                              obs::Arg{"pages", mapped_pages},
+                              obs::Arg{"npages", end - start});
 
     self.advanceNoPoll(cfg.shootdown_setup_cost);
 
@@ -290,12 +286,6 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         }
     }
 
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "cpu%u initiates on %s pmap vpn [0x%x,0x%x): "
-                   "%zu to sync, %zu to interrupt",
-                   self.id(), pmap.isKernel() ? "kernel" : "user",
-                   start, end, sync_list.size(), send_list.size());
-
     // Attribution: the initiating thread's request (if one is in
     // flight) pays for posting the IPIs and then for the sync spin,
     // as two distinct components.
@@ -305,12 +295,9 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
 
     if (!sync_list.empty()) {
         {
-            obs::SpanGuard ipi_span(rec, rec.cpuTrack(self.id()),
-                                    "shoot.ipi", "shoot", nullptr,
-                                    obs::Arg{"targets",
-                                             send_list.size()});
-            obs::ReqScope ipi_scope(rec, req,
-                                    obs::ReqComponent::IpiPost);
+            obs::Probe ipi_probe(rec, obs::kShootIpi,
+                                 rec.cpuTrack(self.id()), req,
+                                 obs::Arg{"targets", send_list.size()});
             if (cfg.multicast_ipi) {
                 // One bit-vector load triggers every target at fixed
                 // cost.
@@ -406,13 +393,9 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         // one quick motion, and the initiator would otherwise miss the
         // transient. Spinning processors are bus users; this is where
         // large shootdowns congest the bus (Figure 2's knee).
-        obs::SpanGuard sync_span(rec, rec.cpuTrack(self.id()),
-                                 "shoot.sync", "shoot",
-                                 "shoot.sync_us",
-                                 obs::Arg{"waiting_on",
-                                          sync_list.size()});
-        obs::ReqScope sync_scope(rec, req,
-                                 obs::ReqComponent::ResponderWait);
+        obs::Probe sync_probe(rec, obs::kShootSync,
+                              rec.cpuTrack(self.id()), req,
+                              obs::Arg{"waiting_on", sync_list.size()});
         hw::Bus::User bus_user(self.bus());
         for (CpuId id : sync_list) {
             kern::Cpu &target = machine_.cpu(id);
@@ -429,14 +412,11 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         // drain requests above bounded each wait. A device that
         // finishes its transfer drains its action queue at the same
         // instant, so exiting this spin means the IOTLB entry is gone
-        // too (unless the planted chk_skip_iotlb_invalidate bug left
+        // too (unless the planted SkipIotlbInvalidate bug left
         // it behind -- the stale-translation oracle's catch).
-        obs::SpanGuard dev_span(rec, rec.cpuTrack(self.id()),
-                                "shoot.device_sync", "shoot",
-                                "shoot.device_sync_us",
-                                obs::Arg{"devices", dev_sync.size()});
-        obs::ReqScope dev_scope(rec, req,
-                                obs::ReqComponent::ResponderWait);
+        obs::Probe dev_probe(rec, obs::kShootDeviceSync,
+                             rec.cpuTrack(self.id()), req,
+                             obs::Arg{"devices", dev_sync.size()});
         hw::Bus::User bus_user(self.bus());
         for (TlbResponder *dev : dev_sync) {
             CpuShootState &st = *state_[dev->id()];
@@ -449,11 +429,6 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     }
 
     const Tick elapsed = machine_.now() - t_begin;
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "cpu%u synchronized after %llu us; pmap changes "
-                   "may begin",
-                   self.id(),
-                   static_cast<unsigned long long>(elapsed / kUsec));
     if (cfg.xpr_enabled) {
         self.advanceNoPoll(cfg.xpr_record_cost);
         machine_.xpr().record({xpr::EventKind::ShootInitiator, self.id(),
@@ -471,10 +446,9 @@ ShootdownController::drainActions(kern::Cpu &cpu)
     const hw::MachineConfig &cfg = machine_.cfg();
     CpuShootState &st = *state_[cpu.id()];
 
-    obs::SpanGuard drain_span(machine_.recorder(),
-                              machine_.recorder().cpuTrack(cpu.id()),
-                              "shoot.drain", "shoot", nullptr,
-                              obs::Arg{"queued", st.queue.size()});
+    obs::Recorder &rec = machine_.recorder();
+    obs::Probe drain_probe(rec, obs::kShootDrain, rec.cpuTrack(cpu.id()),
+                           nullptr, obs::Arg{"queued", st.queue.size()});
 
     st.action_lock.rawLock(cpu);
     if (st.overflow) {
@@ -523,9 +497,6 @@ ShootdownController::drainForwards(kern::Cpu &cpu)
     // double-forward.
     const CpuSet claimed = pending;
     pending.clearAll();
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "cpu%u forwards local shootdown IPIs to %s",
-                   cpu.id(), claimed.format().c_str());
 
     const hw::MachineConfig &cfg = machine_.cfg();
     hw::InterruptController &intr = machine_.intr();
@@ -563,25 +534,16 @@ ShootdownController::respond(kern::Cpu &cpu)
     CpuShootState &st = *state_[cpu.id()];
     const bool had_work = st.action_needed;
 
-    obs::Recorder &rec = machine_.recorder();
-    obs::SpanGuard respond_span(
-        rec, rec.cpuTrack(cpu.id()), "shoot.respond", "shoot",
-        "shoot.responder_us", obs::Arg{"had_work", had_work ? 1u : 0u});
     // The interrupt runs on whatever thread was dispatched here; if
     // that thread had a request in flight, the stall + drain time is
     // the request's Drain component (tail latency stolen by *other*
-    // initiators' consistency work).
-    obs::ReqScope drain_scope(rec,
-                              cpu.cur_thread != nullptr
-                                  ? cpu.cur_thread->obs_request
-                                  : nullptr,
-                              obs::ReqComponent::Drain);
-    if (rec.enabled() && cfg.obs_record_cost > 0)
-        cpu.advanceNoPoll(cfg.obs_record_cost);
-
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "cpu%u responds (action_needed=%d)", cpu.id(),
-                   st.action_needed ? 1 : 0);
+    // initiators' consistency work). The probe closes after the
+    // setSpl() below, which can deliver a nested interrupt.
+    obs::Recorder &rec = machine_.recorder();
+    obs::Probe respond_probe(
+        rec, obs::kShootRespond, rec.cpuTrack(cpu.id()),
+        cpu.cur_thread != nullptr ? cpu.cur_thread->obs_request : nullptr,
+        obs::Arg{"had_work", had_work ? 1u : 0u});
 
     // One pass of this loop services every shootdown in progress. The
     // servicing flag brackets the loop exactly: an initiator that sees
@@ -600,8 +562,8 @@ ShootdownController::respond(kern::Cpu &cpu)
         cpu.active = false;
         cpu.memAccess(1);
         if (responderMustStall()) {
-            obs::SpanGuard stall_span(rec, rec.cpuTrack(cpu.id()),
-                                      "shoot.stall", "shoot");
+            obs::Probe stall_probe(rec, obs::kShootStall,
+                                   rec.cpuTrack(cpu.id()), nullptr);
             hw::Bus::User bus_user(cpu.bus());
             Pmap *kernel = &sys_.kernelPmap();
             Pmap *user = cpu.cur_pmap;
@@ -645,13 +607,10 @@ ShootdownController::idleExit(kern::Cpu &cpu)
     if (!st.action_needed)
         return;
     ++idle_drains;
-    MACH_TRACE_LOG(Shootdown, machine_.now(),
-                   "cpu%u drains queued actions before leaving idle",
-                   cpu.id());
     obs::Recorder &rec = machine_.recorder();
     if (rec.enabled()) {
-        rec.instant(rec.cpuTrack(cpu.id()), "shoot.idle_drain",
-                    "shoot", obs::Arg{"queued", st.queue.size()});
+        rec.instant(rec.cpuTrack(cpu.id()), obs::kShootIdleDrain,
+                    obs::Arg{"queued", st.queue.size()});
     }
 
     const hw::Spl saved = cpu.setSpl(hw::SplHigh);
@@ -716,11 +675,12 @@ ShootdownController::delayedFlushWait(kern::Thread &thread, Pmap &pmap,
     if (rec.enabled()) {
         const Tick waited = machine_.now() - t_begin;
         rec.instant(rec.cpuTrack(thread.cpu().id()),
-                    "shoot.delayed_flush_wait", "shoot",
+                    obs::kShootDelayedFlushWait,
                     obs::Arg{"waited_us", waited / kUsec},
                     obs::Arg{"pages", mapped_pages});
-        rec.metrics().histogram("shoot.delayed_wait_us").record(
-            waited / kUsec);
+        rec.metrics()
+            .histogram(obs::kShootDelayedFlushWait.histogram)
+            .record(waited / kUsec);
     }
 
     if (cfg.xpr_enabled) {

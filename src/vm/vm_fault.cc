@@ -11,9 +11,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
-#include "obs/recorder.hh"
-#include "obs/request.hh"
+#include "obs/probe.hh"
 #include "vm/kernel.hh"
 
 namespace mach::vm
@@ -66,11 +64,9 @@ Kernel::handleFault(kern::Thread &thread, VAddr va, Prot want)
     }
 
     obs::Recorder &rec = machine_->recorder();
-    obs::SpanGuard fault_span(
-        rec, rec.enabled() ? threadTrack(rec, thread) : 0, "vm.fault",
-        "vm", "vm.fault_us", obs::Arg{"va", va});
-    obs::ReqScope fault_scope(rec, thread.obs_request,
-                              obs::ReqComponent::Fault);
+    obs::Probe fault_probe(rec, obs::kVmFault,
+                           rec.enabled() ? threadTrack(rec, thread) : 0,
+                           thread.obs_request, obs::Arg{"va", va});
 
     thread.cpu().advance(machine_->cfg().fault_base_cost);
 
@@ -91,11 +87,6 @@ Kernel::handleFault(kern::Thread &thread, VAddr va, Prot want)
         ++faults_resolved;
     else
         ++faults_failed;
-    MACH_TRACE_LOG(Vm, machine_->now(),
-                   "cpu%u %s fault at 0x%08x (%s) -> %s",
-                   thread.cpu().id(),
-                   protAllows(want, ProtWrite) ? "write" : "read", va,
-                   map->name().c_str(), ok ? "resolved" : "FAILED");
     return ok;
 }
 
@@ -134,13 +125,10 @@ Kernel::migratePage(kern::Thread &thread, VmPage &page,
 
     obs::Recorder &rec = machine_->recorder();
     if (rec.enabled()) {
-        rec.instant(rec.cpuTrack(thread.cpu().id()), "vm.migrate",
-                    "vm", obs::Arg{"pfn", fresh},
+        rec.instant(rec.cpuTrack(thread.cpu().id()), obs::kVmMigrate,
+                    obs::Arg{"pfn", fresh},
                     obs::Arg{"to_node", to_node});
     }
-    MACH_TRACE_LOG(Vm, machine_->now(),
-                   "cpu%u migrates pfn %u -> %u (node %u)",
-                   thread.cpu().id(), old, fresh, to_node);
 }
 
 void

@@ -18,9 +18,10 @@
  *    configured.
  *
  *  - The golden detection test for the planted
- *    chk_skip_iotlb_invalidate bug: the explorer must find a schedule
- *    where a stale IOTLB entry survives the drain, minimize it, and
- *    replay it bit-exactly while the healthy twin shrugs it off.
+ *    PlantedBug::SkipIotlbInvalidate bug: the explorer must find a
+ *    schedule where a stale IOTLB entry survives the drain, minimize
+ *    it, and replay it bit-exactly while the healthy twin shrugs it
+ *    off.
  */
 
 #include <gtest/gtest.h>

@@ -660,11 +660,11 @@ TEST_F(TlbFixture, L0DisabledBehavesIdentically)
 
 TEST_F(TlbFixture, SkippedL0InvalidationServesStaleTranslation)
 {
-    // The chk_skip_l0_invalidate planted bug: with L0 maintenance
+    // The PlantedBug::SkipL0Invalidate bug: with L0 maintenance
     // disabled, a flushed translation keeps being served from the L0.
     // This is the failure mode the consistency audit must catch (see
     // the pmap audit test); here we prove the knob actually plants it.
-    config.chk_skip_l0_invalidate = true;
+    config.planted_bug = hw::PlantedBug::SkipL0Invalidate;
     tlb.insert(1, 5, 42, ProtRead, false);
     tlb.lookup(1, 5, ProtRead, 0);
     tlb.flushSpace(1);

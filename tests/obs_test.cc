@@ -1,10 +1,11 @@
 /**
  * @file
- * Timeline observability tests: histogram math, recorder mechanics
- * (ring eviction, disabled no-op, path suffixing), and the determinism
- * contract of the Chrome Trace Event JSON export -- a span-balance
- * validator over a real tester run plus golden FNV-1a digests pinning
- * the exported bytes for fixed seeds and flag sets.
+ * Timeline observability tests: histogram math, recorder and probe
+ * mechanics (ring eviction, disabled no-op, attribution, path
+ * suffixing), and the determinism contract of the Chrome Trace Event
+ * JSON export -- a span-balance validator over a real tester run plus
+ * golden FNV-1a digests pinning the exported bytes for fixed seeds and
+ * flag sets.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "chk/explorer.hh"
 #include "chk/scenario.hh"
 #include "obs/metrics.hh"
+#include "obs/probe.hh"
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "vm/kernel.hh"
@@ -166,8 +168,15 @@ TEST(ObsMetrics, HistogramsAreCreatedOnceInOrder)
 }
 
 // ---------------------------------------------------------------------
-// Recorder mechanics (driven by a fake clock, no machine involved)
+// Recorder and probe mechanics (driven by a fake clock, no machine)
 // ---------------------------------------------------------------------
+
+constexpr obs::Category kTestCategory{"test", 0};
+constexpr obs::Site kTick{"tick", kTestCategory};
+constexpr obs::Site kOuter{"outer", kTestCategory};
+constexpr obs::Site kInner{"inner", kTestCategory};
+constexpr obs::Site kProbed{"probed", kTestCategory, "probed_us",
+                            obs::ReqComponent::Fault};
 
 TEST(ObsRecorder, DisabledRecordsNothing)
 {
@@ -175,8 +184,7 @@ TEST(ObsRecorder, DisabledRecordsNothing)
     obs::Recorder rec([&fake_now] { return fake_now; });
     EXPECT_FALSE(rec.enabled());
     {
-        obs::SpanGuard span(rec, rec.machineTrack(), "noop", "test",
-                            "noop_us");
+        obs::Probe probe(rec, kProbed, rec.machineTrack(), nullptr);
         rec.now();
     }
     EXPECT_TRUE(rec.events().empty());
@@ -192,7 +200,7 @@ TEST(ObsRecorder, RingModeKeepsOnlyTheTail)
     ASSERT_TRUE(rec.ringMode());
     for (int i = 0; i < 10; ++i) {
         fake_now = static_cast<Tick>(i) * kUsec;
-        rec.instant(rec.machineTrack(), "tick", "test",
+        rec.instant(rec.machineTrack(), kTick,
                     obs::Arg{"i", static_cast<std::uint64_t>(i)});
     }
     EXPECT_EQ(rec.events().size(), 4u);
@@ -218,11 +226,11 @@ TEST(ObsRecorder, OpenSpansGetSyntheticCloses)
     obs::Recorder rec([&fake_now] { return fake_now; });
     rec.setCpuTracks(1);
     rec.enable();
-    rec.begin(rec.cpuTrack(0), "outer", "test");
+    rec.begin(rec.cpuTrack(0), kOuter);
     fake_now = 5 * kUsec;
-    rec.begin(rec.cpuTrack(0), "inner", "test");
+    rec.begin(rec.cpuTrack(0), kInner);
     fake_now = 9 * kUsec;
-    rec.instant(rec.machineTrack(), "mark", "test");
+    rec.instant(rec.machineTrack(), kTick);
     // Neither span was closed; the export must balance them anyway,
     // inner before outer, at the final timestamp.
     const std::string json = rec.toJson();
@@ -233,6 +241,55 @@ TEST(ObsRecorder, OpenSpansGetSyntheticCloses)
     EXPECT_NE(inner_e, std::string::npos);
     EXPECT_NE(outer_e, std::string::npos);
     EXPECT_LT(inner_e, outer_e);
+}
+
+TEST(ObsProbe, AttributionAndRecordingAreIndependentSinks)
+{
+    Tick fake_now = 0;
+    const obs::Recorder::Clock clock = [&fake_now] { return fake_now; };
+
+    // A request slot with the recorder off: the probe banks its
+    // component and records nothing.
+    obs::Recorder off(clock);
+    obs::RequestSlot slot;
+    slot.begin(0);
+    fake_now = 2 * kUsec;
+    {
+        obs::Probe probe(off, kProbed, off.machineTrack(), &slot);
+        fake_now = 7 * kUsec;
+    }
+    EXPECT_EQ(slot.finish(10 * kUsec), 10 * kUsec);
+    const auto &banked = slot.components();
+    EXPECT_EQ(banked[static_cast<unsigned>(obs::ReqComponent::Fault)],
+              5 * kUsec);
+    EXPECT_EQ(banked[static_cast<unsigned>(obs::ReqComponent::Compute)],
+              5 * kUsec);
+    EXPECT_TRUE(off.events().empty());
+    EXPECT_TRUE(off.metrics().empty());
+
+    // The recorder on and no slot: the span and its histogram.
+    obs::Recorder on(clock);
+    on.enable();
+    fake_now = 3 * kUsec;
+    {
+        obs::Probe probe(on, kProbed, on.machineTrack(), nullptr,
+                         obs::Arg{"k", 1});
+        fake_now = 8 * kUsec;
+    }
+    ASSERT_EQ(on.events().size(), 2u);
+    const obs::Event &b = on.events().front();
+    const obs::Event &e = on.events().back();
+    EXPECT_EQ(b.phase, 'B');
+    EXPECT_STREQ(b.category, "test");
+    EXPECT_STREQ(b.arg0.key, "k");
+    EXPECT_EQ(b.ts, 3 * kUsec);
+    EXPECT_EQ(e.phase, 'E');
+    EXPECT_STREQ(e.name, "probed");
+    EXPECT_EQ(e.category, nullptr);
+    EXPECT_EQ(e.ts, 8 * kUsec);
+    const obs::Histogram &h = on.metrics().histogram("probed_us");
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.sum(), 5u);
 }
 
 // ---------------------------------------------------------------------
@@ -343,8 +400,9 @@ validateSpanBalance(const std::vector<ParsedEvent> &events,
     EXPECT_GT(counts[0], 0u) << "no spans";
     EXPECT_GT(counts[1], 0u) << "no span ends";
     EXPECT_GT(counts[2], 0u) << "no instants";
-    if (expect_counters)
+    if (expect_counters) {
         EXPECT_GT(counts[3], 0u) << "no counter samples";
+    }
 }
 
 /**
@@ -424,10 +482,9 @@ TEST(ObsTrace, GeneratedScenarioTraceBalancesSpans)
 
 TEST(ObsTrace, RecordingDoesNotPerturbTheRun)
 {
-    // The recorder must be timing-neutral (obs_record_cost defaults to
-    // 0): the xpr event stream of a recorded run equals the stream of
-    // an unrecorded one, so traces can be taken from any experiment
-    // without invalidating it.
+    // The recorder must be timing-neutral: the xpr event stream of a
+    // recorded run equals the stream of an unrecorded one, so traces
+    // can be taken from any experiment without invalidating it.
     std::string recorded;
     recordedTesterTrace(0x0b5e2, false, &recorded);
 

@@ -396,11 +396,11 @@ TEST(PmapAudit, DetectsProtMismatch)
 TEST(PmapAudit, DetectsSkippedL0Invalidation)
 {
     // Plant the one bug the L0 cache can introduce: a flush that the
-    // indexed TLB honors but the L0 misses. chk_skip_l0_invalidate
+    // indexed TLB honors but the L0 misses. PlantedBug::SkipL0Invalidate
     // disables all L0 maintenance, so after a flushAll the L0 keeps
     // serving the dead translation -- the audit must say so.
     hw::MachineConfig config = pmapConfig();
-    config.chk_skip_l0_invalidate = true;
+    config.planted_bug = hw::PlantedBug::SkipL0Invalidate;
     inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
         auto pmap = kernel.pmaps().createPmap();
         const Pfn frame = kernel.machine().mem().allocFrame();
@@ -427,7 +427,7 @@ TEST(PmapAudit, OracleCatchesSkippedL0Invalidation)
     // Same planted bug, but caught the way real checker runs catch it:
     // the stale-translation oracle's post-operation audit hook.
     hw::MachineConfig config = pmapConfig();
-    config.chk_skip_l0_invalidate = true;
+    config.planted_bug = hw::PlantedBug::SkipL0Invalidate;
     inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
         chk::Oracle oracle(kernel);
         auto pmap = kernel.pmaps().createPmap();

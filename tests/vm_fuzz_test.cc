@@ -132,8 +132,9 @@ runFuzzAgainstModel(const hw::MachineConfig &config, std::uint64_t seed)
                         std::uint32_t carried = 0;
                         const bool readable =
                             protAllows(m.prot, ProtRead);
-                        if (readable)
+                        if (readable) {
                             ASSERT_TRUE(self.load32(page, &carried));
+                        }
                         ASSERT_TRUE(kernel.vmDeallocate(
                             self, *task, page, kPageSize));
                         model.erase(page);

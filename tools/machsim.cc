@@ -9,7 +9,7 @@
  *   machsim --app tester --children 8
  *   machsim --app camelot --ncpus 32 --transactions 300
  *   machsim --app mach-build --lazy off
- *   machsim --app agora --trace shootdown,pmap
+ *   machsim --app agora --trace shoot,vm
  *   machsim --app parthenon --strategy delayed-flush
  *   machsim --app tester --pools 4 --ncpus 64
  *
@@ -30,7 +30,6 @@
 #include "apps/serving.hh"
 #include "base/perturb.hh"
 #include "base/stats.hh"
-#include "base/trace.hh"
 #include "farm/farm.hh"
 #include "chk/corpus.hh"
 #include "chk/explorer.hh"
@@ -92,7 +91,8 @@ struct Options
     unsigned tlb_assoc = 0;
     /** Disable the host-side L0/walk caches (timing-neutral knob). */
     bool no_l0 = false;
-    std::string trace_spec;
+    /** Text-trace categories (--trace), a mask of obs::Category bits. */
+    std::uint32_t trace_categories = 0;
     /** Perturbation directives, e.g. "e89+187500,b40+9000". */
     std::string schedule;
     /** Checker scenario for --app chk. */
@@ -120,8 +120,6 @@ struct Options
      * 16 ms when --trace-json is given, otherwise off.
      */
     Tick stats_interval = ~Tick{0};
-    /** Simulated cost charged per recorded span (Section 6.1 knob). */
-    Tick obs_cost = 0;
     /** Flight-recorder dump file, written on failure. */
     std::string flight_recorder;
     /** Machine-readable stats document, written after the run. */
@@ -255,7 +253,10 @@ usage()
         "                      (singles + pairs) in the event window\n"
         "                      [C-K, C+K] instead of sampling\n"
         "\nobservability:\n"
-        "  --trace SPEC        e.g. shootdown,pmap,vm (to stderr)\n"
+        "  --trace SPEC        text trace to stderr, one line per\n"
+        "                      event of the listed categories: shoot,\n"
+        "                      vm, sched, irq, tlb, or all (e.g.\n"
+        "                      shoot,vm)\n"
         "  --trace-json FILE   write the run's timeline (spans,\n"
         "                      instants, counters) as Chrome Trace\n"
         "                      Event JSON -- open in Perfetto or\n"
@@ -266,9 +267,6 @@ usage()
         "                      off; 0 disables (see\n"
         "                      docs/OBSERVABILITY.md on e<seq>\n"
         "                      schedule indices)\n"
-        "  --obs-cost T        charge T ticks of simulated time per\n"
-        "                      recorded span (Section 6.1-style\n"
-        "                      measurement perturbation; default 0)\n"
         "  --flight-recorder F keep a bounded ring of recent events\n"
         "                      and dump it to F when the run fails\n"
         "                      (oracle violation, failed verdict,\n"
@@ -403,7 +401,13 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--no-l0") {
             opt->no_l0 = true;
         } else if (flag == "--trace") {
-            opt->trace_spec = need_value(i);
+            std::string bad;
+            if (!obs::parseCategories(need_value(i),
+                                      &opt->trace_categories, &bad)) {
+                fatal("unknown --trace category '%s' (shoot, vm, sched, "
+                      "irq, tlb, all)",
+                      bad.c_str());
+            }
         } else if (flag == "--schedule") {
             opt->schedule = need_value(i);
         } else if (flag == "--scenario") {
@@ -426,8 +430,6 @@ parse(int argc, char **argv, Options *opt)
             opt->trace_json = need_value(i);
         } else if (flag == "--stats-interval") {
             opt->stats_interval = strtoull(need_value(i), nullptr, 0);
-        } else if (flag == "--obs-cost") {
-            opt->obs_cost = strtoull(need_value(i), nullptr, 0);
         } else if (flag == "--flight-recorder") {
             opt->flight_recorder = need_value(i);
         } else if (flag == "--stats-json") {
@@ -482,7 +484,6 @@ toConfig(const Options &opt)
         config.tlb_l0_entries = 0;
         config.host_walk_cache = false;
     }
-    config.obs_record_cost = opt.obs_cost;
     if (opt.delayed_flush) {
         config.consistency_strategy =
             hw::ConsistencyStrategy::DelayedFlush;
@@ -876,8 +877,7 @@ runCheckerScenario(const Options &opt,
                 scenario->name.c_str(), perturber.format().c_str());
     chk::Explorer explorer(nullptr, farmOptions(opt));
 
-    // Recording never perturbs the trial (obs_record_cost stays 0 for
-    // scenarios -- their configs are fixed), so recorded and plain
+    // Recording never perturbs the trial, so recorded and plain
     // replays produce the same digest. The counter sampler is never
     // attached here: it would shift the e<seq> index space the
     // --schedule directives address.
@@ -926,8 +926,7 @@ main(int argc, char **argv)
     Options opt;
     if (!parse(argc, argv, &opt))
         return 0;
-    if (!opt.trace_spec.empty())
-        trace::enable(trace::parseCategories(opt.trace_spec));
+    obs::setProcessTextTrace(opt.trace_categories);
 
     SchedulePerturber perturber;
     std::string perturb_error;
