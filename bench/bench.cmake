@@ -1,6 +1,7 @@
-# Benchmark harness binaries: one per paper table / figure, plus the
-# supporting micro benchmarks. Every binary in ${CMAKE_BINARY_DIR}/bench
-# runs unattended and prints the rows the paper reports.
+# Benchmark harness binaries: one per paper table / figure and
+# ablation. Every binary in ${CMAKE_BINARY_DIR}/bench runs unattended
+# and prints the rows the paper reports. Host speed is measured by the
+# repository benchmark in benchmark/, not here.
 
 function(mach_bench name)
     add_executable(${name} ${CMAKE_CURRENT_LIST_DIR}/${name}.cc)
@@ -17,14 +18,7 @@ mach_bench(table4_responders)
 mach_bench(validation_perturbation)
 mach_bench(scaling_extrapolation)
 mach_bench(hw_ablations)
-
-# Host-performance micro benchmarks (google-benchmark).
-add_executable(micro_primitives ${CMAKE_CURRENT_LIST_DIR}/micro_primitives.cc)
-target_link_libraries(micro_primitives PRIVATE mach benchmark::benchmark)
-set_target_properties(micro_primitives PROPERTIES
-    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 mach_bench(strategy_comparison)
-mach_bench(host_perf)
 mach_bench(pool_restructuring)
 mach_bench(ipi_crossover)
 mach_bench(policy_ablations)

@@ -6,13 +6,11 @@
 #ifndef MACH_BENCH_BENCH_COMMON_HH
 #define MACH_BENCH_BENCH_COMMON_HH
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/agora.hh"
@@ -33,10 +31,6 @@ struct AppRun
     std::string label;
     apps::WorkloadResult result;
     Tick runtime = 0;
-    /** Events the run consumed a sequence number for (scheduledCount). */
-    std::uint64_t events = 0;
-    /** Of those, fiber wakes the run loop took inline (elidedWakes). */
-    std::uint64_t elided_wakes = 0;
 };
 
 /**
@@ -105,90 +99,23 @@ runApp(unsigned index, const hw::MachineConfig &config)
     run.label = appLabel(index);
     run.result = app->execute(kernel);
     run.runtime = run.result.virtual_runtime;
-    run.events = kernel.machine().ctx().queue().scheduledCount();
-    run.elided_wakes = kernel.machine().ctx().elidedWakes();
     return run;
 }
 
 /**
- * Run-farm width for the bench binaries, from MACH_BENCH_JOBS
- * (default 1: the bit-exact serial path). The sweeps below are one
- * independent machine per config, so any width produces the same
- * numbers -- farm width only changes the wall clock.
- */
-inline unsigned
-benchJobs()
-{
-    const char *env = std::getenv("MACH_BENCH_JOBS");
-    if (env == nullptr)
-        return 1;
-    const int value = std::atoi(env);
-    return value >= 1 ? static_cast<unsigned>(value) : 1;
-}
-
-/** Host hardware threads (1 when the runtime cannot tell). */
-inline unsigned
-hostCores()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n != 0 ? n : 1;
-}
-
-/**
- * Effective farm width for a bench that would like @p requested
- * workers. An explicit MACH_BENCH_JOBS always wins (the per-bench
- * farm opt-in/opt-out knob); otherwise the request is clamped to the
- * host's core count -- a farmed sweep is pure simulation with no
- * shared prefix to reuse, so oversubscribing cores only adds
- * context-switch thrash and measures as a slowdown (the bench_sweep
- * 0.90x regression on a 1-core host). A clamped width of 1 means
- * "farming cannot win here": benches should take their serial path
- * and say so.
- */
-inline unsigned
-farmWidth(unsigned requested)
-{
-    if (std::getenv("MACH_BENCH_JOBS") != nullptr)
-        return benchJobs();
-    return std::min(requested, hostCores());
-}
-
-/**
- * Run every measurement job concurrently on benchJobs() workers (or
- * @p jobs when nonzero) and return when all are done. Jobs must
- * write results into their own indexed slots and must not print --
- * collect first, then report serially so tables stay ordered.
+ * Run every measurement job concurrently on farm::defaultJobs(1)
+ * workers -- MACH_FARM_JOBS wide, serial by default -- or on
+ * @p jobs_override when nonzero, and return when all are done. Each
+ * job is one independent machine, so any width produces the same
+ * numbers; width only changes the wall clock. Jobs must write results
+ * into their own indexed slots and must not print -- collect first,
+ * then report serially so tables stay ordered.
  */
 inline void
 runFarmed(std::vector<std::function<void()>> jobs, unsigned jobs_override = 0)
 {
     farm::runMany(std::move(jobs),
-                  jobs_override != 0 ? jobs_override : benchJobs());
-}
-
-/** One config point of a farmed application sweep. */
-struct SweepSpec
-{
-    unsigned app = 0; ///< makeApp index.
-    hw::MachineConfig config;
-};
-
-/**
- * Run one fresh machine per spec, farmed across the bench width, and
- * return the AppRuns indexed like @p specs (never completion order).
- */
-inline std::vector<AppRun>
-runAppSweep(const std::vector<SweepSpec> &specs, unsigned jobs_override = 0)
-{
-    std::vector<AppRun> runs(specs.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        jobs.push_back([&specs, &runs, i] {
-            runs[i] = runApp(specs[i].app, specs[i].config);
-        });
-    runFarmed(std::move(jobs), jobs_override);
-    return runs;
+                  jobs_override != 0 ? jobs_override : farm::defaultJobs(1));
 }
 
 inline void

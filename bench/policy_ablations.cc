@@ -161,7 +161,7 @@ main()
     setLogQuiet(true);
 
     // Both sweeps are independent machines per config point, so they
-    // run on the bench farm (MACH_BENCH_JOBS wide) and print after.
+    // run on the bench farm (MACH_FARM_JOBS wide) and print after.
     const std::vector<unsigned> thresholds = {4u, 8u, 16u, 64u};
     std::vector<ThresholdRow> threshold_rows(thresholds.size());
     const std::vector<unsigned> depths = {1u, 2u, 4u, 8u, 16u, 32u};

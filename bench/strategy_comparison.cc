@@ -38,11 +38,14 @@
  * aggregate.
  *
  * Simulated numbers are deterministic for a given scale, so the JSON
- * written to BENCH_strategy.json is a committable baseline; CI
+ * written to BENCH_strategy.json is a committable baseline: CI
+ * requires a fresh run to match the committed file byte for byte and
  * archives it per run.
  */
 
 #include "bench_common.hh"
+
+#include <algorithm>
 
 #include "apps/consistency_tester.hh"
 #include "apps/serving.hh"

@@ -50,7 +50,7 @@ ThreadPool::submit(Job job)
         workers_[target]->jobs.push_back(std::move(job));
     }
     // Publish the ticket only after the job is visible in a deque:
-    // every claimed ticket is then guaranteed to find a job, so
+    // every claimed ticket then has a job waiting somewhere, so
     // workers never sleep while work is pending (no missed wakeups).
     {
         std::lock_guard<std::mutex> lock(state_mutex_);
@@ -108,8 +108,12 @@ ThreadPool::workerLoop(unsigned self)
             --available_; // claim a ticket; a job is waiting somewhere
         }
         Job job;
-        const bool got = takeJob(self, &job);
-        MACH_ASSERT(got);
+        // One scan can miss: another claimant may take the job it was
+        // heading for while a newer job lands in a deque it already
+        // passed. Deques never hold fewer jobs than there are claimed
+        // tickets, so a rescan finds one.
+        while (!takeJob(self, &job))
+            std::this_thread::yield();
         job();
         {
             std::lock_guard<std::mutex> lock(state_mutex_);

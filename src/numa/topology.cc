@@ -50,10 +50,10 @@ Topology::parseDistance(const std::string &spec, unsigned nodes,
                                                  row_end);
             if (ent_end == p)
                 return fail("empty entry");
+            // Named, so `end` still points into it after strtol.
+            const std::string entry = spec.substr(p, ent_end - p);
             char *end = nullptr;
-            const long v =
-                std::strtol(spec.substr(p, ent_end - p).c_str(), &end,
-                            10);
+            const long v = std::strtol(entry.c_str(), &end, 10);
             if (end == nullptr || *end != '\0')
                 return fail("non-numeric entry");
             if (v < static_cast<long>(kLocalDistance) || v > 255)

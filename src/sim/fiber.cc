@@ -2,6 +2,10 @@
 
 #include <cstdint>
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #include "base/logging.hh"
 
 namespace mach::sim
@@ -19,12 +23,19 @@ namespace
 thread_local Fiber *current_fiber = nullptr;
 /** Resume point of the scheduler (main) context, set by resume(). */
 thread_local std::jmp_buf scheduler_env;
+#if defined(__SANITIZE_THREAD__)
+/** The scheduler's TSan context, set by resume(). */
+thread_local void *scheduler_tsan_fiber = nullptr;
+#endif
 } // namespace
 
 Fiber::Fiber(std::string name, Entry entry, std::size_t stack_size)
     : name_(std::move(name)), entry_(std::move(entry)), stack_(stack_size)
 {
     MACH_ASSERT(entry_ != nullptr);
+#if defined(__SANITIZE_THREAD__)
+    tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber()
@@ -32,6 +43,9 @@ Fiber::~Fiber()
     // Destroying a live, unfinished fiber would leak whatever it holds on
     // its stack; the simulation tears fibers down only after completion
     // or at whole-machine destruction where leaked stack state is inert.
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan_fiber_);
+#endif
 }
 
 Fiber *
@@ -65,6 +79,10 @@ Fiber::resume()
 
     current_fiber = this;
     if (_setjmp(scheduler_env) == 0) {
+#if defined(__SANITIZE_THREAD__)
+        scheduler_tsan_fiber = __tsan_get_current_fiber();
+        __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
         if (!started_) {
             // First entry: only ucontext can redirect execution onto
             // the fiber's own fresh stack. setcontext never returns --
@@ -97,8 +115,12 @@ Fiber::yieldToScheduler()
     MACH_ASSERT(self != nullptr);
     // The blocked-fiber frame below stays alive until the matching
     // _longjmp(env_) in resume() reenters it.
-    if (_setjmp(self->env_) == 0)
+    if (_setjmp(self->env_) == 0) {
+#if defined(__SANITIZE_THREAD__)
+        __tsan_switch_to_fiber(scheduler_tsan_fiber, 0);
+#endif
         std::longjmp(scheduler_env, 1);
+    }
 }
 
 } // namespace mach::sim

@@ -90,6 +90,14 @@ class Fiber
     std::jmp_buf env_;
     bool started_ = false;
     bool finished_ = false;
+#if defined(__SANITIZE_THREAD__)
+    /**
+     * This fiber's ThreadSanitizer context. TSan keeps one shadow
+     * stack and jmp_buf list per context; sharing the scheduler's
+     * would let its _setjmp discard the fibers' resume points.
+     */
+    void *tsan_fiber_ = nullptr;
+#endif
 };
 
 } // namespace mach::sim
