@@ -78,11 +78,7 @@ measureCell(unsigned devices, hw::ShootdownPolicy policy)
     config.ncpus = 8;
     config.devices = devices;
     config.seed = 0xdeb1ce;
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    config.setShootdownPolicy(policy);
 
     const unsigned rounds = 100 * benchScale();
 

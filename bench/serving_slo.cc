@@ -95,11 +95,7 @@ runCell(unsigned tenants, hw::ShootdownPolicy policy,
     config.seed = 0x5e12e;
     config.ncpus = shape.ncpus;
     config.numa_nodes = shape.numa_nodes;
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    config.setShootdownPolicy(policy);
 
     vm::Kernel kernel(config);
     kernel.machine().recorder().enableStats();

@@ -364,11 +364,7 @@ shapeConfig(unsigned shape)
 hw::MachineConfig
 policyConfig(hw::ShootdownPolicy policy, hw::MachineConfig config)
 {
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    config.setShootdownPolicy(policy);
     return config;
 }
 

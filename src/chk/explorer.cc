@@ -232,15 +232,21 @@ decodeTrial(const std::string &s, TrialResult *out)
     return pos == s.size();
 }
 
+/** Flight-recorder ring depth for the minimized-reproducer replay. */
+constexpr std::size_t kFlightRingCapacity = 16384;
+
 // ---- Fork-snapshot batch runner -------------------------------------
 
 /** Slack between the park watermark and the earliest perturbed index:
  *  one event body may insert many events or issue many bus accesses
  *  before runGuarded re-checks, so park comfortably early. */
-/** Flight-recorder ring depth for the minimized-reproducer replay. */
-constexpr std::size_t kFlightRingCapacity = 16384;
-
 constexpr std::uint64_t kSnapshotMargin = 512;
+
+/** Minimum shared-prefix length (in events) before a probe batch is
+ *  worth fork-snapshotting: below it the re-simulation skipped per
+ *  probe does not cover the fork/pipe overhead. Purely a host-speed
+ *  policy -- results are byte-identical at any floor. */
+constexpr std::uint64_t kSnapshotFloor = 4096;
 
 /**
  * Try to run @p probes off one fork-style prefix snapshot: simulate
@@ -254,8 +260,7 @@ constexpr std::uint64_t kSnapshotMargin = 512;
 void
 runSnapshotBatch(const Scenario &scenario,
                  const std::vector<SchedulePerturber> &probes,
-                 unsigned jobs, std::uint64_t snapshot_floor,
-                 bool with_signatures,
+                 unsigned jobs, bool with_signatures,
                  std::vector<TrialResult> &results,
                  std::vector<char> &done)
 {
@@ -290,9 +295,8 @@ runSnapshotBatch(const Scenario &scenario,
         harness.enableSigning();
     const kern::Machine::PrefixRun prefix =
         harness.kernel.machine().runPrefix(ew, bw, scenario.bound);
-    if (!prefix.parked || prefix.events < snapshot_floor)
+    if (!prefix.parked || prefix.events < kSnapshotFloor)
         return; // run completed (must not resume) or prefix too thin
-                // (FarmOptions::snapshot_floor, default 4096)
 
     const std::uint64_t park_events =
         harness.kernel.machine().ctx().queue().scheduledCount();
@@ -516,8 +520,7 @@ Explorer::runTrials(const Scenario &scenario,
     std::vector<char> done(probes.size(), 0);
 
     if (farm_.snapshots && farm::forkAvailable() && probes.size() >= 2)
-        runSnapshotBatch(scenario, probes, farm_.jobs,
-                         farm_.snapshot_floor, with_signatures,
+        runSnapshotBatch(scenario, probes, farm_.jobs, with_signatures,
                          results, done);
 
     std::vector<std::function<void()>> jobs;

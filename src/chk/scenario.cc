@@ -466,8 +466,7 @@ hw::MachineConfig
 lazyAsidConfig()
 {
     hw::MachineConfig config = smallConfig(4);
-    config.shootdown_policy = hw::ShootdownPolicy::LazyAsid;
-    config.tlb_asid_tags = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::LazyAsid);
     // No scheduler timer: a tick landing while the driver is mid-op
     // can park it until the *next* tick (up to a full period), which
     // would push an unperturbed revoke out of the writer's on-CPU

@@ -23,6 +23,16 @@ MachineConfig::irqPriority(Irq irq) const
 }
 
 void
+MachineConfig::setShootdownPolicy(ShootdownPolicy policy)
+{
+    shootdown_policy = policy;
+    if (policy == ShootdownPolicy::LazyAsid)
+        tlb_asid_tags = true;
+    if (policy == ShootdownPolicy::ReuseElide)
+        tlb_software_reload = true;
+}
+
+void
 MachineConfig::validate() const
 {
     if (ncpus == 0 || ncpus > 1024)
@@ -107,7 +117,8 @@ MachineConfig::validate() const
                   "tlb_software_reload");
         }
     }
-    if (range_flush_crossover < tlb_flush_threshold)
+    if (shootdown_policy == ShootdownPolicy::RangeFlush &&
+        range_flush_crossover < tlb_flush_threshold)
         fatal("MachineConfig: range_flush_crossover (%u) must be >= "
               "tlb_flush_threshold (%u)",
               range_flush_crossover, tlb_flush_threshold);

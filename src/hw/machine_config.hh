@@ -449,7 +449,8 @@ struct MachineConfig
     /**
      * RangeFlush policy: more pages than this in one invalidation and
      * the responder flushes the whole target space instead of walking
-     * the range. Must be >= tlb_flush_threshold to be meaningful.
+     * the range. Must be >= tlb_flush_threshold under RangeFlush; no
+     * other policy reads it.
      */
     unsigned range_flush_crossover = 16;
 
@@ -583,6 +584,14 @@ struct MachineConfig
 
     /** Priority of the given interrupt source under this config. */
     Spl irqPriority(Irq irq) const;
+
+    /**
+     * Select @p policy together with its TLB prerequisite: lazy-asid
+     * needs tlb_asid_tags, reuse-elide needs tlb_software_reload.
+     * validate() still rejects a config that sets the field by hand
+     * without the prerequisite.
+     */
+    void setShootdownPolicy(ShootdownPolicy policy);
 
     /** Validate invariants; calls fatal() on nonsense configurations. */
     void validate() const;

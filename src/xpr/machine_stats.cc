@@ -86,72 +86,6 @@ MachineStats::capture(vm::Kernel &kernel)
     return stats;
 }
 
-MachineStats
-MachineStats::since(const MachineStats &earlier) const
-{
-    MACH_ASSERT(cpus.size() == earlier.cpus.size());
-    MachineStats diff = *this;
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        CpuStats &out = diff.cpus[i];
-        const CpuStats &then = earlier.cpus[i];
-        out.tlb_hits -= then.tlb_hits;
-        out.tlb_misses -= then.tlb_misses;
-        out.tlb_writebacks -= then.tlb_writebacks;
-        out.tlb_flushes -= then.tlb_flushes;
-        out.tlb_single_invalidates -= then.tlb_single_invalidates;
-        out.interrupts_taken -= then.interrupts_taken;
-        out.faults_taken -= then.faults_taken;
-        out.remote_mem_accesses -= then.remote_mem_accesses;
-    }
-    MACH_ASSERT(devices.size() == earlier.devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        DeviceStats &out = diff.devices[i];
-        const DeviceStats &then = earlier.devices[i];
-        out.dma_reads -= then.dma_reads;
-        out.dma_writes -= then.dma_writes;
-        out.writes_committed -= then.writes_committed;
-        out.dma_aborts -= then.dma_aborts;
-        out.dma_faults -= then.dma_faults;
-        out.iommu_walks -= then.iommu_walks;
-        out.drains -= then.drains;
-        out.iotlb_hits -= then.iotlb_hits;
-        out.iotlb_misses -= then.iotlb_misses;
-        out.iotlb_flushes -= then.iotlb_flushes;
-        out.iotlb_single_invalidates -= then.iotlb_single_invalidates;
-    }
-    diff.device_commands -= earlier.device_commands;
-    diff.device_sync_waits -= earlier.device_sync_waits;
-    diff.cross_node_device_commands -=
-        earlier.cross_node_device_commands;
-    diff.shootdowns_initiated -= earlier.shootdowns_initiated;
-    diff.delayed_waits -= earlier.delayed_waits;
-    diff.ipis_sent -= earlier.ipis_sent;
-    diff.responder_passes -= earlier.responder_passes;
-    diff.idle_drains -= earlier.idle_drains;
-    diff.queue_overflows -= earlier.queue_overflows;
-    diff.remote_invalidates -= earlier.remote_invalidates;
-    diff.ipis_elided -= earlier.ipis_elided;
-    diff.flushes_deferred -= earlier.flushes_deferred;
-    diff.deferred_flushes_applied -= earlier.deferred_flushes_applied;
-    diff.actions_merged -= earlier.actions_merged;
-    diff.range_invalidates -= earlier.range_invalidates;
-    diff.full_space_flushes -= earlier.full_space_flushes;
-    diff.reuse_elisions -= earlier.reuse_elisions;
-    diff.cross_node_ipis -= earlier.cross_node_ipis;
-    diff.forwarded_ipis -= earlier.forwarded_ipis;
-    diff.remote_faults -= earlier.remote_faults;
-    diff.local_faults -= earlier.local_faults;
-    diff.page_migrations -= earlier.page_migrations;
-    diff.faults_resolved -= earlier.faults_resolved;
-    diff.faults_failed -= earlier.faults_failed;
-    diff.cow_copies -= earlier.cow_copies;
-    diff.zero_fills -= earlier.zero_fills;
-    diff.pageouts -= earlier.pageouts;
-    diff.pageins -= earlier.pageins;
-    diff.now_usec -= earlier.now_usec;
-    return diff;
-}
-
 CpuStats
 MachineStats::totals() const
 {

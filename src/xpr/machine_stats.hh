@@ -3,10 +3,10 @@
  * Machine-wide statistics collection and reporting.
  *
  * Gathers the counters scattered across the substrates (TLBs, faults,
- * interrupts, shootdown machinery, pager) into one structure that can
- * be diffed between two points in a run and pretty-printed -- the
- * "utility programs to read the collected data" side of Section 6,
- * generalized beyond shootdown events.
+ * interrupts, shootdown machinery, pager) into one structure that is
+ * captured after a run and pretty-printed -- the "utility programs to
+ * read the collected data" side of Section 6, generalized beyond
+ * shootdown events.
  */
 
 #ifndef MACH_XPR_MACHINE_STATS_HH
@@ -115,9 +115,6 @@ struct MachineStats
 
     /** Capture the current counters of @p kernel's machine. */
     static MachineStats capture(vm::Kernel &kernel);
-
-    /** Counter-wise difference (this - earlier); clocks subtract too. */
-    MachineStats since(const MachineStats &earlier) const;
 
     /** Machine-wide totals over all CPUs. */
     CpuStats totals() const;

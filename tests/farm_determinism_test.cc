@@ -4,7 +4,7 @@
  * nothing else. Every observable result -- explorer verdicts, trial
  * counts, minimized schedules, and the determinism golden digests --
  * must be bit-identical whatever the farm shape: 1 or 8 worker
- * threads, fork snapshots on or off, main thread or pool worker.
+ * threads, fork snapshots on or off, main thread or farm worker.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "chk/scenario.hh"
 #include "farm/farm.hh"
 #include "farm/fork_pool.hh"
-#include "farm/thread_pool.hh"
 #include "vm/kernel.hh"
 #include "xpr/machine_stats.hh"
 
@@ -46,7 +45,7 @@ const Shape kShapes[] = {
 };
 
 // ---------------------------------------------------------------------
-// The pool itself.
+// runMany and forkMany themselves.
 // ---------------------------------------------------------------------
 
 TEST(FarmPool, RunManyExecutesEveryJobOnceAcrossWidths)
@@ -217,7 +216,7 @@ TEST(FarmDeterminism, BrokenStallDetectionIsInvariantAcrossShapes)
 }
 
 // ---------------------------------------------------------------------
-// The determinism golden digests, reproduced on pool worker threads.
+// The determinism golden digests, reproduced on farm worker threads.
 // The values are the same ones tests/determinism_test.cc pins on the
 // main thread; xpr::runDigest implements the shared formula. If these
 // fail while determinism_test passes, some cross-machine state leaked

@@ -496,7 +496,7 @@ TEST(NumaDeterminism, FarmShapeInvarianceOnNumaScenario)
     for (const SchedulePerturber &p : probes)
         want.push_back(serial.runTrial(*storm, p));
 
-    // MACH_FARM_JOBS=4: four pool workers must replay bit-identically.
+    // A 4-wide farm must replay bit-identically.
     const chk::Explorer farmed(nullptr, farm::FarmOptions{4, false});
     const std::vector<chk::TrialResult> got =
         farmed.runTrials(*storm, probes);

@@ -76,11 +76,7 @@ adaptConfigToPolicy(hw::MachineConfig &config,
         config.tlb_no_refmod_writeback)
         return false;
 
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    config.setShootdownPolicy(policy);
     config.validate();
     return true;
 }

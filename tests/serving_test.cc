@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "apps/serving.hh"
-#include "farm/thread_pool.hh"
+#include "farm/farm.hh"
 #include "obs/recorder.hh"
 #include "obs/request.hh"
 #include "obs/stats_json.hh"

@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests for the Section 3 delayed-flush consistency technique and the
- * Section 8 kernel-pool restructuring.
+ * Tests for the Section 3 delayed-flush consistency technique, the
+ * Section 8 kernel-pool restructuring, and the validate() rules tying
+ * avoidance policies to their knobs.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "apps/agora.hh"
 #include "apps/camelot.hh"
@@ -108,6 +111,47 @@ TEST(DelayedFlush, RequiresNoWritebackTlb)
     config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
     EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
                 "no_refmod_writeback");
+}
+
+TEST(RangeFlushCrossover, BaselineAcceptsThresholdAboveCrossover)
+{
+    // Only RangeFlush reads the crossover, so a per-entry threshold
+    // above it is legal under every other policy.
+    hw::MachineConfig config;
+    config.tlb_flush_threshold = 64;
+    EXPECT_EXIT(
+        {
+            config.validate();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(RangeFlushCrossover, RangeFlushRejectsCrossoverBelowThreshold)
+{
+    hw::MachineConfig config;
+    config.shootdown_policy = hw::ShootdownPolicy::RangeFlush;
+    config.tlb_flush_threshold = 64;
+    config.range_flush_crossover = 16;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "range_flush_crossover");
+}
+
+TEST(PolicyPrerequisite, SetShootdownPolicyImpliesTheTlbFeature)
+{
+    hw::MachineConfig lazy;
+    lazy.setShootdownPolicy(hw::ShootdownPolicy::LazyAsid);
+    EXPECT_TRUE(lazy.tlb_asid_tags);
+    hw::MachineConfig elide;
+    elide.setShootdownPolicy(hw::ShootdownPolicy::ReuseElide);
+    EXPECT_TRUE(elide.tlb_software_reload);
+
+    // Setting the field by hand skips the prerequisite; validate()
+    // still names it.
+    hw::MachineConfig bare;
+    bare.shootdown_policy = hw::ShootdownPolicy::LazyAsid;
+    EXPECT_EXIT(bare.validate(), ::testing::ExitedWithCode(1),
+                "tlb_asid_tags");
 }
 
 TEST(DelayedFlush, IdleProcessorsDoNotStallTheWait)

@@ -244,12 +244,8 @@ TEST_P(VmFuzzPolicy, MatchesReferenceModel)
     hw::MachineConfig config;
     config.ncpus = 4;
     config.seed = seed;
-    config.shootdown_policy = policy;
-    // The TLB features each policy requires (MachineConfig::validate).
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    // Also sets the TLB feature the policy requires.
+    config.setShootdownPolicy(policy);
     runFuzzAgainstModel(config, seed);
 }
 

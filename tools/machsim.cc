@@ -16,9 +16,11 @@
  * Run `machsim --help` for the full flag list.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -308,6 +310,48 @@ usage()
         "  --iotlb-entries N   per-device IOTLB capacity (default 8)\n");
 }
 
+/**
+ * Checked flag values: each parser accepts the whole value or calls
+ * fatal() naming the flag and the value -- a sign, trailing garbage,
+ * and overflow are all rejected. Counts are decimal; seeds and tick
+ * counts (@p base 0) also take 0x hex.
+ */
+std::uint64_t
+parseU64(const std::string &flag, const char *value, int base = 10)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value, &end, base);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE)
+        fatal("bad %s value '%s' (want an unsigned integer)",
+              flag.c_str(), value);
+    return v;
+}
+
+unsigned
+parseUnsigned(const std::string &flag, const char *value)
+{
+    const std::uint64_t v = parseU64(flag, value);
+    if (v > std::numeric_limits<unsigned>::max())
+        fatal("bad %s value '%s' (out of range)", flag.c_str(), value);
+    return static_cast<unsigned>(v);
+}
+
+double
+parseDouble(const std::string &flag, const char *value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value, &end);
+    if (!(std::isdigit(static_cast<unsigned char>(value[0])) ||
+          value[0] == '.') ||
+        *end != '\0' || errno == ERANGE)
+        fatal("bad %s value '%s' (want a non-negative number)",
+              flag.c_str(), value);
+    return v;
+}
+
 bool
 parse(int argc, char **argv, Options *opt)
 {
@@ -324,60 +368,60 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--app") {
             opt->app = need_value(i);
         } else if (flag == "--ncpus") {
-            opt->ncpus = static_cast<unsigned>(atoi(need_value(i)));
+            opt->ncpus = parseUnsigned(flag, need_value(i));
         } else if (flag == "--pools") {
-            opt->pools = static_cast<unsigned>(atoi(need_value(i)));
+            opt->pools = parseUnsigned(flag, need_value(i));
         } else if (flag == "--seed") {
-            opt->seed = strtoull(need_value(i), nullptr, 0);
+            opt->seed = parseU64(flag, need_value(i), 0);
         } else if (flag == "--children") {
-            opt->children = static_cast<unsigned>(atoi(need_value(i)));
+            opt->children = parseUnsigned(flag, need_value(i));
         } else if (flag == "--build-jobs") {
-            opt->build_jobs =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->build_jobs = parseUnsigned(flag, need_value(i));
         } else if (flag == "--jobs") {
-            opt->farm_jobs =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->farm_jobs = parseUnsigned(flag, need_value(i));
         } else if (flag == "--repeat") {
-            opt->repeat = static_cast<unsigned>(atoi(need_value(i)));
+            opt->repeat = parseUnsigned(flag, need_value(i));
         } else if (flag == "--seed-base") {
-            opt->seed_base = strtoull(need_value(i), nullptr, 0);
+            opt->seed_base = parseU64(flag, need_value(i), 0);
             opt->seed_base_set = true;
         } else if (flag == "--transactions") {
-            opt->transactions =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->transactions = parseUnsigned(flag, need_value(i));
         } else if (flag == "--tenants") {
-            opt->tenants = static_cast<unsigned>(atoi(need_value(i)));
+            opt->tenants = parseUnsigned(flag, need_value(i));
         } else if (flag == "--tenant-concurrency") {
-            opt->tenant_concurrency =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->tenant_concurrency = parseUnsigned(flag, need_value(i));
         } else if (flag == "--tenant-threads") {
-            opt->tenant_threads =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->tenant_threads = parseUnsigned(flag, need_value(i));
         } else if (flag == "--requests") {
-            opt->requests = static_cast<unsigned>(atoi(need_value(i)));
+            opt->requests = parseUnsigned(flag, need_value(i));
         } else if (flag == "--ws-pages") {
-            opt->ws_pages = static_cast<unsigned>(atoi(need_value(i)));
+            opt->ws_pages = parseUnsigned(flag, need_value(i));
         } else if (flag == "--binary-pages") {
-            opt->binary_pages =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->binary_pages = parseUnsigned(flag, need_value(i));
         } else if (flag == "--mmap-pages") {
-            opt->mmap_pages =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->mmap_pages = parseUnsigned(flag, need_value(i));
         } else if (flag == "--sharing") {
-            opt->sharing = atof(need_value(i));
+            opt->sharing = parseDouble(flag, need_value(i));
         } else if (flag == "--fault-mix") {
-            opt->fault_mix = atof(need_value(i));
+            opt->fault_mix = parseDouble(flag, need_value(i));
         } else if (flag == "--zipf") {
-            opt->zipf_s = atof(need_value(i));
+            opt->zipf_s = parseDouble(flag, need_value(i));
         } else if (flag == "--runs") {
-            opt->runs = static_cast<unsigned>(atoi(need_value(i)));
+            opt->runs = parseUnsigned(flag, need_value(i));
         } else if (flag == "--lazy") {
-            opt->lazy = std::strcmp(need_value(i), "off") != 0;
+            const std::string v = need_value(i);
+            if (v != "on" && v != "off")
+                fatal("bad --lazy value '%s' (on | off)", v.c_str());
+            opt->lazy = v == "on";
         } else if (flag == "--no-shootdown") {
             opt->shootdown = false;
         } else if (flag == "--strategy") {
-            opt->delayed_flush =
-                std::strcmp(need_value(i), "delayed-flush") == 0;
+            const std::string v = need_value(i);
+            if (v != "shootdown" && v != "delayed-flush")
+                fatal("unknown --strategy '%s' (shootdown | "
+                      "delayed-flush)",
+                      v.c_str());
+            opt->delayed_flush = v == "delayed-flush";
         } else if (flag == "--hipri-ipi") {
             opt->high_priority_ipi = true;
         } else if (flag == "--multicast") {
@@ -396,8 +440,7 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--shootdown-policy") {
             opt->shootdown_policy = need_value(i);
         } else if (flag == "--tlb-assoc") {
-            opt->tlb_assoc =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->tlb_assoc = parseUnsigned(flag, need_value(i));
         } else if (flag == "--no-l0") {
             opt->no_l0 = true;
         } else if (flag == "--trace") {
@@ -415,13 +458,11 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--corpus") {
             opt->corpus_dir = need_value(i);
         } else if (flag == "--explore") {
-            opt->explore_budget =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->explore_budget = parseUnsigned(flag, need_value(i));
         } else if (flag == "--blind") {
             opt->explore_blind = true;
         } else if (flag == "--systematic") {
-            opt->systematic_budget =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->systematic_budget = parseUnsigned(flag, need_value(i));
         } else if (flag == "--exhaustive-window") {
             opt->exhaustive_window = need_value(i);
         } else if (flag == "--oracle") {
@@ -429,7 +470,7 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--trace-json") {
             opt->trace_json = need_value(i);
         } else if (flag == "--stats-interval") {
-            opt->stats_interval = strtoull(need_value(i), nullptr, 0);
+            opt->stats_interval = parseU64(flag, need_value(i), 0);
         } else if (flag == "--flight-recorder") {
             opt->flight_recorder = need_value(i);
         } else if (flag == "--stats-json") {
@@ -437,25 +478,21 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--xpr") {
             opt->xpr_rows = true;
         } else if (flag == "--numa") {
-            opt->numa_nodes =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->numa_nodes = parseUnsigned(flag, need_value(i));
         } else if (flag == "--cpus-per-node") {
-            opt->cpus_per_node =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->cpus_per_node = parseUnsigned(flag, need_value(i));
         } else if (flag == "--distance") {
             opt->distance = need_value(i);
         } else if (flag == "--placement") {
             opt->placement = need_value(i);
         } else if (flag == "--migrate-threshold") {
-            opt->migrate_threshold =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->migrate_threshold = parseUnsigned(flag, need_value(i));
         } else if (flag == "--pt-replicas") {
             opt->pt_replicas = true;
         } else if (flag == "--devices") {
-            opt->devices = static_cast<unsigned>(atoi(need_value(i)));
+            opt->devices = parseUnsigned(flag, need_value(i));
         } else if (flag == "--iotlb-entries") {
-            opt->iotlb_entries =
-                static_cast<unsigned>(atoi(need_value(i)));
+            opt->iotlb_entries = parseUnsigned(flag, need_value(i));
         } else {
             fatal("unknown flag '%s' (try --help)", flag.c_str());
         }
@@ -497,8 +534,8 @@ toConfig(const Options &opt)
         // a full ;-separated matrix handed to the topology parser.
         if (opt.distance.find_first_not_of("0123456789") ==
             std::string::npos) {
-            config.numa_remote_distance = static_cast<unsigned>(
-                atoi(opt.distance.c_str()));
+            config.numa_remote_distance =
+                parseUnsigned("--distance", opt.distance.c_str());
         } else {
             config.numa_distance_spec = opt.distance;
         }
@@ -519,8 +556,8 @@ toConfig(const Options &opt)
     config.devices = opt.devices;
     if (opt.iotlb_entries != 0)
         config.iotlb_entries = opt.iotlb_entries;
-    if (!hw::parseShootdownPolicy(opt.shootdown_policy,
-                                  &config.shootdown_policy)) {
+    hw::ShootdownPolicy policy = hw::ShootdownPolicy::Baseline;
+    if (!hw::parseShootdownPolicy(opt.shootdown_policy, &policy)) {
         fatal("unknown --shootdown-policy '%s' (baseline | lazy-asid "
               "| batched | range-flush | reuse-elide)",
               opt.shootdown_policy.c_str());
@@ -528,20 +565,15 @@ toConfig(const Options &opt)
     // Each policy's hardware prerequisite is implied rather than
     // demanded: lazy-asid needs a tagged TLB, reuse-elide needs
     // lock-aware (software) reload.
-    if (config.shootdown_policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (config.shootdown_policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    config.setShootdownPolicy(policy);
     return config;
 }
 
 farm::FarmOptions
 farmOptions(const Options &opt)
 {
-    farm::FarmOptions farm = farm::FarmOptions::fromEnv(1);
-    if (opt.farm_jobs != 0)
-        farm.jobs = opt.farm_jobs;
-    return farm;
+    return farm::FarmOptions{opt.farm_jobs != 0 ? opt.farm_jobs
+                                                : farm::defaultJobs(1)};
 }
 
 /** Build the workload selected by --app. Fills @p tester when the
@@ -829,14 +861,17 @@ runCheckerScenario(const Options &opt,
     if (!opt.exhaustive_window.empty()) {
         // --exhaustive-window C:K -- the bounded, complete enumeration.
         chk::ExhaustiveWindow window;
-        char *end = nullptr;
-        window.center =
-            strtoull(opt.exhaustive_window.c_str(), &end, 0);
-        if (end == nullptr || *end != ':')
+        const std::size_t colon = opt.exhaustive_window.find(':');
+        if (colon == std::string::npos)
             fatal("bad --exhaustive-window '%s' (want "
                   "center:halfwidth)",
                   opt.exhaustive_window.c_str());
-        window.halfwidth = strtoull(end + 1, nullptr, 0);
+        window.center = parseU64(
+            "--exhaustive-window",
+            opt.exhaustive_window.substr(0, colon).c_str(), 0);
+        window.halfwidth = parseU64(
+            "--exhaustive-window",
+            opt.exhaustive_window.c_str() + colon + 1, 0);
         std::printf("machsim: chk scenario %s, exhaustive window "
                     "%llu +- %llu\n",
                     scenario->name.c_str(),
