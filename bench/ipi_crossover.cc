@@ -14,13 +14,15 @@
  *    nothing queued, each paying a dispatch/return for nothing.
  *
  * This harness sweeps k (processors that genuinely need the shootdown)
- * on a 16-processor machine and reports both costs, plus the machine-
- * wide crossover point.
+ * on a 16-processor machine, ten machine seeds per point, and reports
+ * both costs (mean and standard deviation over the seeds), plus the
+ * machine-wide crossover point.
  */
 
 #include "bench_common.hh"
 
 #include "apps/consistency_tester.hh"
+#include "base/stats.hh"
 #include "pmap/shootdown.hh"
 
 using namespace mach;
@@ -35,12 +37,14 @@ struct Probe
     std::uint64_t interrupts = 0;
 };
 
+constexpr unsigned kRunsPerPoint = 10;
+
 Probe
-run(unsigned k, bool broadcast)
+run(unsigned k, unsigned seed_index, bool broadcast)
 {
     hw::MachineConfig config;
     config.broadcast_ipi = broadcast;
-    config.seed = 0xc0550 + k;
+    config.seed = 0xc0550 + k * 131 + seed_index;
     vm::Kernel kernel(config);
     apps::ConsistencyTester tester(
         {.children = k, .warmup = 25 * kMsec});
@@ -69,34 +73,41 @@ main()
         kUsec;
 
     std::printf("Section 9: directed vs broadcast shootdown IPIs "
-                "(16-processor machine)\n\n");
-    std::printf("%4s | %14s %14s | %12s %14s %16s\n", "k",
+                "(16-processor machine)\n");
+    std::printf("(mean+-stddev over %u machine seeds per k)\n\n",
+                kRunsPerPoint);
+    std::printf("%4s | %16s %16s | %10s %14s %16s\n", "k",
                 "iterate init", "broadcast init", "bystanders",
                 "bystander cost", "broadcast wins?");
 
     int crossover = -1;
     for (unsigned k = 1; k <= 15; ++k) {
-        const Probe iterate = run(k, false);
-        const Probe broadcast = run(k, true);
-        const std::uint64_t bystanders =
-            broadcast.interrupts > k ? broadcast.interrupts - k : 0;
-        const double bystander_cost = bystanders * bystander_usec;
+        Sample iterate, broadcast, bystanders;
+        for (unsigned i = 0; i < kRunsPerPoint; ++i) {
+            const Probe directed = run(k, i, false);
+            const Probe everyone = run(k, i, true);
+            iterate.add(directed.initiator_usec);
+            broadcast.add(everyone.initiator_usec);
+            bystanders.add(static_cast<double>(
+                everyone.interrupts > k ? everyone.interrupts - k : 0));
+        }
+        const double bystander_cost = bystanders.mean() * bystander_usec;
 
         // Machine-wide accounting: initiator time plus the time burnt
         // on processors that had nothing to invalidate.
-        const double iterate_total = iterate.initiator_usec;
-        const double broadcast_total =
-            broadcast.initiator_usec + bystander_cost;
+        const double iterate_total = iterate.mean();
+        const double broadcast_total = broadcast.mean() + bystander_cost;
         const bool wins = broadcast_total < iterate_total;
         if (wins && crossover < 0)
             crossover = static_cast<int>(k);
         if (!wins)
             crossover = -1;
-        std::printf("%4u | %12.0fus %12.0fus | %12llu %12.0fus %16s\n",
-                    k, iterate.initiator_usec,
-                    broadcast.initiator_usec,
-                    static_cast<unsigned long long>(bystanders),
-                    bystander_cost, wins ? "yes" : "no");
+        std::printf("%4u | %8.0f+-%4.0fus %8.0f+-%4.0fus | %10.1f "
+                    "%12.0fus %16s\n",
+                    k, iterate.mean(), iterate.stddev(),
+                    broadcast.mean(), broadcast.stddev(),
+                    bystanders.mean(), bystander_cost,
+                    wins ? "yes" : "no");
     }
 
     if (crossover > 0) {

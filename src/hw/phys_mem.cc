@@ -9,20 +9,18 @@ namespace mach::hw
 {
 
 PhysMem::PhysMem(std::uint32_t frames, unsigned nodes)
-    : total_frames_(frames), frames_per_node_(frames / nodes),
-      frames_(frames), free_lists_(nodes)
+    : total_frames_(frames), frames_per_node_(frames / nodes)
 {
     MACH_ASSERT(frames >= 2 && nodes >= 1 && frames / nodes >= 2);
-    // Within each partition, push high frames first so allocation
-    // hands out low PFNs first, which keeps test output stable and
-    // readable. With one node this is the original single free list.
+    // Each partition hands out its low PFNs first, which keeps test
+    // output stable and readable. With one node this is the original
+    // single free list.
+    partitions_.reserve(nodes);
     for (unsigned node = 0; node < nodes; ++node) {
         const Pfn lo = node == 0 ? 1 : node * frames_per_node_;
         const Pfn hi = node + 1 == nodes ? frames
                                          : (node + 1) * frames_per_node_;
-        free_lists_[node].reserve(hi - lo);
-        for (Pfn pfn = hi - 1; pfn >= lo; --pfn)
-            free_lists_[node].push_back(pfn);
+        partitions_.push_back({lo, hi, {}});
     }
 }
 
@@ -30,15 +28,17 @@ std::uint32_t
 PhysMem::freeFrames() const
 {
     std::uint32_t total = 0;
-    for (const auto &list : free_lists_)
-        total += static_cast<std::uint32_t>(list.size());
+    for (unsigned node = 0; node < nodes(); ++node)
+        total += freeFramesOnNode(node);
     return total;
 }
 
 std::uint32_t
 PhysMem::freeFramesOnNode(unsigned node) const
 {
-    return static_cast<std::uint32_t>(free_lists_[node].size());
+    const Partition &part = partitions_[node];
+    return part.end - part.next +
+           static_cast<std::uint32_t>(part.freed.size());
 }
 
 Pfn
@@ -46,11 +46,16 @@ PhysMem::allocFrame(unsigned node)
 {
     MACH_ASSERT(node < nodes());
     for (unsigned offset = 0; offset < nodes(); ++offset) {
-        auto &list = free_lists_[(node + offset) % nodes()];
-        if (list.empty())
+        Partition &part = partitions_[(node + offset) % nodes()];
+        Pfn pfn = 0;
+        if (!part.freed.empty()) {
+            pfn = part.freed.back();
+            part.freed.pop_back();
+        } else if (part.next < part.end) {
+            pfn = part.next++;
+        } else {
             continue;
-        Pfn pfn = list.back();
-        list.pop_back();
+        }
         zeroFrame(pfn);
         return pfn;
     }
@@ -61,8 +66,9 @@ void
 PhysMem::freeFrame(Pfn pfn)
 {
     MACH_ASSERT(validPfn(pfn));
-    frames_[pfn].reset();
-    free_lists_[nodeOfPfn(pfn)].push_back(pfn);
+    if (pfn < frames_.size())
+        frames_[pfn].reset();
+    partitions_[nodeOfPfn(pfn)].freed.push_back(pfn);
 }
 
 bool
@@ -72,21 +78,17 @@ PhysMem::validPfn(Pfn pfn) const
 }
 
 PhysMem::Frame &
-PhysMem::frameFor(PAddr addr)
-{
-    const Pfn pfn = addr >> kPageShift;
-    MACH_ASSERT(pfn < total_frames_);
-    auto &slot = frames_[pfn];
-    if (!slot)
-        slot = std::make_unique<Frame>(kPageSize, 0);
-    return *slot;
-}
-
-const PhysMem::Frame &
 PhysMem::frameFor(PAddr addr) const
 {
     const Pfn pfn = addr >> kPageShift;
     MACH_ASSERT(pfn < total_frames_);
+    if (pfn >= frames_.size()) {
+        // Grow geometrically, but never past the last frame.
+        frames_.reserve(std::min<std::size_t>(
+            total_frames_, std::max<std::size_t>(2 * frames_.size(),
+                                                 pfn + 1)));
+        frames_.resize(pfn + 1);
+    }
     auto &slot = frames_[pfn];
     if (!slot)
         slot = std::make_unique<Frame>(kPageSize, 0);
@@ -136,9 +138,8 @@ void
 PhysMem::zeroFrame(Pfn pfn)
 {
     MACH_ASSERT(pfn < total_frames_);
-    auto &slot = frames_[pfn];
-    if (slot)
-        std::fill(slot->begin(), slot->end(), 0);
+    if (pfn < frames_.size() && frames_[pfn])
+        std::fill(frames_[pfn]->begin(), frames_[pfn]->end(), 0);
 }
 
 } // namespace mach::hw

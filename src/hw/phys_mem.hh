@@ -40,7 +40,7 @@ class PhysMem
 
     unsigned nodes() const
     {
-        return static_cast<unsigned>(free_lists_.size());
+        return static_cast<unsigned>(partitions_.size());
     }
 
     /** NUMA node owning @p pfn's partition. */
@@ -86,15 +86,30 @@ class PhysMem
   private:
     using Frame = std::vector<std::uint8_t>;
 
-    Frame &frameFor(PAddr addr);
-    const Frame &frameFor(PAddr addr) const;
+    /**
+     * One NUMA partition's free frames: [next, end) were never
+     * allocated, and freed holds the rest, most recently freed last.
+     * Popping freed before advancing next hands out frames in exactly
+     * the order of a list filled high to low whose frees push on top.
+     */
+    struct Partition
+    {
+        Pfn next = 0;
+        Pfn end = 0;
+        std::vector<Pfn> freed;
+    };
+
+    /** @p addr's frame, materialized (zeroed) on first touch. */
+    Frame &frameFor(PAddr addr) const;
 
     std::uint32_t total_frames_;
     std::uint32_t frames_per_node_;
-    /** Lazily materialized frame contents; null until first touch. */
+    /**
+     * Frame contents by PFN: null until first touch, and the table
+     * itself ends at the highest PFN touched so far.
+     */
     mutable std::vector<std::unique_ptr<Frame>> frames_;
-    /** Per-node LIFO free lists of frame numbers. */
-    std::vector<std::vector<Pfn>> free_lists_;
+    std::vector<Partition> partitions_;
 };
 
 } // namespace mach::hw

@@ -1,7 +1,10 @@
 #include "sim/fiber.hh"
 
 #include <cstdint>
+#include <vector>
 
+// No-op poisoning macros unless ASan is on.
+#include <sanitizer/asan_interface.h>
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
 #endif
@@ -27,10 +30,62 @@ thread_local std::jmp_buf scheduler_env;
 /** The scheduler's TSan context, set by resume(). */
 thread_local void *scheduler_tsan_fiber = nullptr;
 #endif
+
+using Stack = std::unique_ptr<unsigned char[]>;
+
+/**
+ * Stacks of this host thread's destroyed fibers, which its next spawns
+ * reuse. A machine's fibers live and die on the thread that runs it,
+ * and sequential machines on one thread (a bench's configurations, a
+ * farm worker's jobs) share the list, so a thread holds no more stacks
+ * than it ever had fibers alive at once, and their pages are already
+ * resident.
+ */
+struct StackList
+{
+    std::vector<Stack> stacks;
+    ~StackList();
+};
+
+thread_local StackList free_stacks;
+/**
+ * Set once free_stacks is destroyed at thread exit. A fiber destroyed
+ * later (a machine with static storage duration) frees its stack.
+ */
+thread_local bool free_stacks_gone = false;
+
+StackList::~StackList()
+{
+    free_stacks_gone = true;
+}
+
+Stack
+takeStack()
+{
+    if (free_stacks_gone || free_stacks.stacks.empty())
+        return std::make_unique_for_overwrite<unsigned char[]>(
+            Fiber::kStackSize);
+    Stack stack = std::move(free_stacks.stacks.back());
+    free_stacks.stacks.pop_back();
+    // The previous fiber's frames left their redzones poisoned.
+    ASAN_UNPOISON_MEMORY_REGION(stack.get(), Fiber::kStackSize);
+    return stack;
+}
+
+void
+recycleStack(Stack stack)
+{
+    if (free_stacks_gone)
+        return;
+    // Until it is handed out again, any access is a use after free.
+    ASAN_POISON_MEMORY_REGION(stack.get(), Fiber::kStackSize);
+    free_stacks.stacks.push_back(std::move(stack));
+}
 } // namespace
 
-Fiber::Fiber(std::string name, Entry entry, std::size_t stack_size)
-    : name_(std::move(name)), entry_(std::move(entry)), stack_(stack_size)
+Fiber::Fiber(std::string name, Entry entry)
+    : name_(std::move(name)), entry_(std::move(entry)),
+      stack_(takeStack())
 {
     MACH_ASSERT(entry_ != nullptr);
 #if defined(__SANITIZE_THREAD__)
@@ -46,6 +101,7 @@ Fiber::~Fiber()
 #if defined(__SANITIZE_THREAD__)
     __tsan_destroy_fiber(tsan_fiber_);
 #endif
+    recycleStack(std::move(stack_));
 }
 
 Fiber *
@@ -91,8 +147,8 @@ Fiber::resume()
             started_ = true;
             if (getcontext(&context_) != 0)
                 panic("getcontext failed");
-            context_.uc_stack.ss_sp = stack_.data();
-            context_.uc_stack.ss_size = stack_.size();
+            context_.uc_stack.ss_sp = stack_.get();
+            context_.uc_stack.ss_size = kStackSize;
             context_.uc_link = nullptr;
             auto bits = static_cast<std::uint64_t>(
                 reinterpret_cast<std::uintptr_t>(this));

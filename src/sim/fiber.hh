@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace mach::sim
 {
@@ -39,15 +38,15 @@ class Fiber
   public:
     using Entry = std::function<void()>;
 
-    /** Default stack size; generous because VM fault paths nest deeply. */
-    static constexpr std::size_t kDefaultStackSize = 256 * 1024;
+    /** Every fiber's stack size; generous because VM faults nest deeply. */
+    static constexpr std::size_t kStackSize = 256 * 1024;
 
     /**
      * Create a fiber that will run @p entry when first switched to.
-     * The fiber does not start executing until switchTo() is called.
+     * The fiber does not start executing until resume() is called.
      */
-    Fiber(std::string name, Entry entry,
-          std::size_t stack_size = kDefaultStackSize);
+    Fiber(std::string name, Entry entry);
+    /** Hands the stack back to this host thread's free list. */
     ~Fiber();
 
     Fiber(const Fiber &) = delete;
@@ -83,7 +82,12 @@ class Fiber
 
     std::string name_;
     Entry entry_;
-    std::vector<unsigned char> stack_;
+    /**
+     * kStackSize bytes, never initialised: a fiber writes every stack
+     * slot before it reads it. Recycled through a per-host-thread free
+     * list, so a spawn usually reuses a finished fiber's stack.
+     */
+    std::unique_ptr<unsigned char[]> stack_;
     /** First-entry context (stack setup); unused after start(). */
     ucontext_t context_;
     /** Resume point of a blocked fiber (set by yieldToScheduler). */

@@ -25,6 +25,8 @@
 #include "vm/kernel.hh"
 #include "xpr/machine_stats.hh"
 
+#include "fiber_waves.hh"
+
 namespace
 {
 
@@ -65,6 +67,27 @@ TEST(FarmPool, RunManyExecutesEveryJobOnceAcrossWidths)
         for (unsigned i = 0; i < kJobs; ++i)
             EXPECT_EQ(per_job[i].load(), 1u)
                 << "job " << i << ", " << workers << " workers";
+    }
+}
+
+TEST(FarmPool, WorkerThreadsRecycleTheirOwnFiberStacks)
+{
+    // Each worker keeps its own free list of fiber stacks; eight jobs
+    // on four workers reuse them across jobs as well as Contexts.
+    constexpr unsigned kJobs = 8;
+    sim::test::FiberWaves waves[kJobs];
+    std::vector<std::function<void()>> jobs;
+    for (unsigned i = 0; i < kJobs; ++i)
+        jobs.push_back([&waves, i] {
+            waves[i] = sim::test::runFiberWaves(100 + i);
+        });
+    farm::runMany(std::move(jobs), 4);
+    for (unsigned i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(waves[i].intact_frames, sim::test::kWaveIntactFrames)
+            << "job " << i;
+        EXPECT_EQ(waves[i].reused_stacks,
+                  waves[i].second_context_fibers)
+            << "job " << i;
     }
 }
 

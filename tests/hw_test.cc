@@ -15,6 +15,8 @@
 #include "hw/phys_mem.hh"
 #include "hw/tlb.hh"
 
+#include "phys_mem_reference.hh"
+
 namespace mach::hw
 {
 namespace
@@ -100,6 +102,42 @@ TEST(PhysMem, ReallocatedFrameIsZeroed)
     } while (g != f && mem.freeFrames() > 0);
     ASSERT_EQ(g, f);
     EXPECT_EQ(mem.read32(g << kPageShift), 0u);
+}
+
+TEST(PhysMem, AllocationOrderMatchesDescendingFreeList)
+{
+    // 96 allocatable frames; every step checked against the original
+    // high-to-low free list.
+    test::OrderRun run;
+    ASSERT_NO_FATAL_FAILURE(test::expectReferenceOrder(97, 1, 0xa110c, &run));
+    EXPECT_GT(run.exhausted, 0u);
+}
+
+TEST(PhysMem, HighestFrameWorksOnFreshMemory)
+{
+    // Nothing is allocated or touched yet, so each first access lands
+    // past every frame the memory has materialized.
+    const Pfn top = 63;
+    const PAddr last_word = (top << kPageShift) + kPageSize - 4;
+    {
+        PhysMem mem(64);
+        EXPECT_EQ(mem.read32(last_word), 0u);
+    }
+    {
+        PhysMem mem(64);
+        mem.write32(last_word, 0xfeedf00d);
+        EXPECT_EQ(mem.read32(last_word), 0xfeedf00du);
+        mem.copyFrame(1, top);
+        EXPECT_EQ(mem.read32((Pfn{1} << kPageShift) + kPageSize - 4),
+                  0xfeedf00du);
+    }
+    {
+        PhysMem mem(64);
+        mem.write32(Pfn{2} << kPageShift, 0x5eed);
+        mem.copyFrame(top, 2);
+        EXPECT_EQ(mem.read32(top << kPageShift), 0x5eedu);
+        EXPECT_EQ(mem.read32(last_word), 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

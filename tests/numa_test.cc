@@ -26,6 +26,8 @@
 #include "vm/kernel.hh"
 #include "xpr/machine_stats.hh"
 
+#include "phys_mem_reference.hh"
+
 namespace mach
 {
 namespace
@@ -167,6 +169,27 @@ TEST(NumaPhysMem, ExhaustedNodeFallsBackDeterministically)
     for (Pfn pfn : held)
         mem.freeFrame(pfn);
     EXPECT_EQ(mem.freeFramesOnNode(1), node1_free + held.size());
+}
+
+TEST(NumaPhysMem, AllocationOrderMatchesDescendingFreeLists)
+{
+    // Every step checked against the original per-node high-to-low
+    // lists. The last node takes the remainder: 69 frames of 203 on
+    // three nodes, 34 of 130 on four.
+    struct Case
+    {
+        std::uint32_t frames;
+        unsigned nodes;
+    };
+    for (const Case c : {Case{203, 3}, Case{130, 4}, Case{128, 2}}) {
+        SCOPED_TRACE(testing::Message()
+                     << c.frames << " frames, " << c.nodes << " nodes");
+        hw::test::OrderRun run;
+        ASSERT_NO_FATAL_FAILURE(hw::test::expectReferenceOrder(
+            c.frames, c.nodes, 0x9e3779b9 + c.frames, &run));
+        EXPECT_GT(run.fallbacks, 0u);
+        EXPECT_GT(run.exhausted, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

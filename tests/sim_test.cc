@@ -15,6 +15,8 @@
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 
+#include "fiber_waves.hh"
+
 namespace mach::sim
 {
 namespace
@@ -253,6 +255,17 @@ TEST(Fiber, CurrentIsNullInScheduler)
     ctx.run();
     EXPECT_NE(seen, nullptr);
     EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, StacksAreRecycledAcrossContextsOnOneThread)
+{
+    const test::FiberWaves waves = test::runFiberWaves(7);
+    EXPECT_EQ(waves.intact_frames, test::kWaveIntactFrames);
+    // The second Context never needs more stacks at once than the
+    // first left on this thread's free list.
+    EXPECT_EQ(waves.second_context_fibers,
+              test::kWavesPerContext * test::kFibersPerWave);
+    EXPECT_EQ(waves.reused_stacks, waves.second_context_fibers);
 }
 
 TEST(EventQueue, ScheduledCountIsMonotonic)
