@@ -41,12 +41,6 @@ MachineConfig::validate() const
         fatal("MachineConfig: need at least 64 physical frames");
     if (tlb_entries == 0)
         fatal("MachineConfig: TLB must have at least one entry");
-    if (tlb_associativity > 0 &&
-        tlb_entries % tlb_associativity != 0) {
-        fatal("MachineConfig: tlb_associativity (%u) must evenly "
-              "divide tlb_entries (%u)",
-              tlb_associativity, tlb_entries);
-    }
     if (tlb_l0_entries > 4)
         fatal("MachineConfig: tlb_l0_entries (%u) out of range [0,4]",
               tlb_l0_entries);

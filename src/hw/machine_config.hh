@@ -201,34 +201,15 @@ struct MachineConfig
     unsigned tlb_entries = 64;
 
     /**
-     * Ways per set. 0 (the default) keeps the fully-associative global
-     * round-robin organization of the original Multimax model; any
-     * other value must evenly divide tlb_entries and selects a
-     * set-associative layout indexed by a hash of (space, vpn) with
-     * round-robin replacement within each set. This changes only which
-     * entries conflict, never the simulated lookup/flush costs.
-     */
-    unsigned tlb_associativity = 0;
-
-    /**
-     * Host-side L0 last-translation cache in front of the indexed TLB:
-     * the most recent N (space, vpn) translations are served without
-     * probing the index at all. Purely a host-speed device -- hits and
-     * misses, simulated costs, and replacement decisions are identical
-     * to the indexed probe, and the stale-translation oracle audits the
-     * L0's servable translations exactly like TLB entries. 0 disables
-     * (machsim --no-l0); at most 4 slots.
+     * Host-side L0 last-translation cache in front of the TLB's entry
+     * array: the most recent N (space, vpn) translations are served
+     * without scanning the array. Purely a host-speed device -- hits
+     * and misses, simulated costs, and replacement decisions are
+     * identical to the scan, and the stale-translation oracle audits
+     * the L0's servable translations exactly like TLB entries. 0
+     * disables (machsim --no-l0); at most 4 slots.
      */
     unsigned tlb_l0_entries = 4;
-
-    /**
-     * Host-side page-walk cache: PageTable::walk()/pteAddr() remember
-     * which leaf table each valid root entry points at, skipping the
-     * root-level memory read on the host. The walker is still charged
-     * for both level reads in simulated time (WalkResult.memory_reads
-     * is unchanged), so this is timing-neutral like tlb_l0_entries.
-     */
-    bool host_walk_cache = true;
 
     /**
      * Invalidation policy threshold (Section 4, omitted detail 1):

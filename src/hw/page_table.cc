@@ -31,50 +31,17 @@ PageTable::PageTable(PhysMem *mem) : mem_(mem)
 {
     MACH_ASSERT(mem_ != nullptr);
     root_pfn_ = mem_->allocFrame();
-    walkCacheClear();
-}
-
-void
-PageTable::setWalkCache(bool on)
-{
-    walk_cache_enabled_ = on;
-    walkCacheClear();
-}
-
-void
-PageTable::walkCacheClear() const
-{
-    for (WalkCacheLine &line : walk_cache_)
-        line = {kNoWalkKey, 0};
 }
 
 PAddr
 PageTable::leafBase(unsigned node, unsigned root_index) const
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(node) << 32) | root_index;
-    if (walk_cache_enabled_) {
-        for (const WalkCacheLine &line : walk_cache_) {
-            if (line.key == key) {
-                ++walk_cache_hits_;
-                return line.leaf_base;
-            }
-        }
-        ++walk_cache_misses_;
-    }
     const PAddr root_addr = PAddr{rootOf(node)} << kPageShift;
     const std::uint32_t root =
         mem_->read32(root_addr + root_index * 4);
     if (!pte::valid(root))
-        return 0; // Negative results are never cached: a later leaf
-                  // allocation must be visible without maintenance.
-    const PAddr base = PAddr{pte::pfn(root)} << kPageShift;
-    if (walk_cache_enabled_) {
-        walk_cache_[walk_cache_fill_] = {key, base};
-        if (++walk_cache_fill_ >= kWalkCacheLines)
-            walk_cache_fill_ = 0;
-    }
-    return base;
+        return 0;
+    return PAddr{pte::pfn(root)} << kPageShift;
 }
 
 PageTable::~PageTable()
@@ -112,8 +79,6 @@ PageTable::walk(Vpn vpn, unsigned node) const
     if (replica_roots_.empty())
         node = 0;
     WalkResult result;
-    // The walker is charged for both level reads whether or not the
-    // walk cache short-circuits the root read on the host.
     const PAddr leaf_base = leafBase(node, rootIndex(vpn));
     result.memory_reads = 1;
     if (leaf_base == 0)
@@ -304,8 +269,6 @@ PageTable::countValid(Vpn start, Vpn end) const
 void
 PageTable::collectReplica(unsigned node)
 {
-    // Freeing leaves invalidates the cached root -> leaf pointers.
-    walkCacheClear();
     const PAddr root_addr = PAddr{rootOf(node)} << kPageShift;
     for (unsigned index = 0; index < kEntriesPerTable; ++index) {
         const PAddr slot = root_addr + index * 4;
@@ -321,7 +284,6 @@ void
 PageTable::collect()
 {
     pending_.clear();
-    walkCacheClear();
     for (unsigned index = 0; index < kEntriesPerTable; ++index) {
         const PAddr slot = rootAddr() + index * 4;
         const std::uint32_t root = mem_->read32(slot);

@@ -13,17 +13,8 @@
  * Both table levels live in simulated physical memory, so the TLB's
  * hardware reload and reference/modify-bit writeback operate on the very
  * same words the pmap module updates -- faithfully reproducing the races
- * of Section 3.
- *
- * Host-speed note: walk() and pteAddr() go through a small positive-only
- * walk cache mapping (node, root index) -> leaf-table base address, so
- * the root-level PhysMem read is skipped on the host once a leaf is
- * known. The simulated cost is untouched (WalkResult.memory_reads still
- * counts both levels) and so is visibility: the cache holds only the
- * leaf's *location*, never PTE contents, and a valid root entry's leaf
- * pointer changes only when collect() frees it -- the one place the
- * cache is cleared. Revocations and protection changes rewrite leaf
- * words, which every cached walk still reads from memory.
+ * of Section 3. Every walk reads both levels from that memory, so a
+ * rewritten PTE or a collected leaf is visible to the next walk.
  */
 
 #ifndef MACH_HW_PAGE_TABLE_HH
@@ -191,35 +182,12 @@ class PageTable
     /** Number of leaf tables currently allocated. */
     unsigned leafCount() const { return leaf_count_; }
 
-    /**
-     * Enable/disable the host-side walk cache (machsim --no-l0 turns
-     * it off to prove timing-neutrality). Disabling clears it.
-     */
-    void setWalkCache(bool on);
-
-    /** Walk-cache traffic (host-side only, for the perf benches). */
-    std::uint64_t walkCacheHits() const { return walk_cache_hits_; }
-    std::uint64_t walkCacheMisses() const { return walk_cache_misses_; }
-
   private:
-    /** One walk-cache line: (node, root index) -> leaf base PAddr. */
-    struct WalkCacheLine
-    {
-        /** (node << 32) | root index; kNoWalkKey marks empty. */
-        std::uint64_t key;
-        PAddr leaf_base;
-    };
-    static constexpr unsigned kWalkCacheLines = 8;
-    static constexpr std::uint64_t kNoWalkKey = ~std::uint64_t{0};
-
     /**
-     * Leaf-table base for @p node's replica at @p root_index, through
-     * the walk cache; 0 when the root entry is invalid (never cached,
-     * so invalid->valid transitions need no cache maintenance).
+     * Leaf-table base for @p node's replica at @p root_index; 0 when
+     * the root entry is invalid.
      */
     PAddr leafBase(unsigned node, unsigned root_index) const;
-    /** Drop every walk-cache line (collect paths). */
-    void walkCacheClear() const;
 
     std::uint32_t rootEntry(Vpn vpn) const;
     /** Root frame of @p node's replica (node 0 = the primary). */
@@ -240,14 +208,6 @@ class PageTable
     bool deferred_sync_ = false;
     /** Writes awaiting replica fan-out (deferred mode only). */
     std::vector<std::pair<Vpn, std::uint32_t>> pending_;
-
-    // Walk cache (mutable: walk()/pteAddr() are const observers of the
-    // simulated state; the cache is host-side bookkeeping).
-    bool walk_cache_enabled_ = true;
-    mutable WalkCacheLine walk_cache_[kWalkCacheLines];
-    mutable unsigned walk_cache_fill_ = 0;
-    mutable std::uint64_t walk_cache_hits_ = 0;
-    mutable std::uint64_t walk_cache_misses_ = 0;
 };
 
 } // namespace mach::hw

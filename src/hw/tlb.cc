@@ -8,88 +8,15 @@
 namespace mach::hw
 {
 
-namespace
-{
-
-std::uint32_t
-nextPow2(std::uint32_t v)
-{
-    std::uint32_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
 Tlb::Tlb(const MachineConfig *config, PhysMem *mem,
          unsigned entry_override)
     : config_(config), mem_(mem),
       entries_(entry_override != 0 ? entry_override
-                                   : config->tlb_entries),
-      assoc_(entry_override != 0 ? 0 : config->tlb_associativity)
+                                   : config->tlb_entries)
 {
     l0_size_ = std::min(config->tlb_l0_entries, kL0MaxEntries);
     for (L0Slot &slot : l0_)
         slot = {kNoL0Key, 0};
-    if (setAssociative()) {
-        MACH_ASSERT(entries_.size() % assoc_ == 0);
-        set_victims_.assign(entries_.size() / assoc_, 0);
-    } else {
-        // 4x the entry count keeps the open-addressed index under 25%
-        // occupancy right after a rebuild, so probe chains stay short.
-        const std::uint32_t capacity = nextPow2(std::max(
-            64u, 4 * static_cast<unsigned>(entries_.size())));
-        index_.assign(capacity, kEmptySlot);
-        index_mask_ = capacity - 1;
-    }
-}
-
-std::uint64_t
-Tlb::hashKey(SpaceId space, Vpn vpn)
-{
-    std::uint64_t k =
-        (static_cast<std::uint64_t>(space) << 32) ^ vpn;
-    k *= 0x9E3779B97F4A7C15ull;
-    k ^= k >> 29;
-    return k;
-}
-
-bool
-Tlb::entryLive(const TlbEntry &entry) const
-{
-    return entry.valid && entry.gen == gen_ &&
-           entry.space_gen == space_states_[entry.space_slot].flush_gen;
-}
-
-unsigned
-Tlb::spaceLive(std::uint32_t slot) const
-{
-    const SpaceState &st = space_states_[slot];
-    return st.seen_gen == gen_ ? st.live : 0;
-}
-
-Tlb::SpaceState &
-Tlb::touchSpace(std::uint32_t slot)
-{
-    SpaceState &st = space_states_[slot];
-    if (st.seen_gen != gen_) {
-        // The whole buffer was flushed since this count was maintained;
-        // every entry it counted is dead. Normalize lazily.
-        st.seen_gen = gen_;
-        st.live = 0;
-    }
-    return st;
-}
-
-std::uint32_t
-Tlb::spaceSlot(SpaceId space)
-{
-    const auto [it, inserted] = space_index_.try_emplace(
-        space, static_cast<std::uint32_t>(space_states_.size()));
-    if (inserted)
-        space_states_.emplace_back();
-    return it->second;
 }
 
 void
@@ -136,9 +63,9 @@ Tlb::l0ClearAll()
 TlbEntry *
 Tlb::find(SpaceId space, Vpn vpn, bool fill_l0)
 {
-    // L0 fast path: a populated slot is live by invariant (every
+    // L0 fast path: a populated slot is valid by invariant (every
     // retire/flush path clears the matching slots), so a key match is
-    // the whole probe -- no hashing, no generation checks.
+    // the whole probe.
     const std::uint64_t key = l0Key(space, vpn);
     for (unsigned i = 0; i < l0_size_; ++i) {
         if (l0_[i].key == key) {
@@ -147,133 +74,42 @@ Tlb::find(SpaceId space, Vpn vpn, bool fill_l0)
         }
     }
     // Negative fast path: a key that just missed cannot have appeared
-    // since (only fillEntry adds live entries, and it clears the memo).
+    // since (only fillEntry adds valid entries, and it clears the memo).
     // Covers the second probe of every lookup-miss + insert pair.
     if (key == last_miss_key_)
         return nullptr;
     if (l0_size_ != 0)
         ++l0_misses;
-    if (live_count_ == 0) {
-        last_miss_key_ = key;
-        return nullptr;
-    }
-    if (setAssociative()) {
-        const unsigned ways = assoc_;
-        const std::size_t set =
-            hashKey(space, vpn) % set_victims_.size();
-        TlbEntry *base = &entries_[set * ways];
-        for (unsigned way = 0; way < ways; ++way) {
-            TlbEntry &entry = base[way];
-            if (entryLive(entry) && entry.space == space &&
-                entry.vpn == vpn) {
-                if (fill_l0) {
-                    l0Fill(key, static_cast<std::uint32_t>(
-                                    &entry - entries_.data()));
-                }
-                return &entry;
-            }
-        }
-        last_miss_key_ = key;
-        return nullptr;
-    }
-    std::uint32_t slot =
-        static_cast<std::uint32_t>(hashKey(space, vpn)) & index_mask_;
-    for (;; slot = (slot + 1) & index_mask_) {
-        const std::uint32_t ei = index_[slot];
-        if (ei == kEmptySlot) {
-            last_miss_key_ = key;
-            return nullptr;
-        }
-        TlbEntry &entry = entries_[ei];
-        // Stale slots (retired, evicted, or epoch-flushed entries)
-        // stay in the chain as tombstones; probe past them.
-        if (entryLive(entry) && entry.space == space &&
-            entry.vpn == vpn) {
+    for (std::uint32_t i = 0; i < entries_.size(); ++i) {
+        TlbEntry &entry = entries_[i];
+        if (entry.valid && entry.vpn == vpn && entry.space == space) {
             if (fill_l0)
-                l0Fill(key, ei);
+                l0Fill(key, i);
             return &entry;
         }
     }
-}
-
-const TlbEntry *
-Tlb::find(SpaceId space, Vpn vpn) const
-{
-    return const_cast<Tlb *>(this)->find(space, vpn);
-}
-
-void
-Tlb::indexInsert(std::uint32_t entry_index)
-{
-    const TlbEntry &entry = entries_[entry_index];
-    std::uint32_t slot =
-        static_cast<std::uint32_t>(hashKey(entry.space, entry.vpn)) &
-        index_mask_;
-    for (;; slot = (slot + 1) & index_mask_) {
-        const std::uint32_t ei = index_[slot];
-        if (ei == kEmptySlot) {
-            index_[slot] = entry_index;
-            // Claiming a virgin slot shrinks the empty margin that
-            // terminates probes; rebuild before chains degenerate.
-            // Half occupancy keeps unsuccessful probes (the common
-            // case under churn: every miss walks to an empty slot)
-            // to a couple of steps, and a rebuild costs only a few
-            // ns amortized per insert at this trip point.
-            if (++index_used_ * 2 > index_.size())
-                rebuildIndex();
-            return;
-        }
-        if (!entryLive(entries_[ei])) {
-            // Recycle a tombstone in this key's own probe chain; the
-            // chain stays contiguous for every key probing through it.
-            index_[slot] = entry_index;
-            return;
-        }
-        // A live entry's slot: the caller guarantees our key is not
-        // cached, so this is some other key. Keep probing.
-    }
-}
-
-void
-Tlb::rebuildIndex()
-{
-    index_.assign(index_.size(), kEmptySlot);
-    index_used_ = 0;
-    for (std::uint32_t ei = 0; ei < entries_.size(); ++ei) {
-        if (!entryLive(entries_[ei]))
-            continue;
-        std::uint32_t slot = static_cast<std::uint32_t>(hashKey(
-                                 entries_[ei].space,
-                                 entries_[ei].vpn)) &
-                             index_mask_;
-        while (index_[slot] != kEmptySlot)
-            slot = (slot + 1) & index_mask_;
-        index_[slot] = ei;
-        ++index_used_;
-    }
+    last_miss_key_ = key;
+    return nullptr;
 }
 
 void
 Tlb::retireEntry(TlbEntry &entry)
 {
-    if (entryLive(entry)) {
-        SpaceState &st = touchSpace(entry.space_slot);
-        MACH_ASSERT(st.live > 0);
-        MACH_ASSERT(live_count_ > 0);
-        --st.live;
-        --live_count_;
+    if (entry.valid) {
+        MACH_ASSERT(valid_count_ > 0);
+        --valid_count_;
     } else {
         // Only the planted PlantedBug::SkipL0Invalidate bug can route a
-        // retire to an entry that already left the live set (a stale
-        // L0 slot serving a dead entry to find()); the liveness
-        // accounting must not double-decrement for it. With L0
-        // maintenance intact every caller holds a live entry.
+        // retire to an entry that is already invalid (a stale L0 slot
+        // serving a dead entry to find()); the count must not be
+        // decremented twice for it. With L0 maintenance intact every
+        // caller holds a valid entry.
         MACH_ASSERT(config_->planted_bug == PlantedBug::SkipL0Invalidate);
     }
     entry.valid = false;
     // Single chokepoint for page invalidations, range invalidations,
     // interlocked-writeback retirements, and insert evictions: the L0
-    // must never serve an entry that left the live set.
+    // must never serve an entry that stopped being valid.
     l0ClearKey(l0Key(entry.space, entry.vpn));
 }
 
@@ -281,26 +117,11 @@ void
 Tlb::fillEntry(TlbEntry &entry, SpaceId space, Vpn vpn, Pfn pfn,
                Prot prot, bool mod)
 {
-    const std::uint32_t slot = spaceSlot(space);
-    SpaceState &st = touchSpace(slot);
-    entry.valid = true;
-    entry.space = space;
-    entry.vpn = vpn;
-    entry.pfn = pfn;
-    entry.prot = prot;
-    entry.ref = true;
-    entry.mod = mod;
-    entry.gen = gen_;
-    entry.space_gen = st.flush_gen;
-    entry.space_slot = slot;
-    ++st.live;
-    ++live_count_;
-    const std::uint32_t entry_index =
-        static_cast<std::uint32_t>(&entry - entries_.data());
-    if (!setAssociative())
-        indexInsert(entry_index);
-    l0Fill(l0Key(space, vpn), entry_index);
-    // The only place a missing key can become live: drop the memo.
+    entry = {true, space, vpn, pfn, prot, /*ref=*/true, mod};
+    ++valid_count_;
+    l0Fill(l0Key(space, vpn),
+           static_cast<std::uint32_t>(&entry - entries_.data()));
+    // The only place a missing key can become valid: drop the memo.
     last_miss_key_ = kNoL0Key;
 }
 
@@ -319,7 +140,7 @@ Tlb::lookup(SpaceId space, Vpn vpn, Prot want, PAddr pte_addr)
     result.pfn = entry->pfn;
     result.prot_ok = protAllows(entry->prot, want);
     if (!result.prot_ok) {
-        if (!entryLive(*entry)) {
+        if (!entry->valid) {
             // A populated L0 slot over a dead entry is reachable only
             // when the planted bug suppressed the L0 maintenance. When
             // the stale rights also deny the access, report a miss so
@@ -382,27 +203,19 @@ Tlb::insert(SpaceId space, Vpn vpn, Pfn pfn, Prot prot, bool mod)
 {
     TlbEntry *entry = find(space, vpn);
     if (entry) {
-        // Refresh in place; liveness bookkeeping is already counted.
+        // Refresh in place; the entry is already counted.
         entry->pfn = pfn;
         entry->prot = prot;
         entry->ref = true;
         entry->mod = mod;
         return;
     }
-    if (setAssociative()) {
-        const unsigned ways = assoc_;
-        const std::size_t set =
-            hashKey(space, vpn) % set_victims_.size();
-        entry = &entries_[set * ways + set_victims_[set]];
-        set_victims_[set] = (set_victims_[set] + 1) % ways;
-    } else {
-        // Blind global round-robin, exactly as the original flat
-        // Multimax model: the victim cursor advances whether or not
-        // the victim slot held a live entry.
-        entry = &entries_[next_victim_];
-        next_victim_ = (next_victim_ + 1) % entries_.size();
-    }
-    if (entryLive(*entry))
+    // Blind global round-robin, exactly as the original flat Multimax
+    // model: the victim cursor advances whether or not the victim slot
+    // held a valid entry.
+    entry = &entries_[next_victim_];
+    next_victim_ = (next_victim_ + 1) % entries_.size();
+    if (entry->valid)
         retireEntry(*entry);
     fillEntry(*entry, space, vpn, pfn, prot, mod);
 }
@@ -423,14 +236,14 @@ Tlb::invalidateRange(SpaceId space, Vpn start, Vpn end)
         obs_->instant(obs_track_, obs::kTlbInvalidateRange,
                       obs::Arg{"npages", end - start});
     }
-    if (live_count_ == 0)
+    if (valid_count_ == 0)
         return;
     if (static_cast<std::uint64_t>(end) - start >= entries_.size()) {
         // Range as wide as the buffer (virtual-cache directory sweeps,
         // span invalidations): one pass over the array beats probing
         // every vpn.
-        for (auto &entry : entries_) {
-            if (entryLive(entry) && entry.space == space &&
+        for (TlbEntry &entry : entries_) {
+            if (entry.valid && entry.space == space &&
                 entry.vpn >= start && entry.vpn < end) {
                 retireEntry(entry);
                 ++single_invalidates;
@@ -450,25 +263,17 @@ Tlb::flushSpace(SpaceId space)
                       obs::Arg{"space", space});
     }
     ++flushes;
-    const auto it = space_index_.find(space);
-    if (it == space_index_.end())
+    // Any lazily deferred flush is subsumed by this one.
+    deferred_.erase(space);
+    if (valid_count_ == 0)
         return;
-    SpaceState &st = touchSpace(it->second);
-    MACH_ASSERT(live_count_ >= st.live);
-    const unsigned died = st.live;
-    live_count_ -= st.live;
-    st.live = 0;
-    // Entries filled under the old space generation are now dead; no
-    // scan needed. Any lazily deferred flush is subsumed by this one.
-    ++st.flush_gen;
-    st.deferred = false;
+    for (TlbEntry &entry : entries_) {
+        if (entry.valid && entry.space == space) {
+            entry.valid = false;
+            --valid_count_;
+        }
+    }
     l0ClearSpace(space);
-    // A bulk flush turns a big slice of the index into tombstones at
-    // once; every later miss would probe through them until the next
-    // occupancy-triggered rebuild. Rebuilding now is cheaper than the
-    // chains (host-side policy only; pure simulated state is above).
-    if (!setAssociative() && died * 8 >= entries_.size())
-        rebuildIndex();
 }
 
 void
@@ -476,77 +281,46 @@ Tlb::flushAll()
 {
     if (obs_ != nullptr && obs_->enabled()) {
         obs_->instant(obs_track_, obs::kTlbFlushAll,
-                      obs::Arg{"live", live_count_});
+                      obs::Arg{"live", valid_count_});
     }
     ++flushes;
     ++full_flushes;
-    // One generation bump kills every entry; per-space counts are
-    // normalized lazily the next time each space is touched.
-    ++gen_;
-    live_count_ = 0;
+    if (valid_count_ == 0)
+        return;
+    for (TlbEntry &entry : entries_)
+        entry.valid = false;
+    valid_count_ = 0;
     l0ClearAll();
-    // Every index slot is now a tombstone; empty the index so misses
-    // terminate on first probe instead of walking dead chains.
-    if (!setAssociative()) {
-        index_.assign(index_.size(), kEmptySlot);
-        index_used_ = 0;
-    }
-}
-
-void
-Tlb::deferFlush(SpaceId space)
-{
-    space_states_[spaceSlot(space)].deferred = true;
 }
 
 bool
 Tlb::consumeDeferredFlush(SpaceId space)
 {
-    const auto it = space_index_.find(space);
-    if (it == space_index_.end() ||
-        !space_states_[it->second].deferred)
+    if (!deferred_.contains(space))
         return false;
-    // flushSpace clears the deferred flag itself.
+    // flushSpace clears the deferral itself.
     flushSpace(space);
     return true;
 }
 
 bool
-Tlb::hasDeferredFlush(SpaceId space) const
-{
-    const auto it = space_index_.find(space);
-    return it != space_index_.end() &&
-           space_states_[it->second].deferred;
-}
-
-bool
 Tlb::cachesSpace(SpaceId space) const
 {
-    const auto it = space_index_.find(space);
-    if (it == space_index_.end())
-        return false;
-    return spaceLive(it->second) > 0;
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&](const TlbEntry &entry) {
+                           return entry.valid && entry.space == space;
+                       });
 }
 
 bool
 Tlb::cachesMapping(SpaceId space, Vpn vpn, Prot prot) const
 {
-    const TlbEntry *entry = find(space, vpn);
-    return entry && protAllows(entry->prot, prot);
-}
-
-const std::vector<TlbEntry> &
-Tlb::entries() const
-{
-    // Reconcile the valid bits with the generation tags so white-box
-    // inspectors (audits, tests) see the same array an eager-flush
-    // implementation would have produced. Cold path only.
-    auto *self = const_cast<Tlb *>(this);
-    for (TlbEntry &entry : self->entries_) {
-        if (entry.valid && !entryLive(entry))
-            entry.valid = false;
-    }
-    return entries_;
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&](const TlbEntry &entry) {
+                           return entry.valid && entry.space == space &&
+                                  entry.vpn == vpn &&
+                                  protAllows(entry.prot, prot);
+                       });
 }
 
 std::vector<TlbEntry>

@@ -22,38 +22,31 @@
  * the TLB is flushed on every address-space switch (as on the Multimax);
  * with them, entries from many spaces coexist.
  *
- * Host-performance organization (the simulated *costs* -- lookup cost,
- * tlb_flush_cost, vc_search_cost_per_line -- are charged by callers and
- * are completely unchanged by any of this):
+ * Like the hardware, the buffer is a fully-associative array of entries
+ * with valid bits and a round-robin victim cursor: a probe scans it and
+ * a flush clears the valid bits it covers. Callers charge the simulated
+ * costs (lookup cost, tlb_flush_cost, vc_search_cost_per_line). Two
+ * host-side shortcuts sit in front of the scan and never change a
+ * result:
  *
- *   - probes go through an open-addressed hash index keyed on
- *     (space, vpn) instead of scanning the entry array, O(1) expected;
- *   - flushAll is an O(1) generation bump: entries are live only while
- *     their fill-time generation matches the buffer's, so no scan ever
- *     clears valid bits on the hot path;
- *   - flushSpace is an O(1) per-space generation bump with the same
- *     trick, and per-space live counts make cachesSpace O(1);
- *   - with tlb_associativity > 0 the buffer is set-associative
- *     (index = hash of (space, vpn), per-set round-robin victims); the
- *     default 0 keeps the fully-associative global round-robin behavior
- *     of the original Multimax model, bit-for-bit;
- *   - an L0 last-translation cache (tlb_l0_entries slots, default 4)
- *     sits in front of both organizations: the most recent distinct
- *     (space, vpn) probes resolve by a handful of 64-bit compares with
- *     no hashing and no index walk. An L0 hit is served WITHOUT
- *     revalidating against the generations -- the invariant is that a
- *     slot is populated only while its backing entry is live, and every
- *     path that retires or flushes entries clears the matching slots.
- *     A missed invalidation would be a genuine stale-translation bug,
- *     which is why PmapSystem::auditTlbConsistency() audits the L0's
- *     servable translations (l0Translations()) exactly like entries().
+ *   - an L0 last-translation cache (tlb_l0_entries slots, default 4):
+ *     the most recent distinct (space, vpn) probes resolve by a handful
+ *     of 64-bit compares. An L0 hit is served WITHOUT rechecking the
+ *     entry -- the invariant is that a slot is populated only while its
+ *     backing entry is valid, and every path that retires or flushes
+ *     entries clears the matching slots. A missed invalidation would be
+ *     a genuine stale-translation bug, which is why
+ *     PmapSystem::auditTlbConsistency() audits the L0's servable
+ *     translations (l0Translations()) exactly like entries();
+ *   - a negative memo: the key of the last probe that missed, so the
+ *     insert after every lookup miss skips the scan.
  */
 
 #ifndef MACH_HW_TLB_HH
 #define MACH_HW_TLB_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/types.hh"
@@ -82,13 +75,6 @@ struct TlbEntry
     Prot prot = ProtNone;
     bool ref = false;
     bool mod = false;
-
-    // Host-side liveness tags (see file comment). An entry is live only
-    // when valid and both generations match the buffer's current ones;
-    // entries() reconciles the valid bits before exposing the array.
-    std::uint64_t gen = 0;        ///< Buffer generation at fill time.
-    std::uint64_t space_gen = 0;  ///< Space generation at fill time.
-    std::uint32_t space_slot = 0; ///< Dense index of the space's state.
 };
 
 /** Outcome of a TLB probe. */
@@ -107,8 +93,7 @@ class Tlb
     /**
      * @p entry_override resizes the buffer away from the config's CPU
      * geometry (0 keeps config->tlb_entries). Device IOTLBs use it to
-     * get their own --iotlb-entries capacity; an overridden buffer is
-     * always fully associative (device IOTLBs have no set geometry).
+     * get their own --iotlb-entries capacity.
      */
     Tlb(const MachineConfig *config, PhysMem *mem,
         unsigned entry_override = 0);
@@ -123,33 +108,34 @@ class Tlb
 
     /**
      * Install a translation after a reload (hardware or software). The
-     * replacement policy is round-robin: over the whole entry array
-     * when fully associative (the default), within the indexed set
-     * when tlb_associativity > 0.
+     * replacement policy is round-robin over the whole entry array.
      */
     void insert(SpaceId space, Vpn vpn, Pfn pfn, Prot prot, bool mod);
 
     /** Invalidate one page's entry for @p space, if cached. */
     void invalidatePage(SpaceId space, Vpn vpn);
 
-    /** Invalidate entries for [start, end) in @p space. */
+    /**
+     * Invalidate entries for [start, end) in @p space: page by page
+     * when the range is narrower than the buffer, else in one pass.
+     */
     void invalidateRange(SpaceId space, Vpn start, Vpn end);
 
-    /** Invalidate every entry belonging to @p space. O(1). */
+    /** Invalidate every entry belonging to @p space. */
     void flushSpace(SpaceId space);
 
-    /** Invalidate the whole buffer. O(1). */
+    /** Invalidate the whole buffer. */
     void flushAll();
 
     /**
-     * Tagged-generation support for the lazy-asid avoidance policy
+     * Deferred-flush support for the lazy-asid avoidance policy
      * (ShootdownPolicy::LazyAsid): mark @p space's cached translations
      * stale WITHOUT flushing them. The entries keep serving -- that is
      * the deferral window the policy trades the IPI for -- until the
      * space is next loaded on this CPU and the context-load hook calls
      * consumeDeferredFlush(). Pure bookkeeping, no counters move.
      */
-    void deferFlush(SpaceId space);
+    void deferFlush(SpaceId space) { deferred_.insert(space); }
 
     /**
      * Apply (and clear) a pending deferred flush for @p space. Returns
@@ -159,9 +145,12 @@ class Tlb
     bool consumeDeferredFlush(SpaceId space);
 
     /** True when @p space has a deferred flush pending. */
-    bool hasDeferredFlush(SpaceId space) const;
+    bool hasDeferredFlush(SpaceId space) const
+    {
+        return deferred_.contains(space);
+    }
 
-    /** True when any valid entry belongs to @p space. O(1). */
+    /** True when any valid entry belongs to @p space (tests). */
     bool cachesSpace(SpaceId space) const;
 
     /**
@@ -171,7 +160,7 @@ class Tlb
     bool cachesMapping(SpaceId space, Vpn vpn, Prot prot) const;
 
     /** Count of valid entries (diagnostics). O(1). */
-    unsigned validCount() const { return live_count_; }
+    unsigned validCount() const { return valid_count_; }
 
     /**
      * Attach the machine's timeline recorder: flush and invalidate
@@ -184,19 +173,15 @@ class Tlb
         obs_track_ = track;
     }
 
-    /**
-     * Raw entry array (white-box inspection by audits and tests). The
-     * valid bits are reconciled against the generation tags first, so
-     * the returned view reads exactly as if flushes cleared eagerly.
-     */
-    const std::vector<TlbEntry> &entries() const;
+    /** Raw entry array (white-box inspection by audits and tests). */
+    const std::vector<TlbEntry> &entries() const { return entries_; }
 
     /**
      * Every translation the L0 cache would currently serve, as
      * entry-shaped records (valid always true, key from the slot,
      * pfn/prot/ref/mod from the backing entry). The consistency audit
      * checks these against the page tables exactly like entries();
-     * with correct invalidation they are a subset of the live entries,
+     * with correct invalidation they are a subset of the valid entries,
      * so the audit only ever fires on a real missed invalidation.
      */
     std::vector<TlbEntry> l0Translations() const;
@@ -222,23 +207,6 @@ class Tlb
     std::uint64_t l0_misses = 0;
 
   private:
-    /** Bookkeeping for one address space seen by this TLB. */
-    struct SpaceState
-    {
-        std::uint64_t flush_gen = 0; ///< Bumped by flushSpace.
-        std::uint64_t seen_gen = 0;  ///< Buffer gen `live` is valid for.
-        unsigned live = 0;           ///< Live entries, under seen_gen.
-        /**
-         * Lazy-asid deferral: the space's translations are stale and
-         * must be flushed before the space is next used on this CPU
-         * (deferFlush / consumeDeferredFlush). Cleared by any
-         * flushSpace, since a flush leaves nothing stale to defer.
-         */
-        bool deferred = false;
-    };
-
-    static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
-
     /** L0 slot: a (space, vpn) key and the entry it resolved to. */
     struct L0Slot
     {
@@ -264,41 +232,28 @@ class Tlb
     /** Drop every slot (flushAll). */
     void l0ClearAll();
 
-    bool setAssociative() const { return assoc_ > 0; }
-    static std::uint64_t hashKey(SpaceId space, Vpn vpn);
-    bool entryLive(const TlbEntry &entry) const;
-    /** Live count for a space, 0 when its state is stale. */
-    unsigned spaceLive(std::uint32_t slot) const;
-    /** Normalize a space's count to the current generation, then ref. */
-    SpaceState &touchSpace(std::uint32_t slot);
-    std::uint32_t spaceSlot(SpaceId space);
-    /** Take an entry out of the live set (index slot stays, stale). */
+    /** Clear @p entry's valid bit and any L0 slot for its key. */
     void retireEntry(TlbEntry &entry);
-    /** Fill @p entry and enter it into the live set and the index. */
+    /** Fill @p entry as a valid translation. */
     void fillEntry(TlbEntry &entry, SpaceId space, Vpn vpn, Pfn pfn,
                    Prot prot, bool mod);
 
     /**
-     * Locate the live entry for (space, vpn), or null. @p fill_l0
-     * caches a slow-path hit in the L0; invalidation probes pass
-     * false -- maintenance must not allocate into a translation
-     * cache it is about to clear (under the planted
+     * Locate the valid entry for (space, vpn), or null. @p fill_l0
+     * caches a scan hit in the L0; invalidation probes pass false --
+     * maintenance must not allocate into a translation cache it is
+     * about to clear (under the planted
      * PlantedBug::SkipL0Invalidate bug that allocation would plant the
      * very stale slot the protocol was retiring, on every drain).
      */
     TlbEntry *find(SpaceId space, Vpn vpn, bool fill_l0 = true);
-    const TlbEntry *find(SpaceId space, Vpn vpn) const;
-
-    // Fully-associative (hash index) machinery.
-    void indexInsert(std::uint32_t entry_index);
-    void rebuildIndex();
 
     const MachineConfig *config_;
     PhysMem *mem_;
     std::vector<TlbEntry> entries_;
-    /** Ways per set (0 = fully associative); see the ctor. */
-    unsigned assoc_ = 0;
     unsigned next_victim_ = 0;
+    /** Count of valid entries. */
+    unsigned valid_count_ = 0;
 
     /** L0 slots; only the first l0_size_ are ever used. */
     L0Slot l0_[kL0MaxEntries];
@@ -309,33 +264,21 @@ class Tlb
     /**
      * Negative counterpart of the L0: the key of the last find() that
      * missed. A miss can only turn into a hit through fillEntry (the
-     * one place entries enter the live set), which clears the memo --
-     * so a repeat of the same key (every lookup-miss-then-insert pair)
-     * skips the probe chain entirely. Host-side only.
+     * one place entries become valid), which clears the memo -- so a
+     * repeat of the same key (every lookup-miss-then-insert pair)
+     * skips the scan. Host-side only.
      */
     std::uint64_t last_miss_key_ = kNoL0Key;
 
-    /** Buffer generation; bumped by flushAll. */
-    std::uint64_t gen_ = 1;
-    /** Live entries across all spaces. */
-    unsigned live_count_ = 0;
-
-    /** Dense per-space states plus the id -> dense slot map. */
-    std::vector<SpaceState> space_states_;
-    std::unordered_map<SpaceId, std::uint32_t> space_index_;
-
     /**
-     * Open-addressed index: slot -> entry index, validated against the
-     * entry's key and liveness on probe (so flushes need not touch it).
-     * Only used when fully associative; sets are scanned directly.
+     * Lazy-asid deferral: spaces whose translations are stale and must
+     * be flushed before the space is next used on this CPU (deferFlush
+     * / consumeDeferredFlush). flushSpace removes its space, since a
+     * flush leaves nothing stale to defer. flushAll leaves the set
+     * alone, so the next context load still performs (and charges)
+     * the deferred flush.
      */
-    std::vector<std::uint32_t> index_;
-    std::uint32_t index_mask_ = 0;
-    /** Non-empty index slots (live or stale); triggers rebuilds. */
-    std::uint32_t index_used_ = 0;
-
-    /** Per-set round-robin victim cursors (set-associative mode). */
-    std::vector<std::uint32_t> set_victims_;
+    std::unordered_set<SpaceId> deferred_;
 
     /** Timeline recorder (null until attachObs; see attachObs). */
     obs::Recorder *obs_ = nullptr;

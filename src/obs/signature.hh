@@ -24,7 +24,7 @@
  * timing-neutral, the signatures of a run are a pure function of its
  * interleaving: the same (scenario, schedule) pair yields the same
  * signature list with or without full JSON export and with or without
- * the host-side L0/walk caches.
+ * the host-side L0 translation cache.
  */
 
 #ifndef MACH_OBS_SIGNATURE_HH

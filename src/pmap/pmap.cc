@@ -24,8 +24,6 @@ Pmap::Pmap(PmapSystem *sys, bool is_kernel)
       lock_(is_kernel ? "kernel-pmap" : "user-pmap", hw::SplHigh)
 {
     const hw::MachineConfig &cfg = sys->machine().cfg();
-    if (!cfg.host_walk_cache)
-        table_.setWalkCache(false);
     if (cfg.numa_pt_replicas && sys->machine().numaNodes() > 1) {
         table_.enableReplicas(sys->machine().numaNodes());
         if (cfg.planted_bug == hw::PlantedBug::DeferReplicaSync)
@@ -414,108 +412,16 @@ PmapSystem::auditTlbConsistency() const
 {
     std::vector<std::string> violations;
     char buf[160];
-    for (CpuId id = 0; id < machine_.ncpus(); ++id) {
-        kern::Cpu &cpu = const_cast<kern::Machine &>(machine_).cpu(id);
-        // A processor with consistency actions still queued (typically
-        // an idle one, which receives no interrupts) may legitimately
-        // hold stale entries: the algorithm guarantees it will drain
-        // the queue before performing any translation.
-        if (shoot_->stateFor(id).action_needed)
-            continue;
-        // Residue of a space with a deferred flush pending on this
-        // processor is dead by construction (LazyAsid policy): the
-        // flush is applied before the space can become current here
-        // again. Residue of the *current* space is never excused --
-        // a set flag on the running space is exactly the stale state
-        // the planted broken-asid variant creates.
-        auto deferred_residue = [&](hw::SpaceId space) {
-            return cpu.tlb().hasDeferredFlush(space) &&
-                   (cpu.cur_pmap == nullptr ||
-                    cpu.cur_pmap->space() != space);
-        };
-        const std::vector<hw::TlbEntry> live = cpu.tlb().entries();
-        for (const hw::TlbEntry &entry : live) {
-            if (!entry.valid || deferred_residue(entry.space))
-                continue;
-            const Pmap *pmap = pmapForSpace(entry.space);
-            if (pmap == nullptr) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u caches vpn 0x%x for a destroyed "
-                              "space %u",
-                              id, entry.vpn, entry.space);
-                violations.emplace_back(buf);
-                continue;
-            }
-            const std::uint32_t pte = pmap->table().readPte(entry.vpn);
-            if (!hw::pte::valid(pte) ||
-                hw::pte::pfn(pte) != entry.pfn ||
-                !protAllows(hw::pte::prot(pte), entry.prot)) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u caches vpn 0x%x space %u prot %u "
-                              "pfn %u but PTE is 0x%08x",
-                              id, entry.vpn, entry.space,
-                              static_cast<unsigned>(entry.prot),
-                              entry.pfn, pte);
-                violations.emplace_back(buf);
-            }
-        }
-        // The host-side L0 cache serves translations without
-        // revalidating against the indexed TLB, so a missed L0
-        // invalidation is a genuine stale-translation hazard. Audit
-        // everything it would serve with the same checks. Slots that
-        // exactly mirror a live indexed entry are skipped: the loop
-        // above already audited that translation, and with correct L0
-        // maintenance every slot falls in this category.
-        for (const hw::TlbEntry &entry : cpu.tlb().l0Translations()) {
-            if (deferred_residue(entry.space))
-                continue;
-            bool mirrors_live = false;
-            for (const hw::TlbEntry &backing : live) {
-                if (backing.valid && backing.space == entry.space &&
-                    backing.vpn == entry.vpn &&
-                    backing.pfn == entry.pfn &&
-                    backing.prot == entry.prot) {
-                    mirrors_live = true;
-                    break;
-                }
-            }
-            if (mirrors_live)
-                continue;
-            const Pmap *pmap = pmapForSpace(entry.space);
-            if (pmap == nullptr) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u L0 caches vpn 0x%x for a "
-                              "destroyed space %u",
-                              id, entry.vpn, entry.space);
-                violations.emplace_back(buf);
-                continue;
-            }
-            const std::uint32_t pte = pmap->table().readPte(entry.vpn);
-            if (!hw::pte::valid(pte) ||
-                hw::pte::pfn(pte) != entry.pfn ||
-                !protAllows(hw::pte::prot(pte), entry.prot)) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u L0 caches vpn 0x%x space %u "
-                              "prot %u pfn %u but PTE is 0x%08x",
-                              id, entry.vpn, entry.space,
-                              static_cast<unsigned>(entry.prot),
-                              entry.pfn, pte);
-                violations.emplace_back(buf);
-            }
-        }
-    }
-    // Device IOTLBs are audited exactly like CPU TLBs: an entry must
-    // never grant rights its PTE does not. The action-needed excuse
-    // applies (a device with actions queued drains them before its
-    // next translation), but there is no deferred-flush excuse --
-    // devices never participate in the LazyAsid deferral.
-    for (pmap::TlbResponder *dev : shoot_->responders()) {
-        if (shoot_->stateFor(dev->id()).action_needed)
-            continue;
-        const std::string label = dev->describe();
-        const std::vector<hw::TlbEntry> live = dev->tlb().entries();
-        auto checkEntry = [&](const hw::TlbEntry &entry,
-                              const char *where) {
+    // CPU TLBs and device IOTLBs are audited alike: an entry must never
+    // grant rights its PTE does not. Entries whose space `excused`
+    // accepts are skipped. The host-side L0 serves translations without
+    // rechecking the entry array, so a missed L0 invalidation is a
+    // genuine stale-translation hazard: everything it would serve gets
+    // the same checks, except slots that exactly mirror a valid entry
+    // (already audited; with correct L0 maintenance, every slot).
+    auto auditTlb = [&](const std::string &label, const hw::Tlb &tlb,
+                        auto excused) {
+        auto check = [&](const hw::TlbEntry &entry, const char *where) {
             const Pmap *pmap = pmapForSpace(entry.space);
             if (pmap == nullptr) {
                 std::snprintf(buf, sizeof(buf),
@@ -540,24 +446,52 @@ PmapSystem::auditTlbConsistency() const
                 violations.emplace_back(buf);
             }
         };
+        const std::vector<hw::TlbEntry> &live = tlb.entries();
         for (const hw::TlbEntry &entry : live) {
-            if (entry.valid)
-                checkEntry(entry, "");
+            if (entry.valid && !excused(entry.space))
+                check(entry, "");
         }
-        for (const hw::TlbEntry &entry : dev->tlb().l0Translations()) {
-            bool mirrors_live = false;
-            for (const hw::TlbEntry &backing : live) {
-                if (backing.valid && backing.space == entry.space &&
-                    backing.vpn == entry.vpn &&
-                    backing.pfn == entry.pfn &&
-                    backing.prot == entry.prot) {
-                    mirrors_live = true;
-                    break;
-                }
-            }
+        for (const hw::TlbEntry &entry : tlb.l0Translations()) {
+            if (excused(entry.space))
+                continue;
+            const bool mirrors_live = std::any_of(
+                live.begin(), live.end(), [&](const hw::TlbEntry &b) {
+                    return b.valid && b.space == entry.space &&
+                           b.vpn == entry.vpn && b.pfn == entry.pfn &&
+                           b.prot == entry.prot;
+                });
             if (!mirrors_live)
-                checkEntry(entry, "L0 ");
+                check(entry, "L0 ");
         }
+    };
+    // A responder with consistency actions still queued (typically an
+    // idle processor, which receives no interrupts) may legitimately
+    // hold stale entries: the algorithm guarantees it will drain the
+    // queue before performing any translation.
+    for (CpuId id = 0; id < machine_.ncpus(); ++id) {
+        kern::Cpu &cpu = const_cast<kern::Machine &>(machine_).cpu(id);
+        if (shoot_->stateFor(id).action_needed)
+            continue;
+        // Residue of a space with a deferred flush pending on this
+        // processor is dead by construction (LazyAsid policy): the
+        // flush is applied before the space can become current here
+        // again. Residue of the *current* space is never excused --
+        // a set flag on the running space is exactly the stale state
+        // the planted broken-asid variant creates.
+        auditTlb("cpu" + std::to_string(id), cpu.tlb(),
+                 [&](hw::SpaceId space) {
+                     return cpu.tlb().hasDeferredFlush(space) &&
+                            (cpu.cur_pmap == nullptr ||
+                             cpu.cur_pmap->space() != space);
+                 });
+    }
+    // Devices never participate in the LazyAsid deferral, so nothing
+    // of theirs is excused.
+    for (pmap::TlbResponder *dev : shoot_->responders()) {
+        if (shoot_->stateFor(dev->id()).action_needed)
+            continue;
+        auditTlb(dev->describe(), dev->tlb(),
+                 [](hw::SpaceId) { return false; });
     }
     // With per-node page-table replicas, every replica must agree with
     // the primary (modulo per-node ref/mod bits) at quiescent points.

@@ -156,7 +156,7 @@ runDigest(vm::Kernel &kernel)
 /** Tester (6 children) followed by a denser 12-child shootdown storm. */
 std::uint64_t
 stormDigest(std::uint64_t seed, bool software_reload,
-            bool host_caches = true)
+            bool l0 = true)
 {
     setLogQuiet(true);
     std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -164,10 +164,8 @@ stormDigest(std::uint64_t seed, bool software_reload,
         hw::MachineConfig config;
         config.seed = seed;
         config.tlb_software_reload = software_reload;
-        if (!host_caches) {
+        if (!l0)
             config.tlb_l0_entries = 0;
-            config.host_walk_cache = false;
-        }
         vm::Kernel kernel(config);
         apps::ConsistencyTester tester(
             {.children = 6, .warmup = 20 * kMsec});
@@ -179,10 +177,8 @@ stormDigest(std::uint64_t seed, bool software_reload,
         hw::MachineConfig config;
         config.seed = seed ^ 0x5702;
         config.tlb_software_reload = software_reload;
-        if (!host_caches) {
+        if (!l0)
             config.tlb_l0_entries = 0;
-            config.host_walk_cache = false;
-        }
         vm::Kernel kernel(config);
         apps::ConsistencyTester tester(
             {.children = 12, .warmup = 30 * kMsec});
@@ -225,18 +221,17 @@ TEST(DeterminismDigest, StormDigestsMatchGolden)
 
 TEST(DeterminismDigest, HostCachesAreTimingNeutral)
 {
-    // The L0 translation cache and the page-walk cache are host-speed
-    // devices only: disabling both (the machsim --no-l0 switch) must
-    // reproduce the exact golden digests of the cached runs. A digest
-    // divergence here means a cache changed simulated behaviour.
+    // The L0 translation cache is a host-speed device only: disabling
+    // it (the machsim --no-l0 switch) must reproduce the exact golden
+    // digests of the cached runs. A digest divergence here means the
+    // L0 changed simulated behaviour.
     const DigestCase cases[] = {
         {0x1dea1, false, 0xbcf7d61b291003ddull},
         {0x2bead, true, 0x74e62422e4263b4cull},
     };
     for (const DigestCase &c : cases) {
         const std::uint64_t uncached =
-            stormDigest(c.seed, c.software_reload,
-                        /*host_caches=*/false);
+            stormDigest(c.seed, c.software_reload, /*l0=*/false);
         EXPECT_EQ(uncached, c.golden)
             << "seed " << c.seed << " swr " << c.software_reload;
     }
@@ -335,12 +330,11 @@ TEST(DeterminismDigest, InterleavingSignaturesAreStable)
     EXPECT_EQ(recorded.digest, once.digest);
     EXPECT_FALSE(trace_json.empty());
 
-    // Host caches are timing-neutral (HostCachesAreTimingNeutral), so
-    // they must also be signature-neutral: the --no-l0 twin of the
-    // scenario visits the same interleaving windows.
+    // The L0 is timing-neutral (HostCachesAreTimingNeutral), so it must
+    // also be signature-neutral: the --no-l0 twin of the scenario
+    // visits the same interleaving windows.
     chk::Scenario no_l0 = *storm;
     no_l0.config.tlb_l0_entries = 0;
-    no_l0.config.host_walk_cache = false;
     const chk::TrialResult uncached =
         explorer.runTrialSigned(no_l0, perturber);
     EXPECT_EQ(uncached.signatures, once.signatures);

@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
+#include "base/rng.hh"
 #include "hw/bus.hh"
 #include "hw/intr.hh"
 #include "hw/machine_config.hh"
@@ -268,29 +269,22 @@ TEST(PageTable, PteAddrMatchesWalk)
     EXPECT_TRUE(pte::modified(table.readPte(66)));
 }
 
-// ---------------------------------------------------------------------
-// PageTable walk cache (host-side; simulated costs must not change)
-// ---------------------------------------------------------------------
-
-TEST(WalkCache, CachesLeafBaseWithoutChangingResults)
+TEST(PageTable, RepeatedWalksAgree)
 {
     PhysMem mem(128);
     PageTable table(&mem);
     table.writePte(0x400, pte::make(9, ProtRead));
     const WalkResult first = table.walk(0x400);
     const WalkResult second = table.walk(0x400);
-    EXPECT_GT(table.walkCacheHits(), 0u);
     EXPECT_EQ(first.pte, second.pte);
     EXPECT_EQ(first.leaf_present, second.leaf_present);
-    // The simulated cost is still two level reads on a cached walk.
     EXPECT_EQ(second.memory_reads, 2u);
 }
 
-TEST(WalkCache, PteRewriteIsVisibleThroughCachedLeaf)
+TEST(PageTable, PteRewriteIsVisibleToNextWalk)
 {
-    // Only the root->leaf pointer is cached; the PTE itself is read
-    // from memory every walk, so a revocation on the same leaf is
-    // visible immediately with no cache maintenance.
+    // A revocation on an existing leaf is visible to the very next
+    // walk: the walker reads the PTE from memory every time.
     PhysMem mem(128);
     PageTable table(&mem);
     table.writePte(7, pte::make(4, ProtReadWrite));
@@ -301,55 +295,35 @@ TEST(WalkCache, PteRewriteIsVisibleThroughCachedLeaf)
     EXPECT_FALSE(pte::valid(after.pte));
 }
 
-TEST(WalkCache, CollectInvalidatesCachedLeaves)
+TEST(PageTable, WalkAfterCollectReadsOnlyTheRoot)
 {
     PhysMem mem(128);
     PageTable table(&mem);
     table.writePte(3, pte::make(5, ProtRead));
     EXPECT_TRUE(pte::valid(table.walk(3).pte));
     table.collect();
-    // The freed leaf must not be served from the cache: the walk sees
-    // the now-invalid root and charges only the single root read.
+    // The leaf is freed: the walk sees the now-invalid root and is
+    // charged only the single root read.
     const WalkResult after = table.walk(3);
     EXPECT_FALSE(after.leaf_present);
     EXPECT_EQ(after.memory_reads, 1u);
     // Faulted back in afterwards, walks resolve the new leaf.
     table.writePte(3, pte::make(6, ProtRead));
-    EXPECT_EQ(pte::pfn(table.walk(3).pte), 6u);
+    const WalkResult refaulted = table.walk(3);
+    EXPECT_EQ(pte::pfn(refaulted.pte), 6u);
+    EXPECT_EQ(refaulted.memory_reads, 2u);
 }
 
-TEST(WalkCache, DisabledCacheCountsNothingAndAgrees)
-{
-    PhysMem mem(128);
-    PageTable cached(&mem);
-    PageTable plain(&mem);
-    plain.setWalkCache(false);
-    for (Vpn v = 0; v < 64; v += 3) {
-        cached.writePte(v, pte::make(v % 50 + 1, ProtRead));
-        plain.writePte(v, pte::make(v % 50 + 1, ProtRead));
-    }
-    for (Vpn v = 0; v < 64; ++v) {
-        const WalkResult a = cached.walk(v);
-        const WalkResult b = plain.walk(v);
-        EXPECT_EQ(a.pte, b.pte) << "vpn " << v;
-        EXPECT_EQ(a.memory_reads, b.memory_reads) << "vpn " << v;
-    }
-    EXPECT_EQ(plain.walkCacheHits(), 0u);
-    EXPECT_EQ(plain.walkCacheMisses(), 0u);
-}
-
-TEST(WalkCache, ReplicaWalksAreCachedPerNode)
+TEST(PageTable, ReplicaWalksResolvePerNodeAcrossCollect)
 {
     PhysMem mem(128, 2);
     PageTable table(&mem);
     table.enableReplicas(2);
     table.writePte(12, pte::make(8, ProtRead));
-    // Both nodes' walks resolve (and cache) their own roots.
+    // Both nodes' walks resolve through their own roots.
     EXPECT_EQ(pte::pfn(table.walk(12, 0).pte), 8u);
     EXPECT_EQ(pte::pfn(table.walk(12, 1).pte), 8u);
-    EXPECT_GT(table.walkCacheMisses(), 1u); // One cold walk per node.
-    // collect() frees primary and replica leaves alike; no node's walk
-    // may be served from a cached pointer to a freed leaf.
+    // collect() frees primary and replica leaves alike.
     table.collect();
     EXPECT_FALSE(table.walk(12, 0).leaf_present);
     EXPECT_FALSE(table.walk(12, 1).leaf_present);
@@ -565,7 +539,7 @@ TEST_F(TlbFixture, FullyAssociativeEvictionIsGlobalRoundRobin)
 {
     // Fill the buffer with distinct pages, then insert one more: the
     // global round-robin cursor has wrapped back to slot 0, so the very
-    // first fill is the victim -- independent of any set hashing.
+    // first fill is the victim.
     for (Vpn v = 0; v < config.tlb_entries; ++v)
         tlb.insert(1, v, v, ProtRead, false);
     tlb.insert(1, 1000, 99, ProtRead, false);
@@ -712,120 +686,153 @@ TEST_F(TlbFixture, SkippedL0InvalidationServesStaleTranslation)
 }
 
 // ---------------------------------------------------------------------
-// Set-associative TLB (tlb_associativity > 0)
+// Tlb golden: one seeded production-API sequence, digested per shape
 // ---------------------------------------------------------------------
 
-/** Mirror of Tlb::hashKey, so tests can pick vpns by set index. */
 std::uint64_t
-tlbSetHash(SpaceId space, Vpn vpn)
+foldU64(std::uint64_t hash, std::uint64_t value)
 {
-    std::uint64_t k = (static_cast<std::uint64_t>(space) << 32) ^ vpn;
-    k *= 0x9E3779B97F4A7C15ull;
-    k ^= k >> 29;
-    return k;
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (value >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
 }
 
-class SetAssocTlb : public ::testing::Test
+std::uint64_t
+foldEntry(std::uint64_t hash, const TlbEntry &entry)
 {
-  protected:
-    SetAssocTlb() : mem(256)
-    {
-        config.tlb_entries = 8;
-        config.tlb_associativity = 2; // Four sets of two ways.
-        tlb = std::make_unique<Tlb>(&config, &mem);
-    }
-
-    std::size_t
-    nsets() const
-    {
-        return config.tlb_entries / config.tlb_associativity;
-    }
-
-    /** First @p count vpns (space 1) landing in vpn 0's set. */
-    std::vector<Vpn>
-    sameSetVpns(std::size_t count) const
-    {
-        const std::size_t target = tlbSetHash(1, 0) % nsets();
-        std::vector<Vpn> out;
-        for (Vpn v = 0; out.size() < count; ++v)
-            if (tlbSetHash(1, v) % nsets() == target)
-                out.push_back(v);
-        return out;
-    }
-
-    /** A vpn (space 1) landing in a different set from vpn 0. */
-    Vpn
-    otherSetVpn() const
-    {
-        const std::size_t target = tlbSetHash(1, 0) % nsets();
-        for (Vpn v = 1;; ++v)
-            if (tlbSetHash(1, v) % nsets() != target)
-                return v;
-    }
-
-    MachineConfig config;
-    PhysMem mem;
-    std::unique_ptr<Tlb> tlb;
-};
-
-TEST_F(SetAssocTlb, ConflictEvictsWithinSetOnly)
-{
-    const std::vector<Vpn> colliding = sameSetVpns(3);
-    const Vpn bystander = otherSetVpn();
-    tlb->insert(1, colliding[0], 10, ProtRead, false);
-    tlb->insert(1, colliding[1], 11, ProtRead, false);
-    tlb->insert(1, bystander, 12, ProtRead, false);
-    // A third mapping in a two-way set evicts that set's round-robin
-    // victim (the oldest fill); other sets are untouched, even though
-    // the buffer as a whole has plenty of free slots.
-    tlb->insert(1, colliding[2], 13, ProtRead, false);
-    EXPECT_FALSE(tlb->lookup(1, colliding[0], ProtRead, 0).hit);
-    EXPECT_TRUE(tlb->lookup(1, colliding[1], ProtRead, 0).hit);
-    EXPECT_TRUE(tlb->lookup(1, colliding[2], ProtRead, 0).hit);
-    EXPECT_TRUE(tlb->lookup(1, bystander, ProtRead, 0).hit);
-    EXPECT_EQ(tlb->validCount(), 3u);
+    hash = foldU64(hash, entry.space);
+    hash = foldU64(hash, entry.vpn);
+    hash = foldU64(hash, entry.pfn);
+    hash = foldU64(hash, entry.prot);
+    return foldU64(hash, entry.ref * 2 + entry.mod);
 }
 
-TEST_F(SetAssocTlb, PerSetVictimCursorIsRoundRobin)
+/** Every valid entry with its slot, then what the L0 would serve. */
+std::uint64_t
+foldContents(std::uint64_t hash, const Tlb &tlb)
 {
-    const std::vector<Vpn> colliding = sameSetVpns(4);
-    tlb->insert(1, colliding[0], 10, ProtRead, false); // way 0
-    tlb->insert(1, colliding[1], 11, ProtRead, false); // way 1
-    tlb->insert(1, colliding[2], 12, ProtRead, false); // evicts [0]
-    tlb->insert(1, colliding[3], 13, ProtRead, false); // evicts [1]
-    EXPECT_FALSE(tlb->lookup(1, colliding[0], ProtRead, 0).hit);
-    EXPECT_FALSE(tlb->lookup(1, colliding[1], ProtRead, 0).hit);
-    EXPECT_TRUE(tlb->lookup(1, colliding[2], ProtRead, 0).hit);
-    EXPECT_TRUE(tlb->lookup(1, colliding[3], ProtRead, 0).hit);
+    const std::vector<TlbEntry> &entries = tlb.entries();
+    for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+        if (entries[slot].valid)
+            hash = foldEntry(foldU64(hash, slot), entries[slot]);
+    }
+    for (const TlbEntry &entry : tlb.l0Translations())
+        hash = foldEntry(hash, entry);
+    return hash;
 }
 
-TEST_F(SetAssocTlb, ReinsertDoesNotAdvanceVictimCursor)
+/**
+ * Drive one TLB through 24k seeded operations: lookups (reads and
+ * writes, with and without a PTE to write back to), inserts, page and
+ * range invalidations on both sides of the buffer width, space and
+ * buffer flushes, deferred flushes, and PTE rewrites under the cached
+ * entries. Folds every result, every counter and the final contents.
+ */
+std::uint64_t
+tlbSequenceDigest(const MachineConfig &config, unsigned entry_override)
 {
-    const std::vector<Vpn> colliding = sameSetVpns(3);
-    tlb->insert(1, colliding[0], 10, ProtRead, false); // way 0
-    tlb->insert(1, colliding[1], 11, ProtRead, false); // way 1
-    // Refreshing a cached mapping updates in place and must not move
-    // the cursor (matching the fully-associative model)...
-    tlb->insert(1, colliding[0], 20, ProtRead, false);
-    // ...so the next conflict still evicts way 0, not way 1.
-    tlb->insert(1, colliding[2], 12, ProtRead, false);
-    EXPECT_FALSE(tlb->lookup(1, colliding[0], ProtRead, 0).hit);
-    const TlbLookup survivor = tlb->lookup(1, colliding[1], ProtRead, 0);
-    EXPECT_TRUE(survivor.hit);
-    EXPECT_EQ(survivor.pfn, 11u);
+    constexpr SpaceId kSpaces = 4;
+    PhysMem mem(64);
+    const PAddr leaf = mem.allocFrame() << kPageShift;
+    Tlb tlb(&config, &mem, entry_override);
+    const unsigned width = static_cast<unsigned>(tlb.entries().size());
+    const Vpn vpns = width + 16;
+    const auto pteAddr = [&](Vpn vpn) { return leaf + 4 * vpn; };
+    const auto pfnOf = [](Vpn vpn) { return Pfn{vpn + 100}; };
+    for (Vpn vpn = 0; vpn < vpns; ++vpn)
+        mem.write32(pteAddr(vpn), pte::make(pfnOf(vpn), ProtReadWrite));
+
+    Rng rng(0x7b1d16e5);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::pair<SpaceId, Vpn> recent[4] = {};
+    for (unsigned op = 0; op < 24000; ++op) {
+        // Half the keys repeat a recent one, so the L0 and the memo see
+        // realistic locality; the rest spread over four spaces.
+        std::pair<SpaceId, Vpn> key = recent[rng.below(4)];
+        if (key.first == kNoSpace || rng.below(2) == 0) {
+            key = {static_cast<SpaceId>(1 + rng.below(kSpaces)),
+                   static_cast<Vpn>(rng.below(vpns))};
+            recent[op % 4] = key;
+        }
+        const auto [space, vpn] = key;
+        const std::uint64_t kind = rng.below(1000);
+        if (kind < 500) {
+            const Prot want = rng.below(3) == 0 ? ProtWrite : ProtRead;
+            const PAddr pte = rng.below(2) == 0 ? pteAddr(vpn) : 0;
+            const TlbLookup look = tlb.lookup(space, vpn, want, pte);
+            hash = foldU64(hash, look.hit * 4 + look.prot_ok * 2 +
+                                     look.did_writeback);
+            hash = foldU64(hash, look.pfn);
+        } else if (kind < 750) {
+            const Prot prot = rng.below(2) == 0 ? ProtRead : ProtReadWrite;
+            tlb.insert(space, vpn, pfnOf(vpn), prot, rng.below(4) == 0);
+        } else if (kind < 810) {
+            tlb.invalidatePage(space, vpn);
+        } else if (kind < 818) {
+            tlb.invalidateRange(space, vpn,
+                                vpn + 1 + rng.below(width - 1));
+        } else if (kind < 820) {
+            tlb.invalidateRange(space, vpn / 2,
+                                vpn / 2 + width + rng.below(width));
+        } else if (kind < 823) {
+            tlb.flushSpace(space);
+        } else if (kind < 824) {
+            tlb.flushAll();
+        } else if (kind < 834) {
+            tlb.deferFlush(space);
+        } else if (kind < 850) {
+            hash = foldU64(hash, tlb.consumeDeferredFlush(space));
+        } else {
+            // Revoke, downgrade or remap the PTE under the cache, so
+            // interlocked writebacks find changed mappings.
+            const std::uint64_t how = rng.below(4);
+            mem.write32(pteAddr(vpn),
+                        how == 0   ? 0
+                        : how == 1 ? pte::make(pfnOf(vpn), ProtRead)
+                        : how == 2 ? pte::make(pfnOf(vpn) + 1,
+                                               ProtReadWrite)
+                                   : pte::make(pfnOf(vpn), ProtReadWrite));
+        }
+        hash = foldU64(hash, tlb.validCount());
+        if (op % 1024 == 1023)
+            hash = foldContents(hash, tlb);
+    }
+
+    for (const std::uint64_t counter :
+         {tlb.hits, tlb.misses, tlb.writebacks, tlb.flushes,
+          tlb.single_invalidates, tlb.full_flushes, tlb.l0_hits,
+          tlb.l0_misses})
+        hash = foldU64(hash, counter);
+    hash = foldU64(hash, tlb.validCount());
+    hash = foldContents(hash, tlb);
+    for (SpaceId space = 1; space <= kSpaces; ++space)
+        hash = foldU64(hash, tlb.hasDeferredFlush(space));
+    for (Vpn vpn = 0; vpn < vpns; ++vpn)
+        hash = foldU64(hash, mem.read32(pteAddr(vpn)));
+    return hash;
 }
 
-TEST_F(SetAssocTlb, EpochFlushesWorkAcrossSets)
+TEST(TlbGolden, SeededSequenceDigestPerShape)
 {
-    for (unsigned i = 0; i < config.tlb_entries; ++i)
-        tlb->insert(1 + i % 2, i * 7, i, ProtRead, false);
-    tlb->flushSpace(1);
-    EXPECT_FALSE(tlb->cachesSpace(1));
-    EXPECT_TRUE(tlb->cachesSpace(2));
-    tlb->flushAll();
-    EXPECT_EQ(tlb->validCount(), 0u);
-    for (const TlbEntry &entry : tlb->entries())
-        EXPECT_FALSE(entry.valid);
+    MachineConfig base;
+    MachineConfig wide;
+    wide.tlb_entries = 512; // The virtual-cache scale.
+    MachineConfig no_l0;
+    no_l0.tlb_l0_entries = 0;
+    MachineConfig interlocked;
+    interlocked.tlb_interlocked_refmod = true;
+    MachineConfig planted;
+    planted.planted_bug = PlantedBug::SkipL0Invalidate;
+
+    EXPECT_EQ(tlbSequenceDigest(base, 0), 0x6d56703f5eaccff5ull);
+    // A 4-entry override buffer: the device IOTLB shape.
+    EXPECT_EQ(tlbSequenceDigest(base, 4), 0x727cfbd9cc093ae3ull);
+    EXPECT_EQ(tlbSequenceDigest(wide, 0), 0xf4077a7d32857fc7ull);
+    EXPECT_EQ(tlbSequenceDigest(no_l0, 0), 0xfaeb54eefe053065ull);
+    EXPECT_EQ(tlbSequenceDigest(interlocked, 0), 0x27ec3a1846d8e893ull);
+    EXPECT_EQ(tlbSequenceDigest(planted, 0), 0xc2302d6185ccb359ull);
 }
 
 // ---------------------------------------------------------------------
@@ -981,12 +988,6 @@ TEST(MachineConfigTest, ValidateRejectsNonsense)
     remote.tlb_remote_invalidate = true;
     EXPECT_EXIT(remote.validate(), ::testing::ExitedWithCode(1),
                 "no_refmod_writeback");
-
-    MachineConfig assoc;
-    assoc.tlb_entries = 64;
-    assoc.tlb_associativity = 3;
-    EXPECT_EXIT(assoc.validate(), ::testing::ExitedWithCode(1),
-                "tlb_associativity");
 }
 
 TEST(HwDeathTest, FreeingReservedFrameAsserts)

@@ -277,15 +277,14 @@ TEST(ShootProtocol, ResponderSamplingOnlyOnConfiguredCpus)
 
 TEST(ShootProtocol, ResponderWithEmptyTlbIsStillSynchronized)
 {
-    // The O(1) cachesSpace index makes it tempting to refine the
-    // initiator's target set (and its shoot() wait loop) with a "TLB
-    // does not cache the space" test, echoing the paper's "ceased
-    // using the pmap" refinement. That would be wrong on hardware-
-    // reload machines: a processor whose TLB holds no entry for the
-    // space can still walk the old page tables mid-change and
-    // re-cache a stale PTE, so only leaving the pmap's in-use set
-    // (or the active set) may exempt a processor -- an empty buffer
-    // may not. The wait condition (action_needed && active && inUse)
+    // It is tempting to refine the initiator's target set (and its
+    // shoot() wait loop) with a "TLB does not cache the space" test
+    // (Tlb::cachesSpace), echoing the paper's "ceased using the pmap"
+    // refinement. That would be wrong on hardware-reload machines: a
+    // processor whose TLB holds no entry for the space can still walk
+    // the old page tables mid-change and re-cache a stale PTE, so only
+    // leaving the pmap's in-use set (or the active set) may exempt a
+    // processor -- an empty buffer may not. The wait condition (action_needed && active && inUse)
     // deliberately has no cachesSpace term; this pins that choice:
     // a responder with a freshly emptied TLB is still interrupted
     // and the protection change stays consistent.

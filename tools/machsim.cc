@@ -90,8 +90,7 @@ struct Options
     /** Shootdown-avoidance policy (baseline | lazy-asid | batched |
      *  range-flush | reuse-elide). */
     std::string shootdown_policy = "baseline";
-    unsigned tlb_assoc = 0;
-    /** Disable the host-side L0/walk caches (timing-neutral knob). */
+    /** Disable the host-side L0 translation cache (timing-neutral). */
     bool no_l0 = false;
     /** Text-trace categories (--trace), a mask of obs::Category bits. */
     std::uint32_t trace_categories = 0;
@@ -189,11 +188,8 @@ usage()
         "                      batched | range-flush | reuse-elide\n"
         "                      (implies --software-reload); see\n"
         "                      docs/ALGORITHM.md\n"
-        "  --tlb-assoc N       set-associative TLB with N ways (0 =\n"
-        "                      fully associative, the Multimax default)\n"
         "  --no-l0             disable the host-side L0 translation\n"
-        "                      cache and page-walk cache (slower on\n"
-        "                      the host, identical simulated results)\n"
+        "                      cache (identical simulated results)\n"
         "\nworkload:\n"
         "  --app NAME          tester | mach-build | parthenon | "
         "agora | camelot | serving\n"
@@ -439,8 +435,6 @@ parse(int argc, char **argv, Options *opt)
             opt->asid_tags = true;
         } else if (flag == "--shootdown-policy") {
             opt->shootdown_policy = need_value(i);
-        } else if (flag == "--tlb-assoc") {
-            opt->tlb_assoc = parseUnsigned(flag, need_value(i));
         } else if (flag == "--no-l0") {
             opt->no_l0 = true;
         } else if (flag == "--trace") {
@@ -516,11 +510,8 @@ toConfig(const Options &opt)
     config.tlb_no_refmod_writeback = opt.no_writeback;
     config.tlb_remote_invalidate = opt.remote_invalidate;
     config.tlb_asid_tags = opt.asid_tags;
-    config.tlb_associativity = opt.tlb_assoc;
-    if (opt.no_l0) {
+    if (opt.no_l0)
         config.tlb_l0_entries = 0;
-        config.host_walk_cache = false;
-    }
     if (opt.delayed_flush) {
         config.consistency_strategy =
             hw::ConsistencyStrategy::DelayedFlush;
