@@ -114,42 +114,30 @@ Context::resumeFiber(FiberId id)
 std::uint64_t
 Context::run(Tick until)
 {
-    MACH_ASSERT(Fiber::current() == nullptr);
-    MACH_ASSERT(!running_);
-    running_ = true;
-    eliding_ = true;
-    until_ = until;
-    stop_requested_ = false;
-    const std::uint64_t elided_before = elided_wakes_;
-
-    // The queue dispatches whole ticks at a time: all the bookkeeping
-    // of finding, sweeping, and popping the front bucket is paid once
-    // per distinct tick instead of once per event. Order and stop
-    // semantics are identical to the per-event loop.
-    std::uint64_t dispatched = 0;
-    while (!queue_.empty() && !stop_requested_) {
-        const std::uint64_t n =
-            queue_.fireTickBatch(until, &now_, &stop_requested_);
-        if (n == 0)
-            break; // Front tick lies beyond the horizon.
-        dispatched += n;
-    }
-
-    running_ = false;
-    eliding_ = false;
-    return dispatched + (elided_wakes_ - elided_before);
+    return dispatch(until, nullptr, nullptr);
 }
 
 std::uint64_t
 Context::runGuarded(Tick until, const std::function<bool()> &stop_after,
                     bool *hit_guard)
 {
+    MACH_ASSERT(stop_after != nullptr);
+    *hit_guard = false;
+    return dispatch(until, &stop_after, hit_guard);
+}
+
+std::uint64_t
+Context::dispatch(Tick until, const std::function<bool()> *stop_after,
+                  bool *hit_guard)
+{
     MACH_ASSERT(Fiber::current() == nullptr);
     MACH_ASSERT(!running_);
-    MACH_ASSERT(stop_after != nullptr);
     running_ = true;
+    // A guard must see every event, so only an unguarded run elides.
+    eliding_ = stop_after == nullptr;
+    until_ = until;
     stop_requested_ = false;
-    *hit_guard = false;
+    const std::uint64_t elided_before = elided_wakes_;
 
     std::uint64_t dispatched = 0;
     while (!queue_.empty() && !stop_requested_) {
@@ -157,19 +145,22 @@ Context::runGuarded(Tick until, const std::function<bool()> &stop_after,
         if (when > until)
             break;
         MACH_ASSERT(when >= now_);
+        // Advance the clock first: the event body reads it as its own
+        // fire time.
         now_ = when;
         queue_.fireFront();
         ++dispatched;
         // A stop request wins over the guard: the run is complete, so
         // resuming it would be wrong regardless of the watermark.
-        if (!stop_requested_ && stop_after()) {
+        if (stop_after != nullptr && !stop_requested_ && (*stop_after)()) {
             *hit_guard = true;
             break;
         }
     }
 
     running_ = false;
-    return dispatched;
+    eliding_ = false;
+    return dispatched + (elided_wakes_ - elided_before);
 }
 
 } // namespace mach::sim

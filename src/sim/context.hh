@@ -90,15 +90,17 @@ class Context
     void sleep(Tick dt);
 
     /**
-     * Drain events until the queue is empty or simulated time would pass
-     * @p until. Returns the number of events dispatched, counting the
-     * wakes blockUntil() took inline.
+     * Dispatch events one at a time, in (time, sequence) order, until
+     * the queue is empty, simulated time would pass @p until, or a stop
+     * is requested. Returns the number of events dispatched, counting
+     * the wakes blockUntil() took inline.
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
     /**
-     * Like run(), but additionally evaluates @p stop_after after every
-     * dispatched event and stops the loop once it returns true. Used by
+     * The same loop as run(), but it evaluates @p stop_after after
+     * every dispatched event and stops once it returns true, and it
+     * never elides a wake (the guard must see every event). Used by
      * the run farm to park a machine at a prefix-snapshot point (a
      * deterministic event-insertion / bus-access watermark) from which
      * fork-style clones resume. On return *hit_guard says whether the
@@ -134,6 +136,10 @@ class Context
         return id - 1 < fibers_.size() ? fibers_[id - 1].get() : nullptr;
     }
     void resumeFiber(FiberId id);
+    /** run() and runGuarded(): a null @p stop_after allows elision. */
+    std::uint64_t dispatch(Tick until,
+                           const std::function<bool()> *stop_after,
+                           bool *hit_guard);
     /** EventQueue raw-event thunk for fiber wakes (token = FiberId). */
     static void wakeTrampoline(void *ctx, std::uint64_t token);
 

@@ -6,33 +6,23 @@
  * for the same tick fire in the order they were scheduled. This total
  * order is the root of the simulator's determinism.
  *
- * The implementation is built for throughput on the simulator's hot
- * path (every sleep, wake, timer tick, and IPI is one event):
+ * The queue is one binary min-heap of 16-byte (when, key) items, where
+ * the key packs the insertion sequence above the payload's slab slot:
  *
- *   - same-tick events chain into a FIFO bucket (their arrival order IS
- *     their sequence order), and a binary min-heap of 16-byte items
- *     orders the open buckets by (tick, creation sequence) -- so a burst
- *     of simultaneous events pays the O(log n) sift once, not once per
- *     event, and popping within a bucket is O(1);
- *   - a 256-entry direct-mapped cache maps a tick to its newest open
- *     bucket, so appending to a pending tick never probes or touches
- *     the heap; a miss (new or evicted tick) just opens another bucket,
- *     whose sequence numbers all exceed the older bucket's;
- *   - payloads live in a slab of recycled nodes (free-list), so neither
+ *   - payloads live in a slab of recycled nodes (free list), so neither
  *     scheduling nor cancelling allocates once the slab is warm;
- *   - cancel() is O(1): it releases the payload's resources immediately
- *     and leaves a tombstone in its bucket chain that is reclaimed when
- *     the chain drains (or compacted in bulk when tombstones outnumber
- *     live events);
+ *   - cancel() frees the payload's node at once and leaves its heap
+ *     item behind, stale: an item whose key no longer matches its
+ *     slot's is dropped when it reaches the front, and one bulk pass
+ *     drops them all once they outnumber live events by more than 64;
  *   - fiber wakes -- the dominant event kind -- are stored as a raw
  *     (function pointer, context, token) triple, bypassing
  *     std::function entirely on the schedule *and* dispatch paths.
  *
- * None of this changes the order contract: buckets fire in (tick,
- * creation sequence) order and chains preserve insertion order within
- * a bucket, which is exactly the (when, seq) total order the original
- * std::map implementation used. tests/determinism_test.cc pins that
- * contract with golden digests.
+ * Keys are unique and sequence-ordered, so the heap pops in exact
+ * (when, seq) order. tests/determinism_test.cc pins that contract with
+ * golden digests, and tests/sim_test.cc checks it against a std::map
+ * reference.
  */
 
 #ifndef MACH_SIM_EVENT_QUEUE_HH
@@ -51,20 +41,10 @@ namespace mach::sim
 /** Opaque handle identifying a scheduled event, usable for cancellation. */
 struct EventId
 {
-    Tick when = 0;
+    /** Packed (insertion sequence << 20 | slab slot); 0 for none. */
     std::uint64_t seq = 0;
-    /** Slab slot the payload occupies (cancellation hint). */
-    std::uint32_t slot = 0;
 
     bool valid() const { return seq != 0; }
-
-    bool
-    operator<(const EventId &other) const
-    {
-        if (when != other.when)
-            return when < other.when;
-        return seq < other.seq;
-    }
 };
 
 /** Time-ordered queue of callbacks. */
@@ -101,37 +81,10 @@ class EventQueue
     Tick nextTime() const;
 
     /**
-     * Remove and return the earliest event's callback, storing its
-     * scheduled time in @p when. Panics if empty, and panics on raw
-     * events (only fireFront can dispatch those).
-     */
-    Callback popFront(Tick *when);
-
-    /**
      * Remove and invoke the earliest event, returning its scheduled
      * time. Dispatches raw events directly. Panics if empty.
      */
     Tick fireFront();
-
-    /**
-     * Dispatch every live event pending at the earliest tick as one
-     * batch -- the run loop's path. One front sweep and one heap
-     * round trip cover the whole tick instead of one per event; order
-     * within the tick is the bucket's FIFO chain, i.e. insertion-
-     * sequence order, so the (time, seq) contract (and with it every
-     * golden digest and perturbation replay) is untouched. Events an
-     * event body schedules *for the current tick* join the same batch,
-     * exactly as repeated fireFront() calls would dispatch them.
-     *
-     * Returns 0 without advancing @p *now when the queue is empty or
-     * the front tick lies beyond @p until. Otherwise stores the
-     * batch's tick into @p *now (asserting it is monotonic) before the
-     * first dispatch and returns the count dispatched. Dispatch stops
-     * after the current event once @p *stop reads true, mirroring the
-     * per-event requestStop() check of the unbatched loop.
-     */
-    std::uint64_t fireTickBatch(Tick until, Tick *now,
-                                const bool *stop);
 
     /**
      * The self-wake fast path (Context::blockUntil). If an event
@@ -166,120 +119,61 @@ class EventQueue
     /** Slab capacity ever allocated (white-box tests). */
     std::size_t slabSize() const { return slab_.size(); }
 
-    /** Open buckets: distinct pending ticks plus splits (white-box). */
-    std::size_t pendingTickCount() const { return heap_.size(); }
-
   private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
     /**
-     * The sequence word carries the slab slot in its low bits, so one
-     * 64-bit compare orders same-tick events by insertion sequence and
-     * one mask recovers the payload. Bounds the slab at 2^20 nodes
+     * The key carries the slab slot in its low bits, so one 64-bit
+     * compare orders same-tick events by insertion sequence and one
+     * mask recovers the payload. Bounds the slab at 2^20 nodes
      * (pending-event high-water mark, not total events) and the
      * insertion counter at 2^44 events.
      */
     static constexpr unsigned kSlotBits = 20;
     static constexpr std::uint64_t kSlotMask =
         (std::uint64_t{1} << kSlotBits) - 1;
-    /**
-     * Node::seq sentinel for a cancelled node still linked into its
-     * bucket chain. Real packed sequences are >= 1 << kSlotBits and
-     * free slots are 0, so the value cannot collide with either.
-     */
-    static constexpr std::uint64_t kCancelledSeq = 1;
 
     /** Slab-resident payload; seq == 0 marks a free slot. */
     struct Node
     {
-        std::uint64_t seq = 0; ///< Packed (sequence << kSlotBits | slot).
+        std::uint64_t seq = 0; ///< Key of the pending event it holds.
         RawFn raw_fn = nullptr;
         void *raw_ctx = nullptr;
         std::uint64_t raw_token = 0;
         Callback cb;
-        /** Free-list link when free, same-tick FIFO link when pending. */
-        std::uint32_t next = kNil;
+        std::uint32_t next_free = kNil;
     };
 
-    /** FIFO of one tick's events; when free, head links the free list. */
-    struct Bucket
-    {
-        std::uint32_t head = kNil;
-        std::uint32_t tail = kNil;
-    };
-
-    /** Heap item: one per open bucket; (when, key) pairs are unique. */
-    struct HeapItem
+    /** Heap item; stale once its slot no longer holds @p key. */
+    struct Item
     {
         Tick when;
-        /** Packed (creation sequence << kSlotBits | bucket index). */
         std::uint64_t key;
-
-        bool
-        operator<(const HeapItem &o) const
-        {
-            return when != o.when ? when < o.when : key < o.key;
-        }
     };
 
-    /** Tick -> newest open bucket; bucket == kNil marks an empty entry. */
-    struct TickCacheEntry
+    bool
+    stale(const Item &item) const
     {
-        Tick when = 0;
-        std::uint32_t bucket = kNil;
-    };
-    static constexpr std::size_t kTickCacheEntries = 256;
-
-    static std::size_t
-    tickCacheIndex(Tick when)
-    {
-        return (when * 0x9E3779B97F4A7C15ull) >> 56;
+        return slab_[item.key & kSlotMask].seq != item.key;
     }
 
     std::uint32_t allocNode();
+    /** Clear the payload in @p slot and put the slot on the free list. */
     void releaseNode(std::uint32_t slot);
-    std::uint32_t allocBucket();
-    void releaseBucket(const HeapItem &item);
-    Node &clearPayload(std::uint32_t slot);
-    /** Release the node in @p slot and run its payload. */
-    void dispatch(std::uint32_t slot);
-    /** Append a filled node to @p when's newest bucket, or open one. */
     EventId enqueue(Tick when, std::uint32_t slot);
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-    /** Release the front bucket and pop it off the heap. */
-    void popFrontBucket();
-    /**
-     * Drop cancelled nodes off the front bucket's chain (and empty
-     * buckets off the heap) until a live event leads; panics if none.
-     */
-    void
-    sweepFront()
-    {
-        if (heap_.empty() ||
-            slab_[buckets_[heap_.front().key & kSlotMask].head].seq ==
-                kCancelledSeq)
-            sweepTombstones();
-    }
-    void sweepTombstones();
-    /** Unlink the front event; sweepFront must have run. */
-    std::uint32_t takeFront();
-    /** Drop every tombstone and rebuild the heap (amortized, bulk). */
-    void compact();
+    /** Remove the front item from the heap. */
+    void popItem();
+    /** Pop stale items until a live one (or nothing) leads. */
+    void sweepFront();
 
-    std::vector<HeapItem> heap_;
+    /** Min-heap on (when, key); the front is live or the heap empty. */
+    std::vector<Item> heap_;
     std::vector<Node> slab_;
-    std::vector<Bucket> buckets_;
-    /** Sized by the first enqueue: building a machine allocates none. */
-    std::vector<TickCacheEntry> tick_cache_;
     std::uint32_t free_head_ = kNil;
-    std::uint32_t bucket_free_head_ = kNil;
     std::uint64_t next_seq_ = 1;
     const SchedulePerturber *perturber_ = nullptr;
-    /** Scheduled, not yet fired or cancelled. */
+    /** Scheduled, not yet fired or cancelled; the rest of heap_ is stale. */
     std::size_t live_ = 0;
-    /** Cancelled nodes still linked into bucket chains. */
-    std::size_t tombstones_ = 0;
 };
 
 } // namespace mach::sim

@@ -17,7 +17,7 @@ analyze(const Buffer &buffer)
              "lost, analysis totals are truncated",
              buffer.capacity());
     }
-    for (const Event &event : buffer.events()) {
+    buffer.forEach([&out](const Event &event) {
         switch (event.kind) {
           case EventKind::ShootInitiator: {
             ShootdownSummary &summary = event.kernel_pmap
@@ -36,7 +36,7 @@ analyze(const Buffer &buffer)
                 static_cast<double>(event.elapsed) / kUsec);
             break;
         }
-    }
+    });
     return out;
 }
 

@@ -1,7 +1,7 @@
 #include "xpr/machine_stats.hh"
 
+#include <charconv>
 #include <cstdio>
-#include <sstream>
 
 #include "base/logging.hh"
 #include "hw/tlb.hh"
@@ -256,15 +256,24 @@ runDigest(vm::Kernel &kernel)
     // Keep in lockstep with tests/determinism_test.cc's runDigest:
     // the golden digests there pin this exact formula.
     std::uint64_t hash = 0xcbf29ce484222325ull;
-    std::ostringstream print;
-    for (const Event &event : kernel.machine().xpr().events()) {
-        print << static_cast<int>(event.kind) << ':' << event.cpu
-              << ':' << event.timestamp << ':' << event.kernel_pmap
-              << ':' << event.pages << ':' << event.procs << ':'
-              << event.elapsed << '\n';
-    }
-    const std::string text = print.str();
-    hash = fnv1a(hash, text.data(), text.size());
+    // Each record hashes as its decimal text line, straight from the
+    // ring: "kind:cpu:timestamp:kernel_pmap:pages:procs:elapsed\n".
+    const auto put = [&hash](std::uint64_t value, char sep) {
+        char digits[20]; // Enough for any 64-bit value.
+        const char *end =
+            std::to_chars(digits, digits + sizeof(digits), value).ptr;
+        hash = fnv1a(hash, digits, static_cast<std::size_t>(end - digits));
+        hash = fnv1a(hash, &sep, 1);
+    };
+    kernel.machine().xpr().forEach([&put](const Event &event) {
+        put(static_cast<std::uint64_t>(event.kind), ':');
+        put(event.cpu, ':');
+        put(event.timestamp, ':');
+        put(event.kernel_pmap, ':');
+        put(event.pages, ':');
+        put(event.procs, ':');
+        put(event.elapsed, '\n');
+    });
     hash = fnv1aU64(hash, kernel.machine().now());
     for (CpuId id = 0; id < kernel.machine().ncpus(); ++id) {
         const hw::Tlb &tlb = kernel.machine().cpu(id).tlb();

@@ -39,20 +39,6 @@ Buffer::record(const Event &event)
         overflowed_ = true;
 }
 
-std::vector<Event>
-Buffer::events() const
-{
-    std::vector<Event> out;
-    if (count_ == 0)
-        return out;
-    out.reserve(count_);
-    const std::size_t start =
-        (head_ + ring_.size() - count_) % ring_.size();
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
-    return out;
-}
-
 std::size_t
 Buffer::size() const
 {

@@ -68,11 +68,23 @@ class Buffer
     void record(const Event &event);
 
     /**
-     * Events in recording order. If the buffer wrapped, only the most
-     * recent `capacity` events survive -- size it so that it never
-     * overflows during a run, as the paper did.
+     * Call @p fn on each event, in recording order, where it lies in
+     * the ring (no copy). If the buffer wrapped, only the most recent
+     * `capacity` events survive -- size it so that it never overflows
+     * during a run, as the paper did.
      */
-    std::vector<Event> events() const;
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        const std::size_t n = ring_.size();
+        std::size_t at = count_ == 0 ? 0 : (head_ + n - count_) % n;
+        for (std::size_t i = 0; i < count_; ++i) {
+            fn(ring_[at]);
+            if (++at == n)
+                at = 0;
+        }
+    }
 
     /** True when records were lost to wraparound. */
     bool overflowed() const { return overflowed_; }

@@ -29,12 +29,12 @@ std::string
 fingerprint(const xpr::Buffer &buffer)
 {
     std::ostringstream out;
-    for (const xpr::Event &event : buffer.events()) {
+    buffer.forEach([&out](const xpr::Event &event) {
         out << static_cast<int>(event.kind) << ':' << event.cpu << ':'
             << event.timestamp << ':' << event.kernel_pmap << ':'
             << event.pages << ':' << event.procs << ':'
             << event.elapsed << '\n';
-    }
+    });
     return out.str();
 }
 

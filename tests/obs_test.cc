@@ -431,11 +431,11 @@ recordedTesterTrace(std::uint64_t seed, bool with_sampler,
         sampler->stop();
     if (xpr_print != nullptr) {
         std::ostringstream out;
-        for (const xpr::Event &event : kernel.machine().xpr().events()) {
+        kernel.machine().xpr().forEach([&out](const xpr::Event &event) {
             out << static_cast<int>(event.kind) << ':' << event.cpu
                 << ':' << event.timestamp << ':' << event.elapsed
                 << '\n';
-        }
+        });
         *xpr_print = out.str();
     }
     return rec.toJson();
@@ -495,10 +495,10 @@ TEST(ObsTrace, RecordingDoesNotPerturbTheRun)
     apps::ConsistencyTester tester({.children = 6, .warmup = 20 * kMsec});
     tester.execute(kernel);
     std::ostringstream out;
-    for (const xpr::Event &event : kernel.machine().xpr().events()) {
+    kernel.machine().xpr().forEach([&out](const xpr::Event &event) {
         out << static_cast<int>(event.kind) << ':' << event.cpu << ':'
             << event.timestamp << ':' << event.elapsed << '\n';
-    }
+    });
     ASSERT_FALSE(recorded.empty());
     EXPECT_EQ(recorded, out.str());
 }

@@ -109,13 +109,8 @@ TEST(Perturb, EventQueueAppliesDelayAndReorders)
     q.schedule(100, [&] { order.push_back(1); });
     q.schedule(100, [&] { order.push_back(2); });
 
-    Tick when = 0;
-    auto first = q.popFront(&when);
-    first();
-    EXPECT_EQ(when, 100u);
-    auto second = q.popFront(&when);
-    second();
-    EXPECT_EQ(when, 150u);
+    EXPECT_EQ(q.fireFront(), 100u);
+    EXPECT_EQ(q.fireFront(), 150u);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 2); // undelayed event now runs first
     EXPECT_EQ(order[1], 1);
@@ -128,9 +123,8 @@ TEST(Perturb, EventQueueUnperturbedKeepsInsertionOrder)
     std::vector<int> order;
     q.schedule(100, [&] { order.push_back(1); });
     q.schedule(100, [&] { order.push_back(2); });
-    Tick when = 0;
-    q.popFront(&when)();
-    q.popFront(&when)();
+    q.fireFront();
+    q.fireFront();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 

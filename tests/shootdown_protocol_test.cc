@@ -268,11 +268,11 @@ TEST(ShootProtocol, ResponderSamplingOnlyOnConfiguredCpus)
     // only 0 and 1 may record.
     apps::ConsistencyTester tester({.children = 6, .warmup = 20 * kMsec});
     tester.execute(kernel);
-    for (const xpr::Event &event : kernel.machine().xpr().events()) {
+    kernel.machine().xpr().forEach([](const xpr::Event &event) {
         if (event.kind == xpr::EventKind::ShootResponder) {
             EXPECT_LT(event.cpu, 2u);
         }
-    }
+    });
 }
 
 TEST(ShootProtocol, ResponderWithEmptyTlbIsStillSynchronized)

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/perturb.hh"
+#include "base/rng.hh"
 #include "sim/context.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
@@ -30,10 +33,8 @@ TEST(EventQueue, FiresInTimeOrder)
     q.schedule(10, [&] { order.push_back(1); });
     q.schedule(20, [&] { order.push_back(2); });
 
-    while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
-    }
+    while (!q.empty())
+        q.fireFront();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -43,10 +44,8 @@ TEST(EventQueue, SameTickFiresInScheduleOrder)
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
         q.schedule(5, [&order, i] { order.push_back(i); });
-    while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
-    }
+    while (!q.empty())
+        q.fireFront();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
 }
@@ -59,18 +58,15 @@ TEST(EventQueue, CancelRemovesEvent)
     q.schedule(20, [] {});
     q.cancel(id);
     EXPECT_EQ(q.size(), 1u);
-    Tick when = 0;
-    q.popFront(&when)();
+    EXPECT_EQ(q.fireFront(), 20u);
     EXPECT_FALSE(fired);
-    EXPECT_EQ(when, 20u);
 }
 
 TEST(EventQueue, CancelAfterFireIsNoop)
 {
     EventQueue q;
     EventId id = q.schedule(10, [] {});
-    Tick when = 0;
-    q.popFront(&when);
+    q.fireFront();
     q.cancel(id); // Must not crash or disturb anything.
     EXPECT_TRUE(q.empty());
 }
@@ -320,13 +316,13 @@ TEST(Context, DeterministicReplay)
 }
 
 // ---------------------------------------------------------------------
-// Event-heap internals: tombstones, same-tick chains, slab recycling.
+// Event-heap internals: stale items, same-tick order, slab recycling.
 // ---------------------------------------------------------------------
 
 TEST(EventQueue, CancelThenFireSkipsTombstone)
 {
-    // Cancel an event that is already at the front of its tick chain;
-    // the next pop must sweep past the tombstone to the live event
+    // Cancel the event at the front of the heap, and one behind it:
+    // the front must move past each stale item to the live event
     // behind it, on the same tick and on a later one.
     EventQueue q;
     std::vector<int> order;
@@ -339,37 +335,32 @@ TEST(EventQueue, CancelThenFireSkipsTombstone)
 
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.nextTime(), 10u);
-    while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
-    }
+    while (!q.empty())
+        q.fireFront();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EventQueue, InterleavedTicksKeepSequenceOrder)
 {
-    // Alternate scheduling between two ticks so each tick's FIFO chain
-    // is built up interleaved; pops must still follow global
-    // (when, seq) order.
+    // Alternate scheduling between two ticks; pops must still follow
+    // global (when, seq) order.
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i) {
         const Tick when = (i % 2 == 0) ? 100 : 200;
         q.schedule(when, [&order, i] { order.push_back(i); });
     }
-    while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
-    }
+    while (!q.empty())
+        q.fireFront();
     EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 1, 3, 5, 7}));
 }
 
 TEST(EventQueue, FreeListBoundsSlabAcrossChurn)
 {
     // A million schedule/cancel cycles (the kicked-idle-nap pattern)
-    // must recycle slab nodes rather than grow the slab: tombstone
-    // compaction reclaims cancelled nodes even though their tick never
-    // reaches the front.
+    // must recycle slab nodes rather than grow the slab, and the bulk
+    // cleanup must drop the stale heap items even though their tick
+    // never reaches the front.
     EventQueue q;
     bool fired = false;
     q.schedule(1, [&] { fired = true; });
@@ -381,15 +372,12 @@ TEST(EventQueue, FreeListBoundsSlabAcrossChurn)
     EXPECT_EQ(q.scheduledCount(), 1'000'001u);
     // The slab high-water mark stays tiny compared to the churn count.
     EXPECT_LT(q.slabSize(), 1000u);
-    // In-use slots are the one live event plus at most the tombstone
-    // compaction threshold's worth of not-yet-swept cancelled nodes;
-    // every other slot is back on the free list.
-    EXPECT_LE(q.slabSize() - q.freeNodeCount(), 65u);
+    // cancel() frees a slot at once, so the slots in use are exactly
+    // the live events; every other slot is back on the free list.
+    EXPECT_EQ(q.slabSize() - q.freeNodeCount(), 1u);
 
-    Tick when = 0;
-    q.popFront(&when)();
+    EXPECT_EQ(q.fireFront(), 1u);
     EXPECT_TRUE(fired);
-    EXPECT_EQ(when, 1u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -399,78 +387,34 @@ TEST(EventQueue, SlabSlotReuseDoesNotConfuseCancel)
     // event must not cancel the newer event.
     EventQueue q;
     EventId old_id = q.schedule(10, [] {});
-    Tick when = 0;
-    q.popFront(&when); // Slot returns to the free list.
+    q.fireFront(); // Slot returns to the free list.
 
     bool fired = false;
     q.schedule(20, [&] { fired = true; }); // Reuses the slot.
     q.cancel(old_id);                      // Stale handle: must no-op.
     EXPECT_EQ(q.size(), 1u);
-    q.popFront(&when)();
+    q.fireFront();
     EXPECT_TRUE(fired);
 }
 
-TEST(EventQueue, ManySameTickEventsUseOneHeapSlot)
-{
-    // The bucket layout's point: simultaneous events share one heap
-    // item, so the heap tracks distinct ticks, not events.
-    EventQueue q;
-    for (int i = 0; i < 100; ++i)
-        q.schedule(7, [] {});
-    q.schedule(9, [] {});
-    EXPECT_EQ(q.size(), 101u);
-    EXPECT_EQ(q.pendingTickCount(), 2u);
-    while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tick cache: collisions and ticks split across buckets.
-// ---------------------------------------------------------------------
-
-/**
- * A tick that evicts @p a from the tick cache: scheduling a, then it,
- * then a again opens a second bucket for a. Found by probing, so the
- * tests do not depend on the cache's hash.
- */
-Tick
-collidingTick(Tick a)
-{
-    for (Tick b = a + 1; b < a + 100'000; ++b) {
-        EventQueue q;
-        q.schedule(a, [] {});
-        q.schedule(b, [] {});
-        q.schedule(a, [] {});
-        if (q.pendingTickCount() == 3)
-            return b;
-    }
-    ADD_FAILURE() << "no tick collides with " << a;
-    return a + 1;
-}
-
-/** Pop everything, recording each event's tag and fire time. */
+/** Fire everything, recording each event's fire time and tag. */
 std::vector<std::pair<Tick, int>>
 drain(EventQueue &q, std::vector<int> &tags)
 {
     std::vector<std::pair<Tick, int>> out;
     while (!q.empty()) {
-        Tick when = 0;
-        q.popFront(&when)();
+        const Tick when = q.fireFront();
         out.emplace_back(when, tags.back());
     }
     return out;
 }
 
-TEST(EventQueue, CollidingTicksFireInWhenSeqOrder)
+TEST(EventQueue, AlternatingTicksFireInWhenSeqOrderEitherWayRound)
 {
-    // Alternate between two ticks that share a cache slot, with the
-    // later tick scheduled first as well: every switch evicts the
-    // other tick's bucket, so both ticks end up split, and pops must
-    // still follow (when, seq) exactly.
+    // Alternate between two ticks, starting with the earlier one and
+    // then with the later one: pops must follow (when, seq) exactly.
     const Tick a = 1000;
-    const Tick b = collidingTick(a);
+    const Tick b = 1001;
     for (const bool later_first : {false, true}) {
         EventQueue q;
         std::vector<int> tags;
@@ -478,7 +422,6 @@ TEST(EventQueue, CollidingTicksFireInWhenSeqOrder)
             const Tick when = ((i % 2 == 0) != later_first) ? a : b;
             q.schedule(when, [&tags, i] { tags.push_back(i); });
         }
-        EXPECT_EQ(q.pendingTickCount(), 8u); // Every event split off.
         const auto fired = drain(q, tags);
         std::vector<std::pair<Tick, int>> want;
         for (int i = 0; i < 8; ++i)
@@ -491,13 +434,13 @@ TEST(EventQueue, CollidingTicksFireInWhenSeqOrder)
     }
 }
 
-TEST(EventQueue, SplitTickKeepsOrderInTickBatches)
+TEST(EventQueue, RunFiresEventScheduledForItsOwnTickAfterPendingOnes)
 {
-    // One tick split across three buckets, dispatched through run()'s
-    // tick batches, with an event body appending to the same tick: the
-    // batch must cross the bucket boundaries in sequence order.
+    // Two ticks scheduled interleaved and dispatched through run(),
+    // with an event body appending to its own tick: the appended event
+    // fires after the tick's pending events and before the next tick.
     const Tick a = 500;
-    const Tick b = collidingTick(a);
+    const Tick b = 501;
     Context ctx;
     std::vector<int> order;
     ctx.scheduleCall(a, [&] { order.push_back(0); });
@@ -508,18 +451,17 @@ TEST(EventQueue, SplitTickKeepsOrderInTickBatches)
     });
     ctx.scheduleCall(b, [&] { order.push_back(11); });
     ctx.scheduleCall(a, [&] { order.push_back(2); });
-    EXPECT_EQ(ctx.queue().pendingTickCount(), 5u);
     EXPECT_EQ(ctx.run(), 6u);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11}));
 }
 
-TEST(EventQueue, CancelAndCompactAcrossSplitTick)
+TEST(EventQueue, BulkCancelLeavesSurvivorsInSequenceOrder)
 {
-    // Cancel most events on a split tick -- enough to trigger bulk
-    // compaction -- and the survivors of both buckets still fire in
-    // sequence order while wholly cancelled buckets are retired.
+    // Cancel most events on two ticks, scheduled in alternating runs
+    // of 100 -- enough stale items to trigger the bulk cleanup -- and
+    // the survivors still fire in (when, seq) order.
     const Tick a = 77;
-    const Tick b = collidingTick(a);
+    const Tick b = 78;
     EventQueue q;
     std::vector<int> tags;
     std::vector<EventId> ids;
@@ -528,26 +470,270 @@ TEST(EventQueue, CancelAndCompactAcrossSplitTick)
         ids.push_back(
             q.schedule(when, [&tags, i] { tags.push_back(i); }));
     }
-    EXPECT_EQ(q.pendingTickCount(), 4u);
     std::vector<std::pair<Tick, int>> want;
     for (int i = 0; i < 400; ++i) {
-        // Keep two events of the first a-bucket, none of the first
-        // b-bucket, three of the second a-bucket, all of the second b.
+        // Keep two events of the first a-run, none of the first b-run,
+        // three of the second a-run, all of the second b-run.
         const bool keep = i == 10 || i == 90 || (i >= 200 && i < 203) ||
                           i >= 300;
         if (!keep)
             q.cancel(ids[i]);
     }
     EXPECT_EQ(q.size(), 105u);
-    // Compaction ran (tombstones outnumbered live events) and retired
-    // the all-cancelled bucket.
-    EXPECT_EQ(q.pendingTickCount(), 3u);
     for (int i : {10, 90, 200, 201, 202})
         want.emplace_back(a, i);
     for (int i = 300; i < 400; ++i)
         want.emplace_back(b, i);
     EXPECT_EQ(drain(q, tags), want);
-    EXPECT_EQ(q.pendingTickCount(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The order contract against a reference queue.
+// ---------------------------------------------------------------------
+
+/**
+ * An EventQueue driven in lockstep with the contract it implements: a
+ * std::map keyed by (fire time, insertion sequence). The reference
+ * applies the perturber's eventDelay() itself. Every operation returns
+ * "" when the two agree after it, or what differed.
+ */
+class ReferenceQueue
+{
+  public:
+    enum CancelKind { Live, Fired, Cancelled, Default, kCancelKinds };
+
+    explicit ReferenceQueue(const SchedulePerturber *perturber)
+        : perturber_(perturber)
+    {
+        queue_.setPerturber(perturber);
+    }
+
+    Tick now() const { return now_; }
+    std::size_t size() const { return ref_.size(); }
+    /** Events scheduled so far; tags are 0 .. scheduled() - 1. */
+    int scheduled() const { return static_cast<int>(ids_.size()); }
+
+    std::string
+    schedule(Tick when, bool raw)
+    {
+        const int tag = scheduled();
+        ++seq_;
+        const std::pair<Tick, std::uint64_t> key{when + delay(seq_), seq_};
+        ids_.push_back(
+            raw ? queue_.scheduleRaw(when, &ReferenceQueue::fireRaw,
+                                     &fired_,
+                                     static_cast<std::uint64_t>(tag))
+                : queue_.schedule(when, [this, tag] { fired_ = tag; }));
+        keys_.push_back(key);
+        state_.push_back(Live);
+        ref_.emplace(key, tag);
+        return agree("schedule");
+    }
+
+    /** Cancel @p tag's event, or a default id for a negative tag. */
+    std::string
+    cancel(int tag)
+    {
+        if (tag < 0) {
+            ++cancels[Default];
+            queue_.cancel(EventId{});
+            return agree("cancel(default)");
+        }
+        ++cancels[state_[tag]];
+        queue_.cancel(ids_[tag]);
+        if (state_[tag] == Live) {
+            ref_.erase(keys_[tag]);
+            state_[tag] = Cancelled;
+        }
+        return agree("cancel");
+    }
+
+    std::string
+    fireFront()
+    {
+        if (ref_.empty())
+            return "";
+        const auto [key, tag] = *ref_.begin();
+        ref_.erase(ref_.begin());
+        state_[tag] = Fired;
+        fired_ = -1;
+        const Tick when = queue_.fireFront();
+        now_ = when;
+        if (when != key.first || fired_ != tag) {
+            return "fired tag " + std::to_string(fired_) + " at " +
+                   std::to_string(when) + ", want tag " +
+                   std::to_string(tag) + " at " +
+                   std::to_string(key.first);
+        }
+        return agree("fireFront");
+    }
+
+    std::string
+    nextTime()
+    {
+        if (ref_.empty())
+            return "";
+        if (queue_.nextTime() != ref_.begin()->first.first)
+            return "nextTime " + std::to_string(queue_.nextTime());
+        return agree("nextTime");
+    }
+
+    /** claimNext(@p when, @p until); a claimed wake advances now(). */
+    std::string
+    claimNext(Tick when, Tick until)
+    {
+        const Tick at = when + delay(seq_ + 1);
+        const bool want = at <= until &&
+                          (ref_.empty() || at < ref_.begin()->first.first);
+        Tick got = when;
+        if (queue_.claimNext(&got, until) != want ||
+            got != (want ? at : when))
+            return "claimNext gave " + std::to_string(got);
+        ++claims[want];
+        if (want) {
+            ++seq_;
+            now_ = at;
+        }
+        return agree("claimNext");
+    }
+
+    /** cancel() calls by the kind of id they named. */
+    std::uint64_t cancels[kCancelKinds] = {};
+    /** claimNext() calls that declined [0] and claimed [1]. */
+    std::uint64_t claims[2] = {};
+
+  private:
+    static void
+    fireRaw(void *ctx, std::uint64_t token)
+    {
+        *static_cast<int *>(ctx) = static_cast<int>(token);
+    }
+
+    Tick
+    delay(std::uint64_t seq) const
+    {
+        return perturber_ == nullptr ? 0 : perturber_->eventDelay(seq);
+    }
+
+    std::string
+    agree(const char *op) const
+    {
+        if (queue_.size() != ref_.size() ||
+            queue_.empty() != ref_.empty() ||
+            queue_.scheduledCount() != seq_) {
+            return std::string(op) + ": size " +
+                   std::to_string(queue_.size()) + " want " +
+                   std::to_string(ref_.size()) + ", scheduled " +
+                   std::to_string(queue_.scheduledCount()) + " want " +
+                   std::to_string(seq_);
+        }
+        return "";
+    }
+
+    const SchedulePerturber *perturber_;
+    EventQueue queue_;
+    std::map<std::pair<Tick, std::uint64_t>, int> ref_;
+    std::vector<EventId> ids_;
+    std::vector<std::pair<Tick, std::uint64_t>> keys_;
+    std::vector<CancelKind> state_;
+    std::uint64_t seq_ = 0;
+    Tick now_ = 0;
+    int fired_ = -1;
+};
+
+/**
+ * 120k seeded operations: schedule/scheduleRaw at now() plus a mix of
+ * same-tick, near and far offsets; cancels of live, fired, cancelled
+ * and default ids; fireFront, nextTime and claimNext with a finite
+ * horizon. Phases of 1000 operations steer the queue toward 4 to 256
+ * pending events. Every 20k operations a cancel-heavy burst schedules
+ * 2000 far-future events and cancels 95% of them, so cancelled events
+ * far outnumber live ones and the queue's bulk cleanup runs.
+ */
+void
+runAgainstReference(const SchedulePerturber *perturber)
+{
+    ReferenceQueue q(perturber);
+    Rng rng(0x0de7'a11e);
+    auto offset = [&rng]() -> Tick {
+        switch (rng.below(4)) {
+          case 0:
+            return 0;
+          case 1:
+            return rng.below(4);
+          case 2:
+            return rng.below(64);
+          default:
+            return rng.below(5000);
+        }
+    };
+    std::size_t target = 0;
+    for (int op = 0; op < 120'000; ++op) {
+        if (op % 1000 == 0)
+            target = std::size_t{4} << (2 * rng.below(4));
+        if (op % 20'000 == 10'000) {
+            const Tick far = q.now() + 10'000'000;
+            const int first = q.scheduled();
+            for (int k = 0; k < 2000; ++k) {
+                ASSERT_EQ(q.schedule(far + rng.below(500), k % 2 == 0),
+                          "")
+                    << "burst at op " << op;
+            }
+            for (int k = 0; k < 2000; ++k) {
+                if (k % 20 != 0) {
+                    ASSERT_EQ(q.cancel(first + k), "")
+                        << "burst at op " << op;
+                }
+            }
+            continue;
+        }
+        const bool grow = q.size() < target;
+        const std::uint64_t pick = rng.below(100);
+        std::string diff;
+        if (pick < (grow ? 50u : 25u)) {
+            diff = q.schedule(q.now() + offset(), pick % 2 == 0);
+        } else if (pick < 70) {
+            // Mostly recent tags, so live ids are common.
+            const int n = q.scheduled();
+            const int back = static_cast<int>(rng.below(64));
+            diff = q.cancel(rng.below(16) == 0 || n == 0
+                                ? -1
+                                : std::max(0, n - 1 - back));
+        } else if (pick < 90) {
+            diff = q.fireFront();
+        } else if (pick < 95) {
+            diff = q.nextTime();
+        } else {
+            diff = q.claimNext(q.now() + offset(),
+                               q.now() + rng.below(256));
+        }
+        ASSERT_EQ(diff, "") << "op " << op;
+    }
+    while (q.size() > 0)
+        ASSERT_EQ(q.fireFront(), "") << "drain";
+    for (const std::uint64_t count : q.cancels)
+        EXPECT_GT(count, 0u);
+    EXPECT_GT(q.claims[0], 0u);
+    EXPECT_GT(q.claims[1], 0u);
+}
+
+TEST(EventQueueOrder, MatchesReferenceUnperturbed)
+{
+    runAgainstReference(nullptr);
+}
+
+TEST(EventQueueOrder, MatchesReferenceUnderDelayDirectives)
+{
+    // One sequence in eight slips by up to 3000 ticks: enough to
+    // reorder same-tick and near events and to push claimable wakes
+    // behind pending ones.
+    SchedulePerturber perturber;
+    Rng rng(0xde1a'75ed);
+    for (std::uint64_t seq = 1; seq <= 80'000; ++seq) {
+        if (rng.below(8) == 0)
+            perturber.delayEvent(seq, rng.below(3000));
+    }
+    runAgainstReference(&perturber);
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "xpr/analysis.hh"
 #include "xpr/xpr.hh"
 
@@ -27,12 +29,21 @@ responderEvent(Tick elapsed, CpuId cpu = 1)
     return {EventKind::ShootResponder, cpu, 1000, false, 0, 0, elapsed};
 }
 
+/** The buffer's records as forEach visits them. */
+std::vector<Event>
+contents(const Buffer &buffer)
+{
+    std::vector<Event> out;
+    buffer.forEach([&out](const Event &event) { out.push_back(event); });
+    return out;
+}
+
 TEST(XprBuffer, RecordsInOrder)
 {
     Buffer buffer(8);
     buffer.record(initiatorEvent(10, true));
     buffer.record(responderEvent(20));
-    const auto events = buffer.events();
+    const auto events = contents(buffer);
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].elapsed, 10u);
     EXPECT_EQ(events[1].elapsed, 20u);
@@ -45,7 +56,7 @@ TEST(XprBuffer, WrapKeepsMostRecent)
     for (Tick t = 1; t <= 6; ++t)
         buffer.record(initiatorEvent(t, false));
     EXPECT_TRUE(buffer.overflowed());
-    const auto events = buffer.events();
+    const auto events = contents(buffer);
     ASSERT_EQ(events.size(), 4u);
     EXPECT_EQ(events.front().elapsed, 3u);
     EXPECT_EQ(events.back().elapsed, 6u);
@@ -70,7 +81,25 @@ TEST(XprBuffer, ResetClears)
     EXPECT_EQ(buffer.size(), 0u);
     EXPECT_FALSE(buffer.overflowed());
     buffer.record(initiatorEvent(2, false));
-    EXPECT_EQ(buffer.events()[0].elapsed, 2u);
+    EXPECT_EQ(contents(buffer)[0].elapsed, 2u);
+}
+
+TEST(XprBuffer, ResetWhileGrowingKeepsOrderAcrossWrap)
+{
+    // The ring grows lazily: a reset before it reaches capacity leaves
+    // stale slots behind the write position, and the records after it
+    // fill the tail before wrapping over the front.
+    Buffer buffer(4);
+    buffer.record(initiatorEvent(1, false));
+    buffer.record(initiatorEvent(2, false));
+    buffer.reset();
+    for (Tick t = 3; t <= 7; ++t)
+        buffer.record(initiatorEvent(t, false));
+    std::vector<Tick> elapsed;
+    for (const Event &event : contents(buffer))
+        elapsed.push_back(event.elapsed);
+    EXPECT_EQ(elapsed, (std::vector<Tick>{4, 5, 6, 7}));
+    EXPECT_TRUE(buffer.overflowed());
 }
 
 TEST(XprAnalysis, ClassifiesByKindAndPmap)
