@@ -6,11 +6,13 @@
 #ifndef MACH_BENCH_BENCH_COMMON_HH
 #define MACH_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/agora.hh"
@@ -124,6 +126,74 @@ printRuntime(const AppRun &run)
     std::printf("  %-10s virtual runtime %6.1f s\n", run.label.c_str(),
                 static_cast<double>(run.runtime) / kSec);
 }
+
+/**
+ * A committed BENCH_*.json table: {"bench", "scale", "results": {key:
+ * {field: value, ...}, ...}}, one result cell per line. Integers print
+ * verbatim and reals as %.3f, so a table regenerates byte-identical and
+ * CI can `cmp` it against the committed copy.
+ */
+class JsonTable
+{
+  public:
+    JsonTable(std::string bench, unsigned scale)
+        : bench_(std::move(bench)), scale_(scale)
+    {
+    }
+
+    /** Start the result cell @p key; field() fills it in order. */
+    void
+    cell(const std::string &key)
+    {
+        cells_.push_back("\"" + key + "\": {");
+    }
+
+    void
+    field(const std::string &name, std::uint64_t value)
+    {
+        add(name, std::to_string(value));
+    }
+
+    void
+    field(const std::string &name, double value)
+    {
+        char text[64];
+        std::snprintf(text, sizeof(text), "%.3f", value);
+        add(name, text);
+    }
+
+    /** Write the table to @p path, or fatal() when it cannot. */
+    void
+    write(const char *path) const
+    {
+        std::FILE *out = std::fopen(path, "w");
+        if (out == nullptr)
+            fatal("%s: cannot write %s", bench_.c_str(), path);
+        std::fprintf(out,
+                     "{\n  \"bench\": \"%s\",\n  \"scale\": %u,\n"
+                     "  \"results\": {\n",
+                     bench_.c_str(), scale_);
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            std::fprintf(out, "    %s}%s\n", cells_[i].c_str(),
+                         i + 1 == cells_.size() ? "" : ",");
+        std::fprintf(out, "  }\n}\n");
+        std::fclose(out);
+    }
+
+  private:
+    void
+    add(const std::string &name, const std::string &value)
+    {
+        std::string &cell = cells_.back();
+        if (cell.back() != '{')
+            cell += ", ";
+        cell += "\"" + name + "\": " + value;
+    }
+
+    std::string bench_;
+    unsigned scale_;
+    std::vector<std::string> cells_;
+};
 
 } // namespace mach::bench
 

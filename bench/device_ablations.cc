@@ -189,44 +189,26 @@ hitPct(const Cell &cell)
 void
 writeJson(const Cell cells[][kNumPolicies], unsigned scale)
 {
-    std::FILE *out = std::fopen("BENCH_device.json", "w");
-    if (out == nullptr)
-        fatal("device_ablations: cannot write BENCH_device.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"device_ablations\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
+    JsonTable table("device_ablations", scale);
     for (unsigned d = 0; d < kNumDeviceCounts; ++d) {
         for (unsigned p = 0; p < kNumPolicies; ++p) {
             const Cell &cell = cells[d][p];
-            std::fprintf(
-                out,
-                "    \"%s__dev%u\": {\"clean\": %d, "
-                "\"latency_usec\": %.3f, \"latency_p99_us\": %llu, "
-                "\"shootdowns\": %llu, \"ipis\": %llu, "
-                "\"device_commands\": %llu, "
-                "\"device_sync_waits\": %llu, \"dma_writes\": %llu, "
-                "\"dma_aborts\": %llu, \"iommu_walks\": %llu, "
-                "\"iotlb_hit_pct\": %.3f}%s\n",
-                hw::shootdownPolicyName(kPolicies[p]),
-                kDeviceCounts[d], cell.clean ? 1 : 0, cell.mean_usec,
-                static_cast<unsigned long long>(cell.p99_usec),
-                static_cast<unsigned long long>(cell.events),
-                static_cast<unsigned long long>(cell.ipis),
-                static_cast<unsigned long long>(cell.device_commands),
-                static_cast<unsigned long long>(
-                    cell.device_sync_waits),
-                static_cast<unsigned long long>(cell.dma_writes),
-                static_cast<unsigned long long>(cell.dma_aborts),
-                static_cast<unsigned long long>(cell.iommu_walks),
-                hitPct(cell),
-                d + 1 == kNumDeviceCounts && p + 1 == kNumPolicies
-                    ? ""
-                    : ",");
+            table.cell(std::string(hw::shootdownPolicyName(kPolicies[p])) +
+                       "__dev" + std::to_string(kDeviceCounts[d]));
+            table.field("clean", std::uint64_t{cell.clean});
+            table.field("latency_usec", cell.mean_usec);
+            table.field("latency_p99_us", cell.p99_usec);
+            table.field("shootdowns", cell.events);
+            table.field("ipis", cell.ipis);
+            table.field("device_commands", cell.device_commands);
+            table.field("device_sync_waits", cell.device_sync_waits);
+            table.field("dma_writes", cell.dma_writes);
+            table.field("dma_aborts", cell.dma_aborts);
+            table.field("iommu_walks", cell.iommu_walks);
+            table.field("iotlb_hit_pct", hitPct(cell));
         }
     }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
+    table.write("BENCH_device.json");
 }
 
 } // namespace

@@ -131,52 +131,27 @@ void
 writeJson(const Cell cells[][kNumTenantCounts][kNumShapes],
           unsigned scale)
 {
-    std::FILE *out = std::fopen("BENCH_serving.json", "w");
-    if (out == nullptr)
-        fatal("serving_slo: cannot write BENCH_serving.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"serving_slo\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
+    JsonTable table("serving_slo", scale);
     for (unsigned p = 0; p < kNumPolicies; ++p) {
         for (unsigned t = 0; t < kNumTenantCounts; ++t) {
             for (unsigned s = 0; s < kNumShapes; ++s) {
                 const Cell &cell = cells[p][t][s];
-                const bool last = p + 1 == kNumPolicies &&
-                                  t + 1 == kNumTenantCounts &&
-                                  s + 1 == kNumShapes;
-                std::fprintf(
-                    out,
-                    "    \"%s\": {\"request_p50_us\": %llu, "
-                    "\"request_p99_us\": %llu, \"request_p999_us\": "
-                    "%llu, \"shootdown_p50_us\": %llu, "
-                    "\"shootdown_p99_us\": %llu, "
-                    "\"shootdown_p999_us\": %llu, \"requests\": %llu, "
-                    "\"shootdowns\": %llu, \"ipis\": %llu, "
-                    "\"runtime_ms\": %.3f}%s\n",
-                    cellKey(kPolicies[p], kTenantCounts[t],
-                            kShapes[s])
-                        .c_str(),
-                    static_cast<unsigned long long>(cell.request.p50),
-                    static_cast<unsigned long long>(cell.request.p99),
-                    static_cast<unsigned long long>(
-                        cell.request.p999),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p50),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p99),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p999),
-                    static_cast<unsigned long long>(
-                        cell.request.count),
-                    static_cast<unsigned long long>(cell.shootdowns),
-                    static_cast<unsigned long long>(cell.ipis),
-                    cell.runtime_ms, last ? "" : ",");
+                table.cell(cellKey(kPolicies[p], kTenantCounts[t],
+                                   kShapes[s]));
+                table.field("request_p50_us", cell.request.p50);
+                table.field("request_p99_us", cell.request.p99);
+                table.field("request_p999_us", cell.request.p999);
+                table.field("shootdown_p50_us", cell.shootdown.p50);
+                table.field("shootdown_p99_us", cell.shootdown.p99);
+                table.field("shootdown_p999_us", cell.shootdown.p999);
+                table.field("requests", cell.request.count);
+                table.field("shootdowns", cell.shootdowns);
+                table.field("ipis", cell.ipis);
+                table.field("runtime_ms", cell.runtime_ms);
             }
         }
     }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
+    table.write("BENCH_serving.json");
 }
 
 } // namespace

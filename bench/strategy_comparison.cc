@@ -500,78 +500,47 @@ void
 writeJson(const Cell cells[][kNumShapes], const TesterCell *testers,
           const ServingCell *servings, unsigned scale)
 {
-    std::FILE *out = std::fopen("BENCH_strategy.json", "w");
-    if (out == nullptr)
-        fatal("strategy_comparison: cannot write "
-              "BENCH_strategy.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"strategy_comparison\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
+    JsonTable table("strategy_comparison", scale);
     for (unsigned p = 0; p < kNumPolicies; ++p) {
-        const char *policy = hw::shootdownPolicyName(kPolicies[p]);
-        std::fprintf(out,
-                     "    \"%s__tester\": {\"consistent\": %d, "
-                     "\"reprotect_usec\": %.3f},\n",
-                     policy, testers[p].consistent ? 1 : 0,
-                     testers[p].reprotect_usec);
+        const std::string policy = hw::shootdownPolicyName(kPolicies[p]);
+        table.cell(policy + "__tester");
+        table.field("consistent", std::uint64_t{testers[p].consistent});
+        table.field("reprotect_usec", testers[p].reprotect_usec);
         for (unsigned s = 0; s < kNumShapes; ++s) {
             const Cell &cell = cells[p][s];
             const xpr::MachineStats &st = cell.stats;
-            std::fprintf(
-                out,
-                "    \"%s__%s\": {\"ipis\": %llu, "
-                "\"ipis_saved_pct\": %.3f, \"shootdowns\": %llu, "
-                "\"latency_usec\": %.3f, \"latency_p99_us\": %llu, "
-                "\"latency_p999_us\": %llu, \"runtime_ms\": %.3f, "
-                "\"ipis_elided\": %llu, \"flushes_deferred\": %llu, "
-                "\"actions_merged\": %llu, \"range_invalidates\": "
-                "%llu, \"full_space_flushes\": %llu, "
-                "\"reuse_elisions\": %llu}%s\n",
-                policy, shapeLabel(s),
-                static_cast<unsigned long long>(st.ipis_sent),
-                savedPct(cells[0][s].stats.ipis_sent, st.ipis_sent),
-                static_cast<unsigned long long>(
-                    st.shootdowns_initiated),
-                cell.latency_usec,
-                static_cast<unsigned long long>(
-                    cell.latency_p99_usec),
-                static_cast<unsigned long long>(
-                    cell.latency_p999_usec),
-                cell.runtime_ms,
-                static_cast<unsigned long long>(st.ipis_elided),
-                static_cast<unsigned long long>(st.flushes_deferred),
-                static_cast<unsigned long long>(st.actions_merged),
-                static_cast<unsigned long long>(
-                    st.range_invalidates),
-                static_cast<unsigned long long>(
-                    st.full_space_flushes),
-                static_cast<unsigned long long>(st.reuse_elisions),
-                ",");
+            table.cell(policy + "__" + shapeLabel(s));
+            table.field("ipis", st.ipis_sent);
+            table.field("ipis_saved_pct",
+                        savedPct(cells[0][s].stats.ipis_sent, st.ipis_sent));
+            table.field("shootdowns", st.shootdowns_initiated);
+            table.field("latency_usec", cell.latency_usec);
+            table.field("latency_p99_us", cell.latency_p99_usec);
+            table.field("latency_p999_us", cell.latency_p999_usec);
+            table.field("runtime_ms", cell.runtime_ms);
+            table.field("ipis_elided", st.ipis_elided);
+            table.field("flushes_deferred", st.flushes_deferred);
+            table.field("actions_merged", st.actions_merged);
+            table.field("range_invalidates", st.range_invalidates);
+            table.field("full_space_flushes", st.full_space_flushes);
+            table.field("reuse_elisions", st.reuse_elisions);
         }
     }
     for (unsigned p = 0; p < kNumPolicies; ++p) {
         const ServingCell &serving = servings[p];
-        std::fprintf(
-            out,
-            "    \"%s__serving\": {\"requests\": %llu, "
-            "\"mean_usec\": %.3f, \"p99_us\": %llu",
-            hw::shootdownPolicyName(kPolicies[p]),
-            static_cast<unsigned long long>(serving.requests),
-            serving.mean_usec,
-            static_cast<unsigned long long>(serving.p99_usec));
+        table.cell(std::string(hw::shootdownPolicyName(kPolicies[p])) +
+                   "__serving");
+        table.field("requests", serving.requests);
+        table.field("mean_usec", serving.mean_usec);
+        table.field("p99_us", serving.p99_usec);
         for (unsigned c = 0; c < obs::kReqComponents; ++c) {
-            std::fprintf(
-                out, ", \"%s_usec\": %.3f",
-                obs::reqComponentName(
-                    static_cast<obs::ReqComponent>(c)),
-                serving.component_usec[c]);
+            table.field(std::string(obs::reqComponentName(
+                            static_cast<obs::ReqComponent>(c))) +
+                            "_usec",
+                        serving.component_usec[c]);
         }
-        std::fprintf(out, "}%s\n",
-                     p + 1 == kNumPolicies ? "" : ",");
     }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
+    table.write("BENCH_strategy.json");
 }
 
 int
