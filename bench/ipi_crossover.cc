@@ -64,12 +64,10 @@ int
 main()
 {
     setLogQuiet(true);
-    hw::MachineConfig config;
     // Per-bystander cost of an unnecessary interrupt: dispatch + the
     // null handler pass + return.
     const double bystander_usec =
-        static_cast<double>(config.intr_dispatch_cost +
-                            config.intr_return_cost) /
+        static_cast<double>(hw::kIntrDispatchCost + hw::kIntrReturnCost) /
         kUsec;
 
     std::printf("Section 9: directed vs broadcast shootdown IPIs "

@@ -36,11 +36,11 @@ class CpuSet
     constexpr CpuSet() = default;
 
     // Population ops are bounds-checked: responder ids now span CPUs
-    // plus devices (hw::MachineConfig::responderCount()), and an id at
-    // or past kMaxCpus must fail loudly instead of scribbling past the
-    // word array. test() of an out-of-range id is safely "not a
-    // member" -- probing with a foreign id space is legal, growing the
-    // set with one is not.
+    // plus devices (ncpus + devices of them), and an id at or past
+    // kMaxCpus must fail loudly instead of scribbling past the word
+    // array. test() of an out-of-range id is safely "not a member" --
+    // probing with a foreign id space is legal, growing the set with
+    // one is not.
     constexpr void set(CpuId id)
     {
         MACH_ASSERT(id < kMaxCpus);

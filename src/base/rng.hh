@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "base/fnv.hh"
 #include "base/logging.hh"
 
 namespace mach
@@ -44,12 +45,8 @@ class Rng
     {
         // FNV-1a over the name, then fold the seed in; the splitmix64
         // expansion in reseed() whitens the result.
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (const char *c = stream_name; *c != '\0'; ++c) {
-            h ^= static_cast<unsigned char>(*c);
-            h *= 0x100000001b3ull;
-        }
-        return h ^ (seed * 0x9e3779b97f4a7c15ull);
+        return fnv::fold(fnv::kOffset, stream_name) ^
+               (seed * 0x9e3779b97f4a7c15ull);
     }
 
     /** Re-initialize the state from a 64-bit seed via splitmix64. */

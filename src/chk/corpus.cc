@@ -6,24 +6,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/fnv.hh"
+
 namespace mach::chk
 {
 
 namespace
 {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-foldBytes(std::uint64_t h, const std::string &s)
-{
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 std::string
 hex16(std::uint64_t v)
@@ -169,11 +158,9 @@ std::uint64_t
 Corpus::scheduleHash(const std::string &scenario,
                      const std::string &schedule)
 {
-    std::uint64_t h = kFnvOffset;
-    h = foldBytes(h, scenario);
-    h = foldBytes(h, "\n");
-    h = foldBytes(h, schedule);
-    return h;
+    std::uint64_t h = fnv::fold(fnv::kOffset, scenario);
+    h = fnv::fold(h, "\n");
+    return fnv::fold(h, schedule);
 }
 
 std::string

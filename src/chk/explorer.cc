@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "base/fnv.hh"
 #include "base/rng.hh"
 #include "chk/corpus.hh"
 #include "chk/oracle.hh"
@@ -17,19 +18,6 @@ namespace mach::chk
 
 namespace
 {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 /** Delta ladder for the systematic sweep: one TLB-invalidate-scale
  *  nudge up to a schedule-quantum-scale shove. */
@@ -100,17 +88,17 @@ struct TrialHarness
 
         const pmap::ShootdownController &shoot =
             kernel.pmaps().shoot();
-        std::uint64_t h = kFnvOffset;
-        h = fold(h, out.end_time);
-        h = fold(h, out.events_fired);
-        h = fold(h, out.bus_accesses);
-        h = fold(h, shoot.initiated);
-        h = fold(h, shoot.interrupts_sent);
-        h = fold(h, shoot.responder_passes);
-        h = fold(h, shoot.idle_drains);
-        h = fold(h, shoot.queue_overflows);
-        h = fold(h, shoot.remote_invalidates);
-        h = fold(h, out.violation_count);
+        std::uint64_t h = fnv::kOffset;
+        h = fnv::foldU64(h, out.end_time);
+        h = fnv::foldU64(h, out.events_fired);
+        h = fnv::foldU64(h, out.bus_accesses);
+        h = fnv::foldU64(h, shoot.initiated);
+        h = fnv::foldU64(h, shoot.interrupts_sent);
+        h = fnv::foldU64(h, shoot.responder_passes);
+        h = fnv::foldU64(h, shoot.idle_drains);
+        h = fnv::foldU64(h, shoot.queue_overflows);
+        h = fnv::foldU64(h, shoot.remote_invalidates);
+        h = fnv::foldU64(h, out.violation_count);
         out.digest = h;
 
         // The coverage signal rides along whenever the full event

@@ -782,7 +782,7 @@ devStormLaunch(unsigned rounds, unsigned decoys, Tick margin,
  * mid-transfer -- the device is the "masked responder" of the device
  * world, unable to apply its queued action until the wire is quiet.
  * The initiator's drain request bounds the conflict at
- * dev_drain_bound: the transfer aborts, nothing lands in memory, and
+ * hw::kDevDrainBound: the transfer aborts, nothing lands in memory, and
  * the initiator's device sync observes a quiet wire before the pmap
  * change is made.
  */

@@ -38,8 +38,7 @@ DmaDevice::requestDrain()
     // phase; the flag alone aborts it before any transfer starts.
     if (transfer_end_ != 0) {
         deadline_ =
-            std::min(transfer_end_,
-                     machine_.now() + machine_.cfg().dev_drain_bound);
+            std::min(transfer_end_, machine_.now() + hw::kDevDrainBound);
     }
 }
 
@@ -68,7 +67,7 @@ DmaDevice::drainPending()
     if (st.overflow) {
         if (invalidate)
             iotlb_.flushAll();
-        cost += cfg.tlb_flush_cost;
+        cost += hw::kTlbFlushCost;
         st.overflow = false;
     } else {
         for (const pmap::ShootAction &action : st.queue) {
@@ -78,13 +77,13 @@ DmaDevice::drainPending()
             if (npages > cfg.tlb_flush_threshold) {
                 if (invalidate)
                     iotlb_.flushAll();
-                cost += cfg.tlb_flush_cost;
+                cost += hw::kTlbFlushCost;
             } else {
                 if (invalidate) {
                     iotlb_.invalidateRange(action.pmap->space(),
                                            action.start, action.end);
                 }
-                cost += cfg.tlb_invalidate_cost * npages;
+                cost += hw::kTlbInvalidateCost * npages;
             }
         }
     }
@@ -97,11 +96,10 @@ DmaDevice::drainPending()
 DmaDevice::Xlate
 DmaDevice::translate(pmap::Pmap &pmap, Vpn vpn, bool write, Pfn *pfn)
 {
-    const hw::MachineConfig &cfg = machine_.cfg();
     sim::Context &ctx = machine_.ctx();
     const Prot want = write ? ProtWrite : ProtRead;
 
-    ctx.sleep(cfg.iotlb_lookup_cost);
+    ctx.sleep(hw::kIotlbLookupCost);
     if (drain_requested_)
         return Xlate::Aborted;
     // pte_addr 0: the IOTLB never writes ref/mod bits back on a hit --
@@ -126,7 +124,7 @@ DmaDevice::translate(pmap::Pmap &pmap, Vpn vpn, bool write, Pfn *pfn)
         while (pmap.locked()) {
             if (drain_requested_)
                 return Xlate::Aborted;
-            ctx.sleep(cfg.spin_quantum);
+            ctx.sleep(hw::kSpinQuantum);
         }
     }
     if (drain_requested_)
@@ -138,7 +136,7 @@ DmaDevice::translate(pmap::Pmap &pmap, Vpn vpn, bool write, Pfn *pfn)
     const hw::WalkResult walk = pmap.table().walk(vpn, node_);
     const Prot pte_prot = hw::pte::prot(walk.pte);
     hw::Bus &bus = machine_.bus(node_);
-    Tick cost = cfg.iommu_walk_cost_per_level * walk.memory_reads +
+    Tick cost = hw::kIommuWalkCostPerLevel * walk.memory_reads +
                 bus.accessCost(walk.memory_reads);
     if (!hw::pte::valid(walk.pte) || !protAllows(pte_prot, want)) {
         // Devices cannot page fault; the operation is dropped and the
@@ -237,7 +235,7 @@ DmaDevice::dmaWrite(pmap::Pmap &pmap, Vpn vpn, unsigned offset,
     deadline_ = transfer_end_;
     while (ctx.now() < deadline_) {
         const Tick remaining = deadline_ - ctx.now();
-        ctx.sleep(std::min<Tick>(remaining, cfg.spin_quantum));
+        ctx.sleep(std::min<Tick>(remaining, hw::kSpinQuantum));
     }
     const bool aborted = ctx.now() < transfer_end_;
     if (aborted) {

@@ -12,7 +12,7 @@
  * The device issues DMA reads and writes against a user address space
  * through its IOTLB:
  *
- *   - An IOTLB hit costs iotlb_lookup_cost and resolves immediately.
+ *   - An IOTLB hit costs hw::kIotlbLookupCost and resolves immediately.
  *   - A miss invokes the IOMMU walker, which behaves like a
  *     software-reload TLB: it stalls while the target pmap is locked
  *     (so it can never re-cache a PTE mid-update), then walks the
@@ -27,7 +27,7 @@
  * at start. A revoke arriving mid-transfer cannot simply invalidate
  * the IOTLB entry -- the transfer would still land through the stale
  * mapping. requestDrain() bounds the conflict: the transfer either
- * completes or aborts within dev_drain_bound, and the initiator spins
+ * completes or aborts within hw::kDevDrainBound, and the initiator spins
  * until the wire is quiet (inFlight() false) before making its pmap
  * changes. An aborted transfer never commits its write.
  *
@@ -232,7 +232,7 @@ class DmaDevice : public pmap::TlbResponder
     // In-flight transfer state (see file comment). The transfer is
     // modelled as a quantum-paced sleep toward deadline_; a drain
     // request pulls the deadline in, so the wire is quiet within
-    // dev_drain_bound (+ one polling quantum) of the request.
+    // hw::kDevDrainBound (+ one polling quantum) of the request.
     bool in_flight_ = false;
     bool drain_requested_ = false;
     Tick transfer_end_ = 0;

@@ -82,13 +82,13 @@ class Bus
     Tick
     accessCost()
     {
-        Tick cost = config_->mem_access_cost;
+        Tick cost = kMemAccessCost;
         if (config_->mem_jitter > 0)
             cost += rng_.below(config_->mem_jitter);
         if (users_ > config_->bus_contention_threshold) {
             const unsigned excess =
                 users_ - config_->bus_contention_threshold;
-            cost += excess * config_->bus_penalty_per_user;
+            cost += excess * kBusPenaltyPerUser;
             if (config_->bus_contended_jitter > 0)
                 cost += rng_.below(config_->bus_contended_jitter);
         }

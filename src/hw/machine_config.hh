@@ -4,16 +4,19 @@
  *
  * The default values model the paper's testbed: a 16-processor NS32332
  * Encore Multimax with NS32382 MMUs, a shared bus with write-through
- * caches, and a free-running microsecond clock. Timing constants are
- * calibrated (see bench/fig2_basic_cost) so that the Section 5.1 tester
- * reproduces Figure 2: a basic shootdown cost of ~430 us for the first
- * processor plus ~55 us per additional processor, with a bus-contention
- * knee once more than 12 processors are active.
+ * caches, and a free-running microsecond clock. The timing constants
+ * (the hw::k* costs below) are calibrated once (see
+ * bench/fig2_basic_cost) so that the Section 5.1 tester reproduces
+ * Figure 2: a basic shootdown cost of ~430 us for the first processor
+ * plus ~55 us per additional processor, with a bus-contention knee once
+ * more than 12 processors are active. They are part of the model, not
+ * knobs: no table re-tunes them.
  *
- * The feature flags at the bottom select the hardware-support options the
- * paper discusses in Section 9 and the policy toggles used by the
- * evaluation (lazy evaluation on/off for Table 1, instrumentation on/off
- * for Section 6.1).
+ * MachineConfig holds the knobs callers turn: machine shape, the
+ * feature flags selecting the hardware-support options the paper
+ * discusses in Section 9, and the policy toggles used by the evaluation
+ * (lazy evaluation on/off for Table 1, instrumentation on/off for
+ * Section 6.1).
  */
 
 #ifndef MACH_HW_MACHINE_CONFIG_HH
@@ -27,6 +30,136 @@
 
 namespace mach::hw
 {
+
+// ---- Calibrated costs (Figure 2; see the file comment) ---------------
+
+// TLB.
+
+/** Cost of a TLB hit lookup. */
+inline constexpr Tick kTlbLookupCost = 150;
+/** Cost of invalidating one entry. */
+inline constexpr Tick kTlbInvalidateCost = 8 * kUsec;
+/** Cost of flushing the entire buffer. */
+inline constexpr Tick kTlbFlushCost = 20 * kUsec;
+/** Extra cost of a hardware reload (page-table walk), per level. */
+inline constexpr Tick kTlbReloadCostPerLevel = 2 * kUsec;
+
+// Memory and bus.
+
+/** Uncontended cost of one memory access. */
+inline constexpr Tick kMemAccessCost = 600;
+/**
+ * Additional cost per access per bus user beyond
+ * MachineConfig::bus_contention_threshold.
+ */
+inline constexpr Tick kBusPenaltyPerUser = 6000;
+
+// Interrupt structure.
+
+/** Initiator-side cost to send one directed IPI. */
+inline constexpr Tick kIpiSendCost = 42 * kUsec;
+/** Peak uniform jitter added per IPI send. */
+inline constexpr Tick kIpiSendJitter = 6 * kUsec;
+/** Wire latency from send until the target can notice the IPI. */
+inline constexpr Tick kIpiLatency = 15 * kUsec;
+/** State save / dispatch overhead entering an interrupt handler. */
+inline constexpr Tick kIntrDispatchCost = 80 * kUsec;
+/** Peak uniform jitter of the dispatch (state-save variation). */
+inline constexpr Tick kIntrDispatchJitter = 16 * kUsec;
+/** Overhead returning from an interrupt handler. */
+inline constexpr Tick kIntrReturnCost = 12 * kUsec;
+// Both jitters are drawn unconditionally, and Rng::below() needs a
+// positive bound.
+static_assert(kIpiSendJitter > 0 && kIntrDispatchJitter > 0);
+
+/**
+ * Initiator-side fixed overhead of starting a shootdown: building
+ * the list, touching the (uncached) shootdown structures, saving
+ * state. Calibrated against Figure 2's ~430 us intercept.
+ */
+inline constexpr Tick kShootdownSetupCost = 266 * kUsec;
+
+/** Time consumed by one timer interrupt service. */
+inline constexpr Tick kTimerServiceCost = 120 * kUsec;
+
+// Kernel primitives.
+
+/** Acquiring / releasing an uncontended spin lock. */
+inline constexpr Tick kLockAcquireCost = 6 * kUsec;
+inline constexpr Tick kLockReleaseCost = 2 * kUsec;
+/** Busy-wait polling interval while spinning on a lock or flag. */
+inline constexpr Tick kSpinQuantum = 4 * kUsec;
+// A spin poll must advance the clock, or the shootdown spin loops
+// (initiator sync, responder stall, device drain) never yield to the
+// processors they wait on.
+static_assert(kSpinQuantum > 0);
+/** Context switch cost (state save/restore, excluding TLB flush). */
+inline constexpr Tick kCtxSwitchCost = 150 * kUsec;
+/** Fixed overhead of a pmap operation (entry, checks). */
+inline constexpr Tick kPmapOpBaseCost = 60 * kUsec;
+/** Cost of the lazy-evaluation validity check, per page examined. */
+inline constexpr Tick kLazyCheckCostPerPage = 500;
+
+// Machine-independent VM.
+
+/** Fixed overhead of servicing a page fault (trap, map lookup). */
+inline constexpr Tick kFaultBaseCost = 250 * kUsec;
+/** Fixed overhead of a VM address-space operation. */
+inline constexpr Tick kVmOpBaseCost = 150 * kUsec;
+/** Zero-filling a fresh page. */
+inline constexpr Tick kZeroFillCost = 900 * kUsec;
+/** Copying a page to resolve copy-on-write. */
+inline constexpr Tick kPageCopyCost = 1800 * kUsec;
+
+// Instrumentation (Section 6).
+
+/** Cost of gathering and storing one xpr event record. */
+inline constexpr Tick kXprRecordCost = 4 * kUsec;
+
+// Section 9 hardware-support options.
+
+/** Cost of loading the bit vector and triggering a multicast. */
+inline constexpr Tick kMulticastSendCost = 22 * kUsec;
+/** Cost of a broadcast IPI to all other CPUs. */
+inline constexpr Tick kBroadcastSendCost = 18 * kUsec;
+/** Cost for the initiator to invalidate one remote TLB's entries. */
+inline constexpr Tick kRemoteInvalidateCost = 10 * kUsec;
+/**
+ * Cost per virtual-cache directory line examined during an
+ * invalidation (MachineConfig::virtual_cache).
+ */
+inline constexpr Tick kVcSearchCostPerLine = 600;
+
+// Avoidance policies.
+
+/**
+ * Batched policy: an IPI to a target is elided only when the
+ * target's last shootdown IPI was posted within this window and
+ * the target provably has not finished its responder pass (the
+ * action flag is still up and the pass is live or pending).
+ */
+inline constexpr Tick kIpiCoalesceWindow = 400 * kUsec;
+
+// DMA devices and IOMMU.
+
+/** IOMMU walk cost per page-table level (the device's "reload"). */
+inline constexpr Tick kIommuWalkCostPerLevel = 3 * kUsec;
+/** IOTLB probe cost preceding each DMA transfer. */
+inline constexpr Tick kIotlbLookupCost = 300;
+/**
+ * Initiator-side cost of posting one invalidation command to a
+ * device (the IOMMU command-queue write). Scaled by NUMA distance
+ * when the device hangs off a remote node, like an IPI.
+ */
+inline constexpr Tick kDevCmdCost = 30 * kUsec;
+/**
+ * Bound on how long a revoke can wait for a device's in-flight
+ * DMA: a device that cannot finish its transfer within this many
+ * ticks of the drain request aborts it instead (the ATS-style
+ * invalidate-completion deadline). This is what keeps shootdown
+ * latency bounded when devices join the responder set.
+ */
+inline constexpr Tick kDevDrainBound = 60 * kUsec;
 
 /** Interrupt sources, lowest priority first. */
 enum class Irq : std::uint8_t
@@ -95,7 +228,7 @@ enum class ShootdownPolicy : std::uint8_t
     /**
      * Batched/coalesced shootdowns: a target that already has its
      * action flag raised and is inside its responder loop (or has the
-     * IPI still pending) within ipi_coalesce_window of the last IPI
+     * IPI still pending) within kIpiCoalesceWindow of the last IPI
      * will observe the new queue entry on the same pass, so the
      * initiator skips the redundant IPI and merges duplicate queue
      * ranges.
@@ -183,7 +316,11 @@ enum class PlantedBug : std::uint8_t
     SkipIotlbInvalidate,
 };
 
-/** Full parameter set for one simulated machine. */
+/**
+ * The knobs of one simulated machine. Its costs are the calibrated
+ * hw::k* constants above; a member here must be set by some caller
+ * (the Lint.MachineConfigKnobsAreAssigned test checks).
+ */
 struct MachineConfig
 {
     /** Number of processors. The Multimax under test had 16. */
@@ -195,7 +332,7 @@ struct MachineConfig
     /** Deterministic seed for all machine-level randomness. */
     std::uint64_t seed = 0x4d616368u; // "Mach"
 
-    // ---- TLB geometry and costs -------------------------------------
+    // ---- TLB geometry ----------------------------------------------
 
     /** Entries per TLB. */
     unsigned tlb_entries = 64;
@@ -218,19 +355,8 @@ struct MachineConfig
      */
     unsigned tlb_flush_threshold = 4;
 
-    /** Cost of a TLB hit lookup. */
-    Tick tlb_lookup_cost = 150;
-    /** Cost of invalidating one entry. */
-    Tick tlb_invalidate_cost = 8 * kUsec;
-    /** Cost of flushing the entire buffer. */
-    Tick tlb_flush_cost = 20 * kUsec;
-    /** Extra cost of a hardware reload (page-table walk), per level. */
-    Tick tlb_reload_cost_per_level = 2 * kUsec;
-
     // ---- Memory and bus ---------------------------------------------
 
-    /** Uncontended cost of one memory access. */
-    Tick mem_access_cost = 600;
     /** Peak uniform jitter per access (cache hit/miss variation). */
     Tick mem_jitter = 300;
 
@@ -241,65 +367,19 @@ struct MachineConfig
      * (Section 7.1).
      */
     unsigned bus_contention_threshold = 12;
-    /** Additional cost per access per bus user beyond the threshold. */
-    Tick bus_penalty_per_user = 6000;
     /**
      * Peak random jitter per access while contended; models the doubled
      * standard deviation the paper observed at 13-15 processors.
      */
     Tick bus_contended_jitter = 15000;
 
-    // ---- Interrupt structure ----------------------------------------
-
-    /** Initiator-side cost to send one directed IPI. */
-    Tick ipi_send_cost = 42 * kUsec;
-    /** Peak uniform jitter added per IPI send. */
-    Tick ipi_send_jitter = 6 * kUsec;
-    /** Wire latency from send until the target can notice the IPI. */
-    Tick ipi_latency = 15 * kUsec;
-    /** State save / dispatch overhead entering an interrupt handler. */
-    Tick intr_dispatch_cost = 80 * kUsec;
-    /** Peak uniform jitter of the dispatch (state-save variation). */
-    Tick intr_dispatch_jitter = 16 * kUsec;
-    /** Overhead returning from an interrupt handler. */
-    Tick intr_return_cost = 12 * kUsec;
-
-    /**
-     * Initiator-side fixed overhead of starting a shootdown: building
-     * the list, touching the (uncached) shootdown structures, saving
-     * state. Calibrated against Figure 2's ~430 us intercept.
-     */
-    Tick shootdown_setup_cost = 266 * kUsec;
+    // ---- Timer ------------------------------------------------------
 
     /** Period of the scheduler timer interrupt (0 disables it). */
     Tick timer_period = 16 * kMsec;
-    /** Time consumed by one timer interrupt service. */
-    Tick timer_service_cost = 120 * kUsec;
 
-    // ---- Kernel primitive costs -------------------------------------
+    // ---- Backing store ----------------------------------------------
 
-    /** Acquiring / releasing an uncontended spin lock. */
-    Tick lock_acquire_cost = 6 * kUsec;
-    Tick lock_release_cost = 2 * kUsec;
-    /** Busy-wait polling interval while spinning on a lock or flag. */
-    Tick spin_quantum = 4 * kUsec;
-    /** Context switch cost (state save/restore, excluding TLB flush). */
-    Tick ctx_switch_cost = 150 * kUsec;
-    /** Fixed overhead of a pmap operation (entry, checks). */
-    Tick pmap_op_base_cost = 60 * kUsec;
-    /** Cost of the lazy-evaluation validity check, per page examined. */
-    Tick lazy_check_cost_per_page = 500;
-
-    // ---- Machine-independent VM costs --------------------------------
-
-    /** Fixed overhead of servicing a page fault (trap, map lookup). */
-    Tick fault_base_cost = 250 * kUsec;
-    /** Fixed overhead of a VM address-space operation. */
-    Tick vm_op_base_cost = 150 * kUsec;
-    /** Zero-filling a fresh page. */
-    Tick zero_fill_cost = 900 * kUsec;
-    /** Copying a page to resolve copy-on-write. */
-    Tick page_copy_cost = 1800 * kUsec;
     /** Latency of a pagein from backing store. */
     Tick pagein_latency = 22 * kMsec;
     /** Latency of writing a dirty page to backing store. */
@@ -311,8 +391,6 @@ struct MachineConfig
 
     /** Record shootdown events into the xpr buffer. */
     bool xpr_enabled = true;
-    /** Cost of gathering and storing one xpr event record. */
-    Tick xpr_record_cost = 4 * kUsec;
     /** Number of CPUs on which responder events are recorded. */
     unsigned xpr_responder_cpus = 5;
     /** Capacity of the circular event buffer. */
@@ -328,20 +406,15 @@ struct MachineConfig
 
     /** Send one multicast IPI to a set of CPUs at fixed cost. */
     bool multicast_ipi = false;
-    /** Cost of loading the bit vector and triggering a multicast. */
-    Tick multicast_send_cost = 22 * kUsec;
 
     /** Broadcast IPI to all other CPUs at fixed cost (over-interrupts). */
     bool broadcast_ipi = false;
-    Tick broadcast_send_cost = 18 * kUsec;
 
     /**
      * TLB supports remote invalidation of entries by other processors
      * (MC88200 style): no responder involvement at all.
      */
     bool tlb_remote_invalidate = false;
-    /** Cost for the initiator to invalidate one remote TLB's entries. */
-    Tick remote_invalidate_cost = 10 * kUsec;
 
     /**
      * Software-reloaded TLB (MIPS style): reload checks whether the pmap
@@ -390,8 +463,6 @@ struct MachineConfig
      * is software-managed).
      */
     bool virtual_cache = false;
-    /** Cost per directory line examined during an invalidation. */
-    Tick vc_search_cost_per_line = 600;
 
     // ---- Policy toggles ----------------------------------------------
 
@@ -418,14 +489,6 @@ struct MachineConfig
      * bit-identical to the pre-policy simulator.
      */
     ShootdownPolicy shootdown_policy = ShootdownPolicy::Baseline;
-
-    /**
-     * Batched policy: an IPI to a target is elided only when the
-     * target's last shootdown IPI was posted within this window and
-     * the target provably has not finished its responder pass (the
-     * action flag is still up and the pass is live or pending).
-     */
-    Tick ipi_coalesce_window = 400 * kUsec;
 
     /**
      * RangeFlush policy: more pages than this in one invalidation and
@@ -517,30 +580,8 @@ struct MachineConfig
      */
     unsigned iotlb_entries = 8;
 
-    /** IOMMU walk cost per page-table level (the device's "reload"). */
-    Tick iommu_walk_cost_per_level = 3 * kUsec;
-
-    /** IOTLB probe cost preceding each DMA transfer. */
-    Tick iotlb_lookup_cost = 300;
-
     /** Duration of one DMA transfer (translate -> data movement). */
     Tick dev_transfer_cost = 120 * kUsec;
-
-    /**
-     * Initiator-side cost of posting one invalidation command to a
-     * device (the IOMMU command-queue write). Scaled by NUMA distance
-     * when the device hangs off a remote node, like an IPI.
-     */
-    Tick dev_cmd_cost = 30 * kUsec;
-
-    /**
-     * Bound on how long a revoke can wait for a device's in-flight
-     * DMA: a device that cannot finish its transfer within this many
-     * ticks of the drain request aborts it instead (the ATS-style
-     * invalidate-completion deadline). This is what keeps shootdown
-     * latency bounded when devices join the responder set.
-     */
-    Tick dev_drain_bound = 60 * kUsec;
 
     /** TEST ONLY -- the checker's planted protocol bug, if any. */
     PlantedBug planted_bug = PlantedBug::None;
@@ -556,12 +597,6 @@ struct MachineConfig
     {
         return dev % (numa_nodes ? numa_nodes : 1);
     }
-
-    /**
-     * Total responder ids: CPUs first, then devices. Every CpuSet in
-     * the shootdown machinery is indexed by this combined space.
-     */
-    unsigned responderCount() const { return ncpus + devices; }
 
     /** Priority of the given interrupt source under this config. */
     Spl irqPriority(Irq irq) const;

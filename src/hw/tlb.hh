@@ -25,7 +25,7 @@
  * Like the hardware, the buffer is a fully-associative array of entries
  * with valid bits and a round-robin victim cursor: a probe scans it and
  * a flush clears the valid bits it covers. Callers charge the simulated
- * costs (lookup cost, tlb_flush_cost, vc_search_cost_per_line). Two
+ * costs (kTlbLookupCost, kTlbFlushCost, kVcSearchCostPerLine). Two
  * host-side shortcuts sit in front of the scan and never change a
  * result:
  *
@@ -140,7 +140,7 @@ class Tlb
     /**
      * Apply (and clear) a pending deferred flush for @p space. Returns
      * true when a flush was actually performed, so the caller can
-     * charge tlb_flush_cost for it.
+     * charge kTlbFlushCost for it.
      */
     bool consumeDeferredFlush(SpaceId space);
 

@@ -81,16 +81,14 @@ Cpu::pollInterrupts()
         // Dispatch overhead: state save (with its natural variation)
         // plus a handful of shootdown / handler structure accesses that
         // miss in the write-through cache and pay current bus prices.
-        Tick dispatch = machine_->cfg().intr_dispatch_cost;
-        if (machine_->cfg().intr_dispatch_jitter > 0)
-            dispatch +=
-                machine_->rng().below(machine_->cfg().intr_dispatch_jitter);
+        Tick dispatch = hw::kIntrDispatchCost +
+                        machine_->rng().below(hw::kIntrDispatchJitter);
         dispatch += bus().accessCost(4);
         advanceNoPoll(dispatch);
 
         machine_->dispatchIrq(irq, *this);
 
-        advanceNoPoll(machine_->cfg().intr_return_cost);
+        advanceNoPoll(hw::kIntrReturnCost);
         if (rec.enabled())
             rec.end(rec.cpuTrack(id_), site);
         spl_ = saved;
@@ -113,7 +111,7 @@ Cpu::wakeSleeper()
         return;
     machine_->ctx().cancel(sleep_event_);
     machine_->ctx().scheduleWake(
-        sleeping_fiber_, machine_->now() + machine_->cfg().ipi_latency);
+        sleeping_fiber_, machine_->now() + hw::kIpiLatency);
     // Leave sleeping_fiber_ set; the sleeper clears it on resume. A
     // second wake before then is absorbed by the predicate loops.
     sleeping_fiber_ = 0;
@@ -166,7 +164,7 @@ Cpu::advanceNoPoll(Tick dt)
 void
 Cpu::spinOnce()
 {
-    advance(machine_->cfg().spin_quantum + bus().accessCost());
+    advance(hw::kSpinQuantum + bus().accessCost());
 }
 
 void

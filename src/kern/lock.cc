@@ -33,7 +33,7 @@ void
 SpinLock::rawLock(Cpu &cpu)
 {
     MACH_ASSERT(holder_ != cpu.id()); // No recursive locking.
-    cpu.advanceNoPoll(cpu.machine().cfg().lock_acquire_cost);
+    cpu.advanceNoPoll(hw::kLockAcquireCost);
     if (holder_ >= 0) {
         ++contended_acquires;
         hw::Bus::User user(cpu.bus());
@@ -48,7 +48,7 @@ void
 SpinLock::rawUnlock(Cpu &cpu)
 {
     MACH_ASSERT(heldBy(cpu));
-    cpu.advanceNoPoll(cpu.machine().cfg().lock_release_cost);
+    cpu.advanceNoPoll(hw::kLockReleaseCost);
     holder_ = -1;
 }
 
@@ -62,7 +62,7 @@ void
 Mutex::lock(Thread &thread)
 {
     Machine &machine = thread.machine();
-    thread.cpu().advanceNoPoll(machine.cfg().lock_acquire_cost);
+    thread.cpu().advanceNoPoll(hw::kLockAcquireCost);
     bool waited = false;
     while (holder_ != nullptr) {
         waited = true;
@@ -80,7 +80,7 @@ Mutex::unlock(Thread &thread)
 {
     MACH_ASSERT(holder_ == &thread);
     Machine &machine = thread.machine();
-    thread.cpu().advanceNoPoll(machine.cfg().lock_release_cost);
+    thread.cpu().advanceNoPoll(hw::kLockReleaseCost);
     holder_ = nullptr;
     if (!waiters_.empty()) {
         Thread *next = waiters_.front();
@@ -104,7 +104,7 @@ void
 RwMutex::lockRead(Thread &thread)
 {
     Machine &machine = thread.machine();
-    thread.cpu().advanceNoPoll(machine.cfg().lock_acquire_cost);
+    thread.cpu().advanceNoPoll(hw::kLockAcquireCost);
     while (writer_ != nullptr || writers_waiting_ > 0) {
         waiters_.push_back(&thread);
         machine.sched().blockCurrent(thread.cpu());
@@ -116,7 +116,7 @@ void
 RwMutex::unlockRead(Thread &thread)
 {
     MACH_ASSERT(readers_ > 0);
-    thread.cpu().advanceNoPoll(thread.machine().cfg().lock_release_cost);
+    thread.cpu().advanceNoPoll(hw::kLockReleaseCost);
     --readers_;
     if (readers_ == 0)
         wakeAll(thread);
@@ -126,7 +126,7 @@ void
 RwMutex::lockWrite(Thread &thread)
 {
     Machine &machine = thread.machine();
-    thread.cpu().advanceNoPoll(machine.cfg().lock_acquire_cost);
+    thread.cpu().advanceNoPoll(hw::kLockAcquireCost);
     ++writers_waiting_;
     while (writer_ != nullptr || readers_ > 0) {
         waiters_.push_back(&thread);
@@ -140,7 +140,7 @@ void
 RwMutex::unlockWrite(Thread &thread)
 {
     MACH_ASSERT(writer_ == &thread);
-    thread.cpu().advanceNoPoll(thread.machine().cfg().lock_release_cost);
+    thread.cpu().advanceNoPoll(hw::kLockReleaseCost);
     writer_ = nullptr;
     wakeAll(thread);
 }

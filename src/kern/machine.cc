@@ -50,7 +50,7 @@ Machine::Machine(const hw::MachineConfig &config)
     // short intervals, but few long ones" that give kernel shootdown
     // times their long tail (Section 8).
     setIrqHandler(hw::Irq::Timer, [this](Cpu &cpu) {
-        Tick service = config_.timer_service_cost;
+        Tick service = hw::kTimerServiceCost;
         if (rng_.chance(0.03))
             service += Tick(rng_.exponential(2500.0) * kUsec);
         if (config_.consistency_strategy ==
@@ -58,7 +58,7 @@ Machine::Machine(const hw::MachineConfig &config)
             // Technique 2: the periodic tick flushes the whole TLB so
             // that pending mapping changes eventually become safe.
             cpu.tlb().flushAll();
-            service += config_.tlb_flush_cost;
+            service += hw::kTlbFlushCost;
         }
         cpu.advance(service);
         cpu.need_resched = true;
@@ -149,16 +149,8 @@ Machine::startTimers()
 }
 
 void
-Machine::stopTimers()
-{
-    timers_on_ = false;
-}
-
-void
 Machine::timerTick(CpuId id)
 {
-    if (!timers_on_)
-        return;
     Cpu &target = cpu(id);
     // Tickless idle: parked processors take no scheduler interrupts.
     if (!target.idle)

@@ -178,8 +178,6 @@ class Machine
 
     /** Begin periodic timer interrupts on all CPUs (if configured). */
     void startTimers();
-    /** Stop scheduling further timer ticks (lets run() drain). */
-    void stopTimers();
 
     /** Drive simulation until @p until or until the event queue drains. */
     std::uint64_t run(Tick until = ~Tick{0});

@@ -68,21 +68,6 @@ Sched::wakeup(Thread &thread)
     enqueue(placeThread(thread), thread);
 }
 
-unsigned
-Sched::runnableCount() const
-{
-    unsigned count = 0;
-    for (const auto &thread : threads_) {
-        if (thread->isIdle())
-            continue;
-        if (thread->state() == ThreadState::Runnable ||
-            thread->state() == ThreadState::Running) {
-            ++count;
-        }
-    }
-    return count;
-}
-
 Cpu &
 Sched::placeThread(Thread &thread)
 {
@@ -158,7 +143,7 @@ Sched::makeRunning(Cpu &cpu, Thread &thread)
     // atomic with respect to the simulation, which is what keeps
     // wakeups from racing a half-descheduled thread.
     (void)cpu;
-    const Tick delay = machine_->cfg().ctx_switch_cost;
+    const Tick delay = hw::kCtxSwitchCost;
     if (thread.fiber_ == 0) {
         Thread *tp = &thread;
         thread.fiber_ = machine_->ctx().spawn(
@@ -207,12 +192,6 @@ Sched::yieldCurrent(Cpu &cpu)
     runq_[cpu.id()].push_back(current);
     dispatchNext(cpu);
     parkUntilRunning(*current);
-}
-
-void
-Sched::exitCurrent(Cpu &cpu)
-{
-    dispatchNext(cpu);
 }
 
 void

@@ -62,9 +62,6 @@ class Sched
     using IdleExitHook = std::function<void(Cpu &)>;
     void setIdleExitHook(IdleExitHook hook) { idle_exit_ = std::move(hook); }
 
-    /** Number of threads that are Runnable or Running (excl. idle). */
-    unsigned runnableCount() const;
-
     /** All threads ever spawned (kept for join/inspection). */
     const std::vector<std::unique_ptr<Thread>> &threads() const
     {
@@ -77,8 +74,6 @@ class Sched
     void blockCurrent(Cpu &cpu);
     /** Current thread yields if something else is runnable. */
     void yieldCurrent(Cpu &cpu);
-    /** Current thread is finished; dispatch the next one. */
-    void exitCurrent(Cpu &cpu);
 
   private:
     friend class Thread;

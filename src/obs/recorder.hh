@@ -15,7 +15,7 @@
  *
  *  - off by default, one predictable branch per site when disabled;
  *  - recording never touches simulated time: the Section 6.1-style
- *    perturbation experiment is the xpr package's (xpr_record_cost);
+ *    perturbation experiment is the xpr package's (hw::kXprRecordCost);
  *  - deterministic: timestamps come from the simulated clock and the
  *    JSON is formatted with integer arithmetic only, so the same seed
  *    and flags produce byte-identical files (a golden digest test
@@ -189,7 +189,6 @@ class Recorder
     void disable();
 
     bool ringMode() const { return ring_capacity_ != 0; }
-    bool statsOnly() const { return stats_only_; }
     std::uint64_t droppedEvents() const { return dropped_; }
 
     // ---- Tracks ------------------------------------------------------

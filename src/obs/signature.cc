@@ -3,33 +3,10 @@
 #include <cstring>
 #include <map>
 
+#include "base/fnv.hh"
+
 namespace mach::obs
 {
-
-namespace
-{
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-foldByte(std::uint64_t h, unsigned char b)
-{
-    h ^= b;
-    h *= kFnvPrime;
-    return h;
-}
-
-std::uint64_t
-foldU64(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        h = foldByte(h, static_cast<unsigned char>((v >> (8 * i)) &
-                                                   0xff));
-    return h;
-}
-
-} // namespace
 
 namespace
 {
@@ -38,10 +15,10 @@ namespace
 std::uint64_t
 foldEvent(std::uint64_t h, const Event &e)
 {
-    h = foldByte(h, static_cast<unsigned char>(e.phase));
-    h = foldU64(h, e.track);
-    for (const char *p = e.name; p != nullptr && *p != '\0'; ++p)
-        h = foldByte(h, static_cast<unsigned char>(*p));
+    h = fnv::foldByte(h, static_cast<unsigned char>(e.phase));
+    h = fnv::foldU64(h, e.track);
+    if (e.name != nullptr)
+        h = fnv::fold(h, e.name);
     // Span arguments carry the interleaving class the event names
     // alone miss: a drain's queued-action depth, a sync's waiting_on
     // count, an IPI's target fan-out, a fault's address. They are
@@ -52,9 +29,8 @@ foldEvent(std::uint64_t h, const Event &e)
     for (const Arg *arg : {&e.arg0, &e.arg1}) {
         if (arg->key == nullptr)
             continue;
-        for (const char *p = arg->key; *p != '\0'; ++p)
-            h = foldByte(h, static_cast<unsigned char>(*p));
-        h = foldU64(h, arg->value);
+        h = fnv::fold(h, arg->key);
+        h = fnv::foldU64(h, arg->value);
     }
     return h;
 }
@@ -65,7 +41,7 @@ std::vector<std::uint64_t>
 interleavingSignatures(const Recorder &rec)
 {
     std::vector<std::uint64_t> out;
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     bool open_window = false;
     unsigned depth = 0; // open "shoot" spans across all tracks
 
@@ -91,7 +67,7 @@ interleavingSignatures(const Recorder &rec)
         if (!is_shoot) {
             std::uint64_t &c = context[e.track];
             if (c == 0)
-                c = kFnvOffset;
+                c = fnv::kOffset;
             c = foldEvent(c, e);
             continue;
         }
@@ -105,19 +81,19 @@ interleavingSignatures(const Recorder &rec)
 
         if (depth == 0) { // quiescent again: the window is complete
             for (const auto &[track, c] : context) {
-                h = foldU64(h, track);
-                h = foldU64(h, c);
+                h = fnv::foldU64(h, track);
+                h = fnv::foldU64(h, c);
             }
             context.clear();
             out.push_back(h);
-            h = kFnvOffset;
+            h = fnv::kOffset;
             open_window = false;
         }
     }
     if (open_window) { // a span the run never closed still counts
         for (const auto &[track, c] : context) {
-            h = foldU64(h, track);
-            h = foldU64(h, c);
+            h = fnv::foldU64(h, track);
+            h = fnv::foldU64(h, c);
         }
         out.push_back(h);
     }
@@ -127,9 +103,9 @@ interleavingSignatures(const Recorder &rec)
 std::uint64_t
 signatureListHash(const std::vector<std::uint64_t> &sigs)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     for (const std::uint64_t s : sigs)
-        h = foldU64(h, s);
+        h = fnv::foldU64(h, s);
     return h;
 }
 

@@ -101,7 +101,7 @@ Pmap::mayBeCached(kern::Cpu &cpu, Vpn start, Vpn end,
         // The full lazy-evaluation check: TLBs cannot cache invalid
         // mappings, so a range with no valid PTEs needs no shootdown.
         const unsigned mapped = table_.countValid(start, end);
-        cpu.advanceNoPoll(cfg.lazy_check_cost_per_page * (mapped + 1));
+        cpu.advanceNoPoll(hw::kLazyCheckCostPerPage * (mapped + 1));
         *mapped_pages = mapped;
         return mapped > 0;
     }
@@ -134,7 +134,7 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     const hw::Spl saved = cpu.setSpl(hw::SplHigh);
     cpu.active = false;
     lock_.rawLock(cpu);
-    cpu.advanceNoPoll(cfg.pmap_op_base_cost);
+    cpu.advanceNoPoll(hw::kPmapOpBaseCost);
     ++ops;
 
     bool need_consistency = reduces && cfg.shootdown_enabled;
@@ -547,7 +547,7 @@ Cpu::access(VAddr va, Prot want)
             return;
         const Tick extra = machine_->topo().remoteCost(
             here.node_, machine_->mem().nodeOfPfn(pfn),
-            cfg.mem_access_cost);
+            hw::kMemAccessCost);
         if (extra == 0)
             return;
         ++here.remote_mem_accesses;
@@ -567,7 +567,7 @@ Cpu::access(VAddr va, Prot want)
         if (!pm)
             return {};
 
-        here.advance(cfg.tlb_lookup_cost);
+        here.advance(hw::kTlbLookupCost);
         // With per-node replicas, this CPU's walker (and its ref/mod
         // writebacks) operate on the node-local copy of the table.
         const PAddr pte_addr = pm->table().pteAddr(vpn, here.node_);
@@ -634,8 +634,7 @@ Cpu::access(VAddr va, Prot want)
                               static_cast<Pfn>(pte_addr >> kPageShift),
                               walk.memory_reads);
             }
-            here.advance(cfg.tlb_reload_cost_per_level *
-                         walk.memory_reads);
+            here.advance(hw::kTlbReloadCostPerLevel * walk.memory_reads);
             if (resolved)
                 continue; // Retry; the next probe (normally) hits.
         }

@@ -105,7 +105,7 @@ class LazyAsidPolicy : public ShootdownPolicy
         }
         if (tlb.consumeDeferredFlush(pmap.space())) {
             ++deferred_flushes_applied;
-            cpu.advanceNoPoll(machine_.cfg().tlb_flush_cost);
+            cpu.advanceNoPoll(hw::kTlbFlushCost);
         }
     }
 };
@@ -118,7 +118,7 @@ class LazyAsidPolicy : public ShootdownPolicy
  * respond/idle-drain service loop -- its loop is guaranteed to
  * re-check the action-needed flag we just set, so the interrupt would
  * only buy a redundant second dispatch. The elision is bounded by
- * ipi_coalesce_window: a target that has been servicing longer than
+ * hw::kIpiCoalesceWindow: a target that has been servicing longer than
  * the window (e.g. parked on a long stall) gets the IPI anyway, so
  * coalescing can delay a wakeup by at most the window.
  *
@@ -162,8 +162,7 @@ class BatchedPolicy : public ShootdownPolicy
         const CpuShootState &st = shoot_.stateFor(target);
         if (!st.servicing)
             return false;
-        if (machine_.now() - st.service_entered >
-            machine_.cfg().ipi_coalesce_window)
+        if (machine_.now() - st.service_entered > hw::kIpiCoalesceWindow)
             return false;
         ++ipis_elided;
         return true;
@@ -201,11 +200,11 @@ class RangeFlushPolicy : public ShootdownPolicy
             return false; // Identical to the baseline per-entry loop.
         if (npages <= cfg.range_flush_crossover) {
             cpu.tlb().invalidateRange(space, start, end);
-            cpu.advanceNoPoll(cfg.tlb_invalidate_cost * npages);
+            cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
             ++range_invalidates;
         } else {
             cpu.tlb().flushSpace(space);
-            cpu.advanceNoPoll(cfg.tlb_flush_cost);
+            cpu.advanceNoPoll(hw::kTlbFlushCost);
             ++full_space_flushes;
         }
         return true;
@@ -246,8 +245,7 @@ class ReuseElidePolicy : public ShootdownPolicy
         const unsigned npages = end - start;
         if (npages == 0 || npages > kScanCap)
             return false;
-        const hw::MachineConfig &cfg = machine_.cfg();
-        self.advanceNoPoll(cfg.lazy_check_cost_per_page * npages);
+        self.advanceNoPoll(hw::kLazyCheckCostPerPage * npages);
         // One host instant for the whole scan: fills of this space are
         // stalled on the pmap lock we hold, so the verdict stays true
         // until the operation completes.

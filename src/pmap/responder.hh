@@ -18,7 +18,7 @@
  * The device-specific wrinkle the interface exposes: a device may have
  * a DMA transfer in flight through the translation being revoked. The
  * initiator calls requestDrain(), which bounds the remaining transfer
- * time (complete-or-abort within dev_drain_bound), and then spins
+ * time (complete-or-abort within hw::kDevDrainBound), and then spins
  * until inFlight() clears -- the analogue of the paper's "wait until
  * every user acknowledged", with a bounded rather than interrupt-paced
  * acknowledgement latency.

@@ -77,18 +77,17 @@ ShootdownController::invalidateLocal(kern::Cpu &cpu, hw::SpaceId space,
         // VMP-style mapping invalidation: an exhaustive software
         // search of the whole cache directory, whatever the range.
         cpu.tlb().invalidateRange(space, start, end);
-        cpu.advanceNoPoll(cfg.vc_search_cost_per_line *
-                          cfg.tlb_entries);
+        cpu.advanceNoPoll(hw::kVcSearchCostPerLine * cfg.tlb_entries);
         return;
     }
     if (npages > cfg.tlb_flush_threshold) {
         // Beyond the threshold a full buffer flush is cheaper than
         // individual invalidates (Section 4, omitted detail 1).
         cpu.tlb().flushAll();
-        cpu.advanceNoPoll(cfg.tlb_flush_cost);
+        cpu.advanceNoPoll(hw::kTlbFlushCost);
     } else {
         cpu.tlb().invalidateRange(space, start, end);
-        cpu.advanceNoPoll(cfg.tlb_invalidate_cost * npages);
+        cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
     }
 }
 
@@ -140,30 +139,34 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                               obs::Arg{"pages", mapped_pages},
                               obs::Arg{"npages", end - start});
 
-    self.advanceNoPoll(cfg.shootdown_setup_cost);
+    self.advanceNoPoll(hw::kShootdownSetupCost);
+
+    // Section 8 pool restructuring: a kernel-pmap shootdown whose
+    // range lies entirely inside one pool's kmem slice only concerns
+    // that pool's processors (pool-local kernel memory is not shared
+    // between pools). Anything else remains machine-global.
+    int pool = -1;
+    if (pmap.isKernel() && cfg.kernel_pools > 1) {
+        const int lo_pool = machine_.poolOfKernelVpn(start);
+        if (lo_pool >= 0 && lo_pool == machine_.poolOfKernelVpn(end - 1))
+            pool = lo_pool;
+    }
+    // The other processors using the pmap, within the pool if any.
+    const auto concerns = [&](CpuId id) {
+        return id != self.id() && pmap.inUse(id) &&
+               (pool < 0 ||
+                machine_.poolOfCpu(id) == static_cast<unsigned>(pool));
+    };
 
     // ---- Section 9 option: TLBs supporting remote invalidation ------
     // The initiator shoots the entries directly out of the responders'
     // TLBs; no interrupts, no synchronization, no responder overhead.
     if (cfg.tlb_remote_invalidate) {
-        int remote_pool = -1;
-        if (pmap.isKernel() && cfg.kernel_pools > 1) {
-            const int lo_pool = machine_.poolOfKernelVpn(start);
-            if (lo_pool >= 0 &&
-                lo_pool == machine_.poolOfKernelVpn(end - 1)) {
-                remote_pool = lo_pool;
-            }
-        }
         unsigned shot = 0;
         for (CpuId id = 0; id < machine_.ncpus(); ++id) {
-            if (id == self.id() || !pmap.inUse(id))
+            if (!concerns(id))
                 continue;
-            if (remote_pool >= 0 &&
-                machine_.poolOfCpu(id) !=
-                    static_cast<unsigned>(remote_pool)) {
-                continue;
-            }
-            self.advanceNoPoll(cfg.remote_invalidate_cost);
+            self.advanceNoPoll(hw::kRemoteInvalidateCost);
             hw::Tlb &remote = machine_.cpu(id).tlb();
             if (end - start > cfg.tlb_flush_threshold)
                 remote.flushSpace(pmap.space());
@@ -173,17 +176,9 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
             ++shot;
         }
         for (TlbResponder *dev : responders_) {
-            const CpuId id = dev->id();
-            if (!pmap.inUse(id))
+            if (!pmap.inUse(dev->id()))
                 continue;
-            Tick cost = cfg.remote_invalidate_cost;
-            if (dev->node() != self.node()) {
-                cost += machine_.topo().remoteCost(
-                    self.node(), dev->node(),
-                    cfg.remote_invalidate_cost);
-                ++cross_node_device_commands;
-            }
-            self.advanceNoPoll(cost);
+            chargeDeviceCommand(self, *dev, hw::kRemoteInvalidateCost);
             if (dev->inFlight()) {
                 // Even MC88200-style direct invalidation cannot pull a
                 // translation out from under a transfer already on the
@@ -206,7 +201,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         }
         if (cfg.xpr_enabled) {
             const Tick elapsed = machine_.now() - t_begin;
-            self.advanceNoPoll(cfg.xpr_record_cost);
+            self.advanceNoPoll(hw::kXprRecordCost);
             machine_.xpr().record({xpr::EventKind::ShootInitiator,
                                    self.id(), machine_.now(),
                                    pmap.isKernel(), mapped_pages, shot,
@@ -215,28 +210,12 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         return;
     }
 
-    // Section 8 pool restructuring: a kernel-pmap shootdown whose
-    // range lies entirely inside one pool's kmem slice only concerns
-    // that pool's processors (pool-local kernel memory is not shared
-    // between pools). Anything else remains machine-global.
-    int pool = -1;
-    if (pmap.isKernel() && cfg.kernel_pools > 1) {
-        const int lo_pool = machine_.poolOfKernelVpn(start);
-        const int hi_pool = machine_.poolOfKernelVpn(end - 1);
-        if (lo_pool >= 0 && lo_pool == hi_pool)
-            pool = lo_pool;
-    }
-
     // ---- Phase 1: queue actions, interrupt, wait ---------------------
     std::vector<CpuId> sync_list;
     std::vector<CpuId> send_list;
     for (CpuId id = 0; id < machine_.ncpus(); ++id) {
-        if (id == self.id() || !pmap.inUse(id))
+        if (!concerns(id))
             continue;
-        if (pool >= 0 && machine_.poolOfCpu(id) !=
-            static_cast<unsigned>(pool)) {
-            continue;
-        }
         if (policy_->deferTarget(self, id, pmap, start, end)) {
             // The policy proved this target can settle up later (lazy
             // ASID): no queued action, no IPI, no synchronization.
@@ -263,7 +242,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     // boundary. Only an in-flight DMA forces the initiator to wait --
     // the transfer would otherwise commit through the revoked
     // translation -- and requestDrain() bounds that wait to
-    // dev_drain_bound. The avoidance policies are not consulted:
+    // hw::kDevDrainBound. The avoidance policies are not consulted:
     // device invalidations are always eager (a deferred IOTLB entry
     // has no context-switch flush to settle it later).
     std::vector<TlbResponder *> dev_sync;
@@ -272,13 +251,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         if (!pmap.inUse(dev_id))
             continue;
         queueAction(self, dev_id, pmap, start, end);
-        Tick cmd = cfg.dev_cmd_cost;
-        if (dev->node() != self.node()) {
-            cmd += machine_.topo().remoteCost(self.node(), dev->node(),
-                                              cfg.dev_cmd_cost);
-            ++cross_node_device_commands;
-        }
-        self.advanceNoPoll(cmd);
+        chargeDeviceCommand(self, *dev, hw::kDevCmdCost);
         ++device_commands;
         if (dev->inFlight()) {
             dev->requestDrain();
@@ -301,7 +274,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
             if (cfg.multicast_ipi) {
                 // One bit-vector load triggers every target at fixed
                 // cost.
-                self.advanceNoPoll(cfg.multicast_send_cost);
+                self.advanceNoPoll(hw::kMulticastSendCost);
                 for (CpuId id : send_list) {
                     intr.post(id, hw::Irq::Shootdown, machine_.now());
                     ++interrupts_sent;
@@ -310,7 +283,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                 // Interrupt everyone (including innocent bystanders,
                 // who pay a dispatch with nothing queued) at fixed
                 // cost.
-                self.advanceNoPoll(cfg.broadcast_send_cost);
+                self.advanceNoPoll(hw::kBroadcastSendCost);
                 for (CpuId id = 0; id < machine_.ncpus(); ++id) {
                     if (id == self.id() ||
                         intr.pending(id, hw::Irq::Shootdown)) {
@@ -341,46 +314,21 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                         forward_pending_[node].set(id);
                 }
                 for (CpuId id : local_targets) {
-                    if (policy_->elideIpi(self, id))
-                        continue;
-                    Tick send = cfg.ipi_send_cost;
-                    if (cfg.ipi_send_jitter > 0)
-                        send +=
-                            machine_.rng().below(cfg.ipi_send_jitter);
-                    self.advanceNoPoll(send);
-                    intr.post(id, hw::Irq::Shootdown, machine_.now());
-                    ++interrupts_sent;
+                    if (!policy_->elideIpi(self, id))
+                        postIpi(self, id);
                 }
-                for (unsigned node = 0; node < delegates.size();
-                     ++node) {
-                    if (delegates[node] == kNone)
+                for (const CpuId delegate : delegates) {
+                    if (delegate == kNone)
                         continue;
-                    Tick send = cfg.ipi_send_cost +
-                                machine_.topo().remoteCost(
-                                    self.node(), node,
-                                    cfg.ipi_send_cost);
-                    if (cfg.ipi_send_jitter > 0)
-                        send +=
-                            machine_.rng().below(cfg.ipi_send_jitter);
-                    self.advanceNoPoll(send);
-                    intr.post(delegates[node], hw::Irq::Shootdown,
-                              machine_.now());
-                    ++interrupts_sent;
+                    postIpi(self, delegate);
                     ++cross_node_ipis;
                 }
             } else {
                 // Baseline: iterate down the list one directed IPI at
                 // a time.
                 for (CpuId id : send_list) {
-                    if (policy_->elideIpi(self, id))
-                        continue;
-                    Tick send = cfg.ipi_send_cost;
-                    if (cfg.ipi_send_jitter > 0)
-                        send +=
-                            machine_.rng().below(cfg.ipi_send_jitter);
-                    self.advanceNoPoll(send);
-                    intr.post(id, hw::Irq::Shootdown, machine_.now());
-                    ++interrupts_sent;
+                    if (!policy_->elideIpi(self, id))
+                        postIpi(self, id);
                 }
             }
         }
@@ -430,7 +378,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
 
     const Tick elapsed = machine_.now() - t_begin;
     if (cfg.xpr_enabled) {
-        self.advanceNoPoll(cfg.xpr_record_cost);
+        self.advanceNoPoll(hw::kXprRecordCost);
         machine_.xpr().record({xpr::EventKind::ShootInitiator, self.id(),
                                machine_.now(), pmap.isKernel(),
                                mapped_pages,
@@ -453,7 +401,7 @@ ShootdownController::drainActions(kern::Cpu &cpu)
     st.action_lock.rawLock(cpu);
     if (st.overflow) {
         cpu.tlb().flushAll();
-        cpu.advanceNoPoll(cfg.tlb_flush_cost);
+        cpu.advanceNoPoll(hw::kTlbFlushCost);
         st.overflow = false;
     } else {
         // By index, not iterators: invalidateLocal advances sim time,
@@ -498,7 +446,6 @@ ShootdownController::drainForwards(kern::Cpu &cpu)
     const CpuSet claimed = pending;
     pending.clearAll();
 
-    const hw::MachineConfig &cfg = machine_.cfg();
     hw::InterruptController &intr = machine_.intr();
     claimed.forEach([&](CpuId id) {
         kern::Cpu &target = machine_.cpu(id);
@@ -511,14 +458,36 @@ ShootdownController::drainForwards(kern::Cpu &cpu)
         }
         if (policy_->elideIpi(cpu, id))
             return;
-        Tick send = cfg.ipi_send_cost;
-        if (cfg.ipi_send_jitter > 0)
-            send += machine_.rng().below(cfg.ipi_send_jitter);
-        cpu.advanceNoPoll(send);
-        intr.post(id, hw::Irq::Shootdown, machine_.now());
-        ++interrupts_sent;
+        postIpi(cpu, id);
         ++forwarded_ipis;
     });
+}
+
+void
+ShootdownController::postIpi(kern::Cpu &from, CpuId target)
+{
+    // The send cost scales with the NUMA distance to the target's node
+    // (zero extra on the sender's own node), plus the send jitter.
+    const Tick send =
+        hw::kIpiSendCost +
+        machine_.topo().remoteCost(from.node(), machine_.nodeOfCpu(target),
+                                   hw::kIpiSendCost) +
+        machine_.rng().below(hw::kIpiSendJitter);
+    from.advanceNoPoll(send);
+    machine_.intr().post(target, hw::Irq::Shootdown, machine_.now());
+    ++interrupts_sent;
+}
+
+void
+ShootdownController::chargeDeviceCommand(kern::Cpu &self,
+                                         const TlbResponder &dev, Tick base)
+{
+    Tick cost = base;
+    if (dev.node() != self.node()) {
+        cost += machine_.topo().remoteCost(self.node(), dev.node(), base);
+        ++cross_node_device_commands;
+    }
+    self.advanceNoPoll(cost);
 }
 
 void
@@ -586,7 +555,7 @@ ShootdownController::respond(kern::Cpu &cpu)
         // only, to avoid lock contention in the instrumentation
         // (Section 6).
         const Tick elapsed = machine_.now() - t_begin;
-        cpu.advanceNoPoll(cfg.xpr_record_cost);
+        cpu.advanceNoPoll(hw::kXprRecordCost);
         machine_.xpr().record({xpr::EventKind::ShootResponder, cpu.id(),
                                machine_.now(), false, 0, 0, elapsed});
     }
@@ -686,7 +655,7 @@ ShootdownController::delayedFlushWait(kern::Thread &thread, Pmap &pmap,
     if (cfg.xpr_enabled) {
         const Tick elapsed = machine_.now() - t_begin;
         kern::Cpu &cpu = thread.cpu();
-        cpu.advanceNoPoll(cfg.xpr_record_cost);
+        cpu.advanceNoPoll(hw::kXprRecordCost);
         machine_.xpr().record({xpr::EventKind::ShootInitiator,
                                cpu.id(), machine_.now(),
                                pmap.isKernel(), mapped_pages,

@@ -233,6 +233,21 @@ class ShootdownController
     /** Process a processor's queued actions (phase 4 / idle exit). */
     void drainActions(kern::Cpu &cpu);
 
+    /**
+     * Post one directed shootdown IPI from @p from to @p target,
+     * charging @p from the send cost (scaled by NUMA distance) and its
+     * jitter.
+     */
+    void postIpi(kern::Cpu &from, CpuId target);
+
+    /**
+     * Charge @p self for one command to device @p dev: @p base, scaled
+     * by NUMA distance when the device hangs off another node (counted
+     * in cross_node_device_commands).
+     */
+    void chargeDeviceCommand(kern::Cpu &self, const TlbResponder &dev,
+                             Tick base);
+
     PmapSystem &sys_;
     kern::Machine &machine_;
     std::vector<std::unique_ptr<CpuShootState>> state_;

@@ -81,10 +81,9 @@ Task *
 Kernel::forkTask(kern::Thread &thread, Task &parent, std::string name)
 {
     Task *child = createTask(std::move(name));
-    const hw::MachineConfig &cfg = machine_->cfg();
 
     parent.map().lock().lockWrite(thread);
-    thread.cpu().advance(cfg.vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     for (auto &[start, entry] : parent.map().entries()) {
         switch (entry.inheritance) {
@@ -187,7 +186,7 @@ Kernel::vmAllocate(kern::Thread &thread, Task &task, VAddr *va,
                   30 * kUsec +
                       Tick(machine_->rng().exponential(50.0) * kUsec));
     map.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     VAddr start = anywhere ? map.findSpace(size) : pageTrunc(*va);
     bool ok = start != 0;
@@ -249,7 +248,7 @@ Kernel::vmDeallocate(kern::Thread &thread, Task &task, VAddr va,
                   30 * kUsec +
                       Tick(machine_->rng().exponential(50.0) * kUsec));
     task.map().lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
     deallocateLocked(thread, task.map(), task.pmap(), va, size);
     task.map().lock().unlockWrite(thread);
     return true;
@@ -269,7 +268,7 @@ Kernel::vmProtect(kern::Thread &thread, Task &task, VAddr va,
                   30 * kUsec +
                       Tick(machine_->rng().exponential(50.0) * kUsec));
     map.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     map.clipAndApply(va, va + size, [&](VmMapEntry &entry) {
         const Prot old_prot = entry.cur_prot;
@@ -304,7 +303,7 @@ Kernel::vmInherit(kern::Thread &thread, Task &task, VAddr va,
                   30 * kUsec +
                       Tick(machine_->rng().exponential(50.0) * kUsec));
     task.map().lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
     task.map().clipAndApply(va, va + size, [&](VmMapEntry &entry) {
         entry.inheritance = inheritance;
     });
@@ -327,7 +326,7 @@ Kernel::vmCopy(kern::Thread &thread, Task &task, VAddr src,
                   30 * kUsec +
                       Tick(machine_->rng().exponential(50.0) * kUsec));
     map.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     const VAddr dst_base = map.findSpace(size);
     bool ok = dst_base != 0;
@@ -372,7 +371,7 @@ Kernel::vmRegion(kern::Thread &thread, Task &task, VAddr *va,
 {
     VmMap &map = task.map();
     map.lock().lockRead(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost / 2);
+    thread.cpu().advance(hw::kVmOpBaseCost / 2);
 
     bool found = false;
     for (const auto &[start, entry] : map.entries()) {
@@ -411,7 +410,7 @@ Kernel::vmWire(kern::Thread &thread, Task &task, VAddr va,
 
     VmMap &map = task.map();
     map.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     bool ok = true;
     for (VAddr addr = va; addr < va + size && ok;
@@ -464,8 +463,7 @@ Kernel::vmRead(kern::Thread &thread, Task &task, VAddr va, void *buf,
         for (std::uint32_t i = 0; i < in_page; ++i)
             out[done + i] = machine_->mem().read8(
                 base + ((addr + i) & kPageMask));
-        thread.cpu().advance((in_page / 4 + 1) *
-                             machine_->cfg().mem_access_cost);
+        thread.cpu().advance((in_page / 4 + 1) * hw::kMemAccessCost);
         done += in_page;
     }
     map.lock().unlockWrite(thread);
@@ -494,8 +492,7 @@ Kernel::vmWrite(kern::Thread &thread, Task &task, VAddr va,
         for (std::uint32_t i = 0; i < in_page; ++i)
             machine_->mem().write8(base + ((addr + i) & kPageMask),
                                    in[done + i]);
-        thread.cpu().advance((in_page / 4 + 1) *
-                             machine_->cfg().mem_access_cost);
+        thread.cpu().advance((in_page / 4 + 1) * hw::kMemAccessCost);
         done += in_page;
     }
     map.lock().unlockWrite(thread);
@@ -531,7 +528,7 @@ Kernel::deepCopyObject(kern::Thread &thread, const VmMapEntry &entry)
             continue;
         const Pfn frame = allocPlacedFrame(thread, p);
         machine_->mem().copyFrame(frame, found.page->pfn);
-        kernelSection(thread, machine_->cfg().page_copy_cost);
+        kernelSection(thread, hw::kPageCopyCost);
         fresh->insertPage(p, frame);
         pageable_.push_back({fresh, p});
         ++cow_copies;
@@ -548,7 +545,7 @@ Kernel::kmemAlloc(kern::Thread &thread, std::uint32_t size)
                       Tick(machine_->rng().exponential(40.0) * kUsec));
 
     kernel_map_.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
 
     // Under the Section 8 pool restructuring, kernel memory comes
     // from the executing processor's pool slice so that the eventual
@@ -591,7 +588,7 @@ Kernel::kmemFree(kern::Thread &thread, VAddr va, std::uint32_t size)
                       Tick(machine_->rng().exponential(40.0) * kUsec));
 
     kernel_map_.lock().lockWrite(thread);
-    thread.cpu().advance(machine_->cfg().vm_op_base_cost);
+    thread.cpu().advance(hw::kVmOpBaseCost);
     deallocateLocked(thread, kernel_map_, pmap_sys_->kernelPmap(), va,
                      size);
     kernel_map_.lock().unlockWrite(thread);

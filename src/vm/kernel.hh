@@ -204,9 +204,6 @@ class Kernel
     /** Start the pageout daemon thread. */
     void enablePageout();
 
-    /** Resident pages eligible for pageout. */
-    std::size_t pageableCount() const { return pageable_.size(); }
-
     // ---- Fault handling (installed into the machine) --------------------
 
     bool handleFault(kern::Thread &thread, VAddr va, Prot want);

@@ -68,7 +68,7 @@ Kernel::handleFault(kern::Thread &thread, VAddr va, Prot want)
                            rec.enabled() ? threadTrack(rec, thread) : 0,
                            thread.obs_request, obs::Arg{"va", va});
 
-    thread.cpu().advance(machine_->cfg().fault_base_cost);
+    thread.cpu().advance(hw::kFaultBaseCost);
 
     // Kernel (trap) entry runs a short stretch with interrupts masked;
     // these leaf critical sections never initiate shootdowns, so they
@@ -107,7 +107,6 @@ void
 Kernel::migratePage(kern::Thread &thread, VmPage &page,
                     unsigned to_node)
 {
-    const hw::MachineConfig &cfg = machine_->cfg();
     // The pageout steal, aimed at another node instead of the disk:
     // mark the page busy, shoot every mapping of the old frame out of
     // every TLB, copy, then swap the frame under the page.
@@ -116,7 +115,7 @@ Kernel::migratePage(kern::Thread &thread, VmPage &page,
     pmap::Pmap::pageProtect(*pmap_sys_, thread, old, ProtNone);
     const Pfn fresh = machine_->mem().allocFrame(to_node);
     machine_->mem().copyFrame(fresh, old);
-    kernelSection(thread, cfg.page_copy_cost);
+    kernelSection(thread, hw::kPageCopyCost);
     page.pfn = fresh;
     page.remote_faults = 0;
     machine_->mem().freeFrame(old);
@@ -207,7 +206,7 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
                 const Pfn copy = allocPlacedFrame(thread, offset);
                 machine_->mem().copyFrame(copy, found.page->pfn);
                 // The page copy runs at splvm (interrupts masked).
-                kernelSection(thread, cfg.page_copy_cost);
+                kernelSection(thread, hw::kPageCopyCost);
                 if (top->lookupLocal(offset) != nullptr) {
                     // A concurrent fault on another processor resolved
                     // this page while we copied; use its result.
@@ -250,7 +249,7 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
 
             const Pfn frame = allocPlacedFrame(thread, offset);
             // Zero-filling runs at splvm (interrupts masked).
-            kernelSection(thread, cfg.zero_fill_cost);
+            kernelSection(thread, hw::kZeroFillCost);
             if (top->lookupLocal(offset) != nullptr) {
                 // Lost a race with a concurrent zero-fill fault.
                 machine_->mem().freeFrame(frame);

@@ -65,8 +65,6 @@ class VmMap
     VmMap(std::string name, VAddr range_lo, VAddr range_hi);
 
     const std::string &name() const { return name_; }
-    VAddr rangeLo() const { return range_lo_; }
-    VAddr rangeHi() const { return range_hi_; }
 
     /**
      * Serializes operations on this map. A blocking lock, as in Mach:

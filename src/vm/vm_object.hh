@@ -99,11 +99,6 @@ class VmObject
     }
     std::map<std::uint32_t, VmPage> &pages() { return pages_; }
 
-    unsigned residentCount() const
-    {
-        return static_cast<unsigned>(pages_.size());
-    }
-
     /** Depth of the shadow chain below this object. */
     unsigned chainDepth() const;
 

@@ -259,7 +259,7 @@ TEST(DmaDevice, DrainRequestAbortsInFlightWrite)
         drv.sleep(1 * kMsec); // Mid-transfer (ends at +5 ms).
 
         // The revocation requests a drain; the transfer must abort
-        // within dev_drain_bound and nothing may land in memory.
+        // within hw::kDevDrainBound and nothing may land in memory.
         const Tick revoke_at = kernel.machine().now();
         ASSERT_TRUE(
             kernel.vmProtect(drv, *task, base, kPageSize, ProtRead));

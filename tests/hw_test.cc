@@ -844,7 +844,7 @@ TEST(Bus, UncontendedCostIsNearBase)
     MachineConfig config;
     config.mem_jitter = 0;
     Bus bus(&config);
-    EXPECT_EQ(bus.accessCost(), config.mem_access_cost);
+    EXPECT_EQ(bus.accessCost(), kMemAccessCost);
 }
 
 TEST(Bus, PenaltyAboveThreshold)
@@ -855,13 +855,11 @@ TEST(Bus, PenaltyAboveThreshold)
     Bus bus(&config);
     for (unsigned i = 0; i < config.bus_contention_threshold; ++i)
         bus.enter();
-    EXPECT_EQ(bus.accessCost(), config.mem_access_cost);
+    EXPECT_EQ(bus.accessCost(), kMemAccessCost);
     bus.enter();
-    EXPECT_EQ(bus.accessCost(),
-              config.mem_access_cost + config.bus_penalty_per_user);
+    EXPECT_EQ(bus.accessCost(), kMemAccessCost + kBusPenaltyPerUser);
     bus.enter();
-    EXPECT_EQ(bus.accessCost(),
-              config.mem_access_cost + 2 * config.bus_penalty_per_user);
+    EXPECT_EQ(bus.accessCost(), kMemAccessCost + 2 * kBusPenaltyPerUser);
 }
 
 TEST(Bus, RaiiUserBalances)

@@ -78,7 +78,7 @@ TEST(MachineStatsTest, MemAccessPaysBusContention)
         const Tick contended = m.now() - t1;
         EXPECT_GT(contended, uncontended);
         EXPECT_EQ(contended - uncontended,
-                  10 * m.cfg().bus_penalty_per_user);
+                  10 * hw::kBusPenaltyPerUser);
         kernel.machine().ctx().requestStop();
     });
     kernel.machine().run();
