@@ -9,6 +9,11 @@ namespace mach::apps
 
 namespace
 {
+/** Worker threads in every phase (the 15-way searches). */
+constexpr unsigned kWorkers = 15;
+/** Pages per shared region. */
+constexpr unsigned kRegionPages = 45;
+
 /** Phase coordination between the master and the workers. */
 struct AgoraControl
 {
@@ -33,7 +38,7 @@ Agora::run(vm::Kernel &kernel, kern::Thread &driver)
     kern::Thread *master = kernel.spawnThread(
         task, "agora-master", [&](kern::Thread &self) {
             AgoraControl ctl;
-            const unsigned n = params_.workers;
+            const unsigned n = kWorkers;
 
             // Persistent workers: they stay alive (and on their
             // processors) across all phases, which is what makes the
@@ -125,17 +130,15 @@ Agora::run(vm::Kernel &kernel, kern::Thread &driver)
             for (unsigned r = 0; r < params_.regions; ++r) {
                 VAddr region = 0;
                 const bool ok = kernel.vmAllocate(
-                    self, *task, &region,
-                    params_.region_pages * kPageSize, true);
+                    self, *task, &region, kRegionPages * kPageSize, true);
                 MACH_ASSERT(ok);
-                run_phase(region, params_.region_pages);
+                run_phase(region, kRegionPages);
                 regions.push_back(region);
             }
 
             // ---- The 15-way searches, run again and again ----------
             for (unsigned run = 0; run < params_.runs; ++run) {
-                run_phase(regions[run % regions.size()],
-                          params_.region_pages);
+                run_phase(regions[run % regions.size()], kRegionPages);
 
                 // Between runs the workers wait (their processors go
                 // idle) while the master recycles touched kernel

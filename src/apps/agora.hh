@@ -28,13 +28,10 @@ class Agora : public Workload
   public:
     struct Params
     {
-        unsigned workers = 15;
         /** Successive search runs after setup (the paper used five). */
         unsigned runs = 5;
         /** Write-once shared regions built during setup. */
         unsigned regions = 3;
-        /** Pages per shared region. */
-        unsigned region_pages = 45;
         std::uint64_t seed = 0xa60a;
     };
 

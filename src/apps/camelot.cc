@@ -7,6 +7,14 @@
 namespace mach::apps
 {
 
+namespace
+{
+/** Server threads running transactions in parallel. */
+constexpr unsigned kServers = 8;
+/** Pages of the shared recoverable database region. */
+constexpr unsigned kDbPages = 64;
+} // namespace
+
 void
 Camelot::run(vm::Kernel &kernel, kern::Thread &driver)
 {
@@ -18,10 +26,9 @@ Camelot::run(vm::Kernel &kernel, kern::Thread &driver)
             // Build the recoverable database region once.
             VAddr db = 0;
             bool ok = kernel.vmAllocate(self, *task, &db,
-                                        params_.db_pages * kPageSize,
-                                        true);
+                                        kDbPages * kPageSize, true);
             MACH_ASSERT(ok);
-            for (unsigned p = 0; p < params_.db_pages; ++p) {
+            for (unsigned p = 0; p < kDbPages; ++p) {
                 ok = self.store32(db + p * kPageSize, 0xdb000000 + p);
                 MACH_ASSERT(ok);
             }
@@ -42,7 +49,7 @@ Camelot::run(vm::Kernel &kernel, kern::Thread &driver)
                         static_cast<unsigned>(rng.range(1, 4));
                     const VAddr slice =
                         db + pageTrunc(static_cast<VAddr>(rng.below(
-                                 (params_.db_pages - slice_pages) *
+                                 (kDbPages - slice_pages) *
                                  kPageSize)));
                     VAddr copy = 0;
                     if (!kernel.vmCopy(server, *task, slice,
@@ -81,7 +88,7 @@ Camelot::run(vm::Kernel &kernel, kern::Thread &driver)
             };
 
             std::vector<kern::Thread *> servers;
-            for (unsigned s = 0; s < params_.servers; ++s) {
+            for (unsigned s = 0; s < kServers; ++s) {
                 servers.push_back(kernel.spawnThread(
                     task, "camelot-server" + std::to_string(s),
                     server_body));

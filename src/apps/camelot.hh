@@ -30,12 +30,8 @@ class Camelot : public Workload
   public:
     struct Params
     {
-        /** Server threads running transactions in parallel. */
-        unsigned servers = 8;
         /** Total transactions across all servers. */
         unsigned transactions = 200;
-        /** Pages of the shared recoverable database region. */
-        unsigned db_pages = 64;
         std::uint64_t seed = 0xca3e107;
     };
 

@@ -10,6 +10,11 @@ namespace mach::apps
 
 namespace
 {
+/** Initial workpile items per run. */
+constexpr unsigned kSeedItems = 22;
+/** Expansion depth of each seed item. */
+constexpr unsigned kDepth = 3;
+
 /** One unit of proof search. */
 struct WorkItem
 {
@@ -29,9 +34,8 @@ Parthenon::run(vm::Kernel &kernel, kern::Thread &driver)
         kern::Mutex pile_lock("workpile");
         std::deque<WorkItem> pile;
         unsigned outstanding = 0;
-        for (unsigned i = 0; i < params_.seed_items; ++i) {
-            pile.push_back({Tick(rng.exponential(70.0) * kMsec),
-                            params_.depth});
+        for (unsigned i = 0; i < kSeedItems; ++i) {
+            pile.push_back({Tick(rng.exponential(70.0) * kMsec), kDepth});
         }
 
         // The run's workpile control block lives in (touched) kernel

@@ -34,10 +34,6 @@ class Parthenon : public Workload
         unsigned workers = 15;
         /** Successive runs (the paper ran it five times). */
         unsigned runs = 5;
-        /** Initial workpile items per run. */
-        unsigned seed_items = 22;
-        /** Expansion depth of each seed item. */
-        unsigned depth = 3;
         std::uint64_t seed = 0x9a27e7;
     };
 

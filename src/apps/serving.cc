@@ -20,6 +20,14 @@ constexpr unsigned kImagePages = 8;
 constexpr unsigned kColdPages = 48;
 /** Small private working set of a sibling thread. */
 constexpr unsigned kSiblingPages = 4;
+/** Request classes; class k costs ~(k+1)x the base work. */
+constexpr unsigned kRequestClasses = 4;
+/** Work items per request for class 0. */
+constexpr unsigned kWorkItems = 12;
+/** Mean compute per work item (usec). */
+constexpr double kComputeUsec = 400.0;
+/** Chance a request cycles a kernel log buffer (kmem churn). */
+constexpr double kKmemChance = 0.25;
 
 /**
  * Cumulative Zipf distribution over the request classes: class k has
@@ -90,8 +98,7 @@ Serving::serve(vm::Kernel &kernel, kern::Thread &self, unsigned tenant,
     obs::Recorder &rec = machine.recorder();
     Rng rng(params_.seed + tenant * 7919);
     vm::Task &task = *self.task();
-    const std::vector<double> cdf =
-        zipfCdf(params_.request_classes, params_.zipf_s);
+    const std::vector<double> cdf = zipfCdf(kRequestClasses, params_.zipf_s);
 
     // Hot working set plus the cold arena the fault mix consumes.
     VAddr heap = 0;
@@ -124,7 +131,7 @@ Serving::serve(vm::Kernel &kernel, kern::Thread &self, unsigned tenant,
         // The request body: class k does (k+1)x the base work, each
         // item an access (cold fault / shared-binary read / hot
         // write, per the fault-mix and sharing knobs) plus compute.
-        const unsigned items = params_.work_items * (cls + 1);
+        const unsigned items = kWorkItems * (cls + 1);
         for (unsigned i = 0; i < items; ++i) {
             const double u = rng.uniform();
             if (u < params_.fault_mix) {
@@ -143,12 +150,12 @@ Serving::serve(vm::Kernel &kernel, kern::Thread &self, unsigned tenant,
                     0x5e120000 + i));
             }
             self.compute(
-                Tick(rng.exponential(params_.compute_usec) * kUsec));
+                Tick(rng.exponential(kComputeUsec) * kUsec));
         }
 
         // Kernel log churn: an appended-then-freed kernel buffer is
         // the request's kernel-pmap shootdown source.
-        if (rng.chance(params_.kmem_chance)) {
+        if (rng.chance(kKmemChance)) {
             const VAddr log = kernel.kmemAlloc(self, kPageSize);
             MACH_ASSERT(log != 0);
             MACH_ASSERT(self.store32(log, 0x10900000 + tenant));

@@ -58,8 +58,6 @@ class Serving : public Workload
         unsigned threads_per_tenant = 2;
         /** Requests each tenant serves before exiting. */
         unsigned requests_per_tenant = 6;
-        /** Request classes; class k costs ~(k+1)x the base work. */
-        unsigned request_classes = 4;
         /** Zipf skew s: class k has weight 1/(k+1)^s. */
         double zipf_s = 1.2;
         /** Hot per-tenant working set (pages). */
@@ -68,16 +66,10 @@ class Serving : public Workload
         unsigned binary_pages = 64;
         /** Pages mapped (and unmapped) per request. */
         unsigned mmap_pages = 4;
-        /** Work items per request for class 0. */
-        unsigned work_items = 12;
-        /** Mean compute per work item (usec). */
-        double compute_usec = 400.0;
         /** Fraction of accesses that touch a never-touched page. */
         double fault_mix = 0.35;
         /** Fraction of accesses that read the shared binary. */
         double sharing = 0.3;
-        /** Chance a request cycles a kernel log buffer (kmem churn). */
-        double kmem_chance = 0.25;
         std::uint64_t seed = 0x5e12e;
     };
 

@@ -136,14 +136,6 @@ Corpus::admit(CorpusEntry entry)
 }
 
 bool
-Corpus::tried(const std::string &scenario,
-              const std::string &schedule) const
-{
-    return tried_.find(scheduleHash(scenario, schedule)) !=
-           tried_.end();
-}
-
-bool
 Corpus::markTried(const std::string &scenario,
                   const std::string &schedule)
 {

@@ -96,10 +96,6 @@ class Corpus
      */
     std::uint64_t admit(CorpusEntry entry);
 
-    /** Has this (scenario, schedule) already been tried? */
-    bool tried(const std::string &scenario,
-               const std::string &schedule) const;
-
     /**
      * Mark (scenario, schedule) tried. Returns false when it already
      * was -- the caller counts that as a duplicate probe skipped.

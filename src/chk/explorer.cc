@@ -25,6 +25,15 @@ constexpr Tick kDeltaLadder[] = {30 * kUsec, 120 * kUsec, 500 * kUsec,
                                  1500 * kUsec};
 constexpr unsigned kDeltaLadderSize = 4;
 
+/** Max delay directives per random probe. */
+constexpr unsigned kMaxDelays = 3;
+/** Range of one random probe directive's delay. */
+constexpr Tick kMinExtra = 20 * kUsec;
+constexpr Tick kMaxExtra = 2 * kMsec;
+
+/** Trial budget for minimizing a failure an exhaustive window found. */
+constexpr unsigned kExhaustiveMinimizeBudget = 120;
+
 /** Liveness bound for one perturbed run: the unperturbed bound plus
  *  every injected delay. A delay-only perturbation can stretch a run
  *  by at most the sum of its extras, so exceeding this bound means
@@ -342,19 +351,16 @@ constexpr std::size_t kCoverageWave = 8;
 
 /** One blind multi-delay probe (the classic random phase). */
 SchedulePerturber
-randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t e_lo,
-            std::uint64_t e_hi, std::uint64_t b_lo, std::uint64_t b_hi)
+randomProbe(Rng &rng, std::uint64_t n_events, std::uint64_t n_bus)
 {
     SchedulePerturber p;
-    const unsigned k =
-        1 + static_cast<unsigned>(rng.below(opt.max_delays));
+    const unsigned k = 1 + static_cast<unsigned>(rng.below(kMaxDelays));
     for (unsigned j = 0; j < k; ++j) {
-        const Tick extra =
-            opt.min_extra + rng.below(opt.max_extra - opt.min_extra + 1);
+        const Tick extra = kMinExtra + rng.below(kMaxExtra - kMinExtra + 1);
         if (rng.chance(0.15))
-            p.delayBusAccess(b_lo + rng.below(b_hi - b_lo + 1), extra);
+            p.delayBusAccess(1 + rng.below(n_bus), extra);
         else
-            p.delayEvent(e_lo + rng.below(e_hi - e_lo + 1), extra);
+            p.delayEvent(1 + rng.below(n_events), extra);
     }
     return p;
 }
@@ -368,11 +374,10 @@ randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t e_lo,
  */
 SchedulePerturber
 mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
-            const ExploreOptions &opt, std::uint64_t e_lo,
-            std::uint64_t e_hi, std::uint64_t b_lo, std::uint64_t b_hi)
+            std::uint64_t n_events, std::uint64_t n_bus)
 {
     if (pool.empty() || rng.chance(0.1))
-        return randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+        return randomProbe(rng, n_events, n_bus);
 
     // Tournament pick: novelty-weighted without a weight table.
     const CorpusEntry *a = pool[rng.below(pool.size())];
@@ -381,7 +386,7 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
     SchedulePerturber base;
     if (!SchedulePerturber::parse(entry->schedule, &base, nullptr) ||
         base.empty())
-        return randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+        return randomProbe(rng, n_events, n_bus);
     std::vector<PerturbItem> items = base.items();
 
     switch (rng.below(3)) {
@@ -395,8 +400,7 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
                     items.push_back(item);
             }
         }
-        const std::size_t cap =
-            std::max<std::size_t>(2, std::size_t{opt.max_delays} * 2);
+        const std::size_t cap = std::size_t{kMaxDelays} * 2;
         while (items.size() > cap)
             items.erase(items.begin() + static_cast<std::ptrdiff_t>(
                                             rng.below(items.size())));
@@ -416,26 +420,24 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
             break;
           default:
             // Overdrive: resample from the band past the blind
-            // probes' max_extra cap. Hazard windows wider than any
+            // probes' kMaxExtra cap. Hazard windows wider than any
             // single protocol phase (a whole revoke round, a full
             // writer beat) are only reachable from here.
-            item.extra =
-                opt.max_extra + rng.below(3 * opt.max_extra + 1);
+            item.extra = kMaxExtra + rng.below(3 * kMaxExtra + 1);
             break;
         }
-        item.extra = std::min<Tick>(item.extra, 4 * opt.max_extra);
+        item.extra = std::min<Tick>(item.extra, 4 * kMaxExtra);
         break;
       }
       default: { // seq shift: local search around one directive
         PerturbItem &item = items[rng.below(items.size())];
-        const std::uint64_t lo = item.bus ? b_lo : e_lo;
-        const std::uint64_t hi = item.bus ? b_hi : e_hi;
+        const std::uint64_t hi = item.bus ? n_bus : n_events;
         switch (rng.below(4)) {
           case 0: // geometric funnel toward the run's early events:
                   // warmup-adjacent hazards sit at small sequence
                   // numbers a +-48 jitter never reaches from the
                   // middle of the index space
-            item.index = std::max(lo, item.index / 2);
+            item.index = std::max<std::uint64_t>(1, item.index / 2);
             break;
           case 1: // and the mirror, toward teardown
             item.index = std::min(hi, item.index * 2);
@@ -445,8 +447,7 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
             if (rng.chance(0.5))
                 item.index = std::min(hi, item.index + delta);
             else
-                item.index =
-                    item.index > lo + delta ? item.index - delta : lo;
+                item.index = item.index > 1 + delta ? item.index - delta : 1;
             break;
           }
         }
@@ -545,8 +546,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     res.baseline = sign ? runTrialSigned(scenario, SchedulePerturber{})
                         : runTrial(scenario, SchedulePerturber{});
     ++res.trials;
-    if (res.baseline.failed() ||
-        (opt.check_coverage && !res.baseline.coverage_ok)) {
+    if (res.baseline.failed() || !res.baseline.coverage_ok) {
         res.baseline_failed = true;
         say("baseline failed: " + scenario.name + " " +
             res.baseline.note);
@@ -568,35 +568,20 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     const std::uint64_t n_bus =
         std::max<std::uint64_t>(1, res.baseline.bus_accesses);
 
-    // Probe index window (defaults cover the whole run).
-    const auto windowed = [](std::uint64_t n, double lo, double hi) {
-        std::uint64_t first =
-            1 + static_cast<std::uint64_t>(lo * static_cast<double>(n));
-        std::uint64_t last =
-            static_cast<std::uint64_t>(hi * static_cast<double>(n));
-        first = std::min(first, n);
-        last = std::min(std::max(last, first), n);
-        return std::pair<std::uint64_t, std::uint64_t>{first, last};
-    };
-    const auto [e_lo, e_hi] =
-        windowed(n_events, opt.sweep_lo, opt.sweep_hi);
-    const auto [b_lo, b_hi] = windowed(n_bus, opt.sweep_lo, opt.sweep_hi);
-
     // Probe generation is split from execution so batches can be
     // farmed; the lists are exactly the schedules the serial loops
     // used to produce, in the same order.
 
     // Phase 1: bounded-systematic sweep. One delayed event per
-    // probe, seq striding across the window, cycling the delta
-    // ladder -- the swap-window enumeration.
+    // probe, seq striding across the run, cycling the delta ladder --
+    // the swap-window enumeration.
     std::vector<SchedulePerturber> probes;
     if (opt.systematic_budget != 0) {
-        const std::uint64_t span = e_hi - e_lo + 1;
         const std::uint64_t stride =
-            std::max<std::uint64_t>(1, span / opt.systematic_budget);
+            std::max<std::uint64_t>(1, n_events / opt.systematic_budget);
         unsigned used = 0;
-        for (std::uint64_t seq = e_lo;
-             seq <= e_hi && used < opt.systematic_budget;
+        for (std::uint64_t seq = 1;
+             seq <= n_events && used < opt.systematic_budget;
              seq += stride, ++used) {
             SchedulePerturber p;
             p.delayEvent(seq, kDeltaLadder[used % kDeltaLadderSize]);
@@ -620,8 +605,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     if (!opt.coverage_guided) {
         Rng rng(opt.seed, "chk.explorer.probes");
         for (unsigned t = 0; t < opt.random_budget; ++t) {
-            SchedulePerturber p =
-                randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+            SchedulePerturber p = randomProbe(rng, n_events, n_bus);
             if (dedup &&
                 !corpus->markTried(scenario.name, p.format())) {
                 ++res.duplicate_probes_skipped;
@@ -635,11 +619,11 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     // farm shape: a wave's extra speculative trials past the first
     // failure are never counted, so trials/failures/first_failing
     // are independent of jobs, snapshots, and wave size. Waves grow
-    // geometrically: stop_at_first campaigns that fail early waste
-    // little speculation, ones that run long amortize the farm.
+    // geometrically: campaigns stop at their first failure, so ones
+    // that fail early waste little speculation, and ones that run long
+    // amortize the farm.
     const bool farmed =
         farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
-    bool stop = false;
 
     // Serial, in-order accounting for one executed wave: count trials,
     // feed signatures to the corpus, latch the first failure. Identical
@@ -664,21 +648,16 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
             if (!rs[i].failed())
                 continue;
             ++res.failures;
-            if (res.failures == 1) {
-                res.first_failing = wave[i];
-                res.first_failure = rs[i];
-                const char *phase =
-                    phase_label != nullptr
-                        ? phase_label
-                        : (first_ord + i < n_systematic ? "systematic"
-                                                        : "random");
-                say("failing schedule for " + scenario.name + " (" +
-                    phase + " probe): " + wave[i].format());
-            }
-            if (opt.stop_at_first) {
-                stop = true;
-                return;
-            }
+            res.first_failing = wave[i];
+            res.first_failure = rs[i];
+            const char *phase =
+                phase_label != nullptr
+                    ? phase_label
+                    : (first_ord + i < n_systematic ? "systematic"
+                                                    : "random");
+            say("failing schedule for " + scenario.name + " (" + phase +
+                " probe): " + wave[i].format());
+            return;
         }
     };
 
@@ -686,7 +665,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     const std::size_t wave_cap =
         farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)
                : 1;
-    for (std::size_t base = 0; base < probes.size() && !stop;) {
+    for (std::size_t base = 0; base < probes.size() && res.failures == 0;) {
         const std::size_t end =
             std::min(probes.size(), base + wave_size);
         const std::vector<SchedulePerturber> wave(
@@ -703,10 +682,10 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     // as-if-serial accounting) are identical at any farm shape.
     // Duplicates consume budget without running, so a converged corpus
     // winds a campaign down instead of re-running old schedules.
-    if (opt.coverage_guided && !stop) {
+    if (opt.coverage_guided && res.failures == 0) {
         Rng mrng(opt.seed, "chk.explorer.mutate");
         unsigned generated = 0;
-        while (generated < opt.random_budget && !stop) {
+        while (generated < opt.random_budget && res.failures == 0) {
             const std::vector<const CorpusEntry *> pool =
                 corpus->mutationPool(scenario.name);
             std::vector<SchedulePerturber> wave;
@@ -714,8 +693,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
                    generated < opt.random_budget) {
                 ++generated;
                 SchedulePerturber p =
-                    mutateProbe(mrng, pool, opt, e_lo, e_hi, b_lo,
-                                b_hi);
+                    mutateProbe(mrng, pool, n_events, n_bus);
                 if (p.empty() ||
                     !corpus->markTried(scenario.name, p.format())) {
                     ++res.duplicate_probes_skipped;
@@ -785,12 +763,8 @@ Explorer::exploreExhaustive(const Scenario &scenario,
     // placements. Same-sequence pairs are skipped: delays merge
     // additively, so they are singles already covered by the ladder.
     std::vector<SchedulePerturber> probes;
-    const auto wantMore = [&] {
-        return window.budget == 0 || probes.size() < window.budget;
-    };
     for (std::uint64_t seq = lo; seq <= hi; ++seq) {
-        for (std::size_t d = 0; d < kDeltaLadderSize && wantMore();
-             ++d) {
+        for (std::size_t d = 0; d < kDeltaLadderSize; ++d) {
             SchedulePerturber p;
             p.delayEvent(seq, kDeltaLadder[d]);
             probes.push_back(std::move(p));
@@ -800,8 +774,7 @@ Explorer::exploreExhaustive(const Scenario &scenario,
         for (std::uint64_t s1 = lo; s1 <= hi; ++s1) {
             for (std::uint64_t s2 = s1 + 1; s2 <= hi; ++s2) {
                 for (std::size_t d1 = 0; d1 < kDeltaLadderSize; ++d1) {
-                    for (std::size_t d2 = 0;
-                         d2 < kDeltaLadderSize && wantMore(); ++d2) {
+                    for (std::size_t d2 = 0; d2 < kDeltaLadderSize; ++d2) {
                         SchedulePerturber p;
                         p.delayEvent(s1, kDeltaLadder[d1]);
                         p.delayEvent(s2, kDeltaLadder[d2]);
@@ -823,8 +796,7 @@ Explorer::exploreExhaustive(const Scenario &scenario,
     const std::size_t wave_cap =
         farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)
                : 1;
-    bool stop = false;
-    for (std::size_t base = 0; base < probes.size() && !stop;) {
+    for (std::size_t base = 0; base < probes.size() && res.failures == 0;) {
         const std::size_t end =
             std::min(probes.size(), base + wave_size);
         const std::vector<SchedulePerturber> wave(
@@ -836,16 +808,11 @@ Explorer::exploreExhaustive(const Scenario &scenario,
             if (!rs[i].failed())
                 continue;
             ++res.failures;
-            if (res.failures == 1) {
-                res.first_failing = wave[i];
-                res.first_failure = rs[i];
-                say("failing schedule for " + scenario.name +
-                    " (exhaustive probe): " + wave[i].format());
-            }
-            if (window.stop_at_first) {
-                stop = true;
-                break;
-            }
+            res.first_failing = wave[i];
+            res.first_failure = rs[i];
+            say("failing schedule for " + scenario.name +
+                " (exhaustive probe): " + wave[i].format());
+            break;
         }
         base = end;
         wave_size = std::min(wave_cap, wave_size * 2);
@@ -853,7 +820,7 @@ Explorer::exploreExhaustive(const Scenario &scenario,
 
     if (res.failures != 0) {
         res.minimized = minimize(scenario, res.first_failing,
-                                 window.minimize_budget);
+                                 kExhaustiveMinimizeBudget);
         res.minimized_schedule = res.minimized.format();
         res.minimized_result = runTrialRecorded(
             scenario, res.minimized, &res.flight_trace_json,

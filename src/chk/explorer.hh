@@ -89,29 +89,10 @@ struct ExploreOptions
     unsigned systematic_budget = 60;
     /** Randomized multi-delay probes after the sweep. */
     unsigned random_budget = 140;
-    /** Max delay directives per random probe. */
-    unsigned max_delays = 3;
-    Tick min_extra = 20 * kUsec;
-    Tick max_extra = 2 * kMsec;
     /** Seed for the probe generator (not the machine). */
     std::uint64_t seed = 0xC0FFEEull;
     /** Trial budget for minimizing a found failure. */
     unsigned minimize_budget = 120;
-    /** Stop the campaign at the first failing schedule. */
-    bool stop_at_first = true;
-    /** Fail the campaign when baseline coverage did not fire. */
-    bool check_coverage = true;
-    /**
-     * Probe index window, as fractions of the baseline index space:
-     * systematic and random probes only target event sequences and
-     * bus accesses in [sweep_lo, sweep_hi] x baseline count. The
-     * default sweeps the whole run. Narrowing to a late window
-     * focuses the campaign past a warmup prefix -- which the run
-     * farm then simulates once, snapshots, and shares across every
-     * probe in a wave instead of replaying it from tick 0.
-     */
-    double sweep_lo = 0.0;
-    double sweep_hi = 1.0;
     /**
      * Coverage-guided mode: every probe trial runs signed, its
      * interleaving signatures feed the campaign's Corpus, and the
@@ -143,10 +124,6 @@ struct ExhaustiveWindow
     std::uint64_t halfwidth = 8;
     /** 1 = singles only; 2 adds every ordered pair of placements. */
     unsigned max_delays = 2;
-    /** Cap on enumerated probes (0 = the full enumeration). */
-    unsigned budget = 0;
-    bool stop_at_first = true;
-    unsigned minimize_budget = 120;
 };
 
 /** Outcome of an exploration campaign. */
@@ -247,7 +224,12 @@ class Explorer
               const std::vector<SchedulePerturber> &probes,
               bool with_signatures = false) const;
 
-    /** Full campaign: baseline, sweep, random probes, minimization. */
+    /**
+     * Full campaign: baseline, sweep, random probes, minimization. A
+     * baseline that fails or misses the scenario's coverage ends the
+     * campaign (baseline_failed); otherwise probes run until the first
+     * failing schedule, which is then minimized.
+     */
     ExploreResult explore(const Scenario &scenario,
                           const ExploreOptions &opt = {});
 

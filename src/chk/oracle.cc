@@ -18,13 +18,11 @@ Oracle::Oracle(vm::Kernel &kernel) : kernel_(kernel)
             hw::ConsistencyStrategy::Shootdown) {
             // DelayedFlush holds stale entries until the next timer
             // flush by design; only finalCheck() is meaningful.
-            ++ops_skipped_;
             return;
         }
         if (kernel_.pmaps().anyPmapLocked()) {
             // Another initiator is mid-change; remote TLBs may
             // legitimately be stale until its invalidation phase.
-            ++ops_skipped_;
             return;
         }
         audit("post-op");
@@ -42,7 +40,6 @@ Oracle::finalCheck()
     if (kernel_.pmaps().anyPmapLocked()) {
         // Run was cut short with an operation in flight; any audit
         // result here would be meaningless.
-        ++ops_skipped_;
         return;
     }
     audit("final");

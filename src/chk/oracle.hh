@@ -75,7 +75,6 @@ class Oracle
 
     std::uint64_t violationCount() const { return violation_count_; }
     std::uint64_t opsAudited() const { return ops_audited_; }
-    std::uint64_t opsSkipped() const { return ops_skipped_; }
 
     static constexpr std::size_t kMaxStored = 16;
 
@@ -86,7 +85,6 @@ class Oracle
     std::vector<std::string> violations_;
     std::uint64_t violation_count_ = 0;
     std::uint64_t ops_audited_ = 0;
-    std::uint64_t ops_skipped_ = 0;
 };
 
 } // namespace mach::chk

@@ -18,6 +18,11 @@ namespace mach::chk
 namespace
 {
 
+/** Ops in the generated sequence. */
+constexpr unsigned kOps = 160;
+/** Liveness bound of the unperturbed run. */
+constexpr Tick kBound = 800 * kMsec;
+
 /** Host-side reference model: per-page value and rights. */
 struct ModelPage
 {
@@ -59,7 +64,7 @@ runOps(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
         return cond;
     };
 
-    for (unsigned op = 0; op < o.ops && state->predicate_ok; ++op) {
+    for (unsigned op = 0; op < kOps && state->predicate_ok; ++op) {
         const std::uint64_t kind = rng.below(100);
         if (kind < 18 || model.empty()) {
             // Allocate 1-3 pages.
@@ -200,28 +205,6 @@ runOps(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
                            "DMA write landed on a ProtNone page"))
                     return;
             }
-        } else if (o.fork_churn && kind < 95) {
-            // Fork churn: share one readable page into a child task,
-            // read it back from the child, tear the child down.
-            const VAddr page = randomPage();
-            const ModelPage &m = model.at(page);
-            if (!protAllows(m.prot, ProtRead))
-                continue;
-            if (!check(kernel.vmInherit(self, task, page, kPageSize,
-                                        vm::Inherit::Share),
-                       "vmInherit failed"))
-                return;
-            vm::Task *child =
-                kernel.forkTask(self, task, "vmgen-child");
-            if (!check(child != nullptr, "forkTask failed"))
-                return;
-            std::uint32_t got = 0;
-            if (!check(kernel.vmRead(self, *child, page, &got, 4),
-                       "child vmRead failed") ||
-                !check(got == m.value,
-                       "child saw a value the parent never shared"))
-                return;
-            kernel.destroyTask(self, child);
         } else {
             // Deallocate a random page; it must then be unmapped.
             const VAddr page = randomPage();
@@ -273,7 +256,7 @@ vmgenScenario(const VmGenOptions &opt)
         s.config.devices = 1;
         s.config.iotlb_entries = 4;
     }
-    s.bound = opt.bound;
+    s.bound = kBound;
     const VmGenOptions o = opt;
     s.launch = [o](vm::Kernel &kernel, ScenarioState *state) {
         vm::Kernel *kp = &kernel;

@@ -6,10 +6,10 @@
  * vmgenScenario() promotes the reference-model generator behind
  * tests/vm_fuzz_test.cc into a reusable library: a seeded, fully
  * deterministic sequence of allocate / write / read / protect / copy
- * / remap / deallocate operations (plus optional fork churn) runs on
- * one body thread against a host-side model of what the address space
- * must contain, while read-only toucher threads on the other CPUs
- * keep the task's pmap live so every reprotect is a real shootdown.
+ * / remap / deallocate operations runs on one body thread against a
+ * host-side model of what the address space must contain, while
+ * read-only toucher threads on the other CPUs keep the task's pmap
+ * live so every reprotect is a real shootdown.
  *
  * The resulting Scenario is legal by construction under *any* delay
  * perturbation: the model is driven only by the body thread's own
@@ -38,7 +38,6 @@
 
 #include <cstdint>
 
-#include "base/types.hh"
 #include "chk/scenario.hh"
 
 namespace mach::chk
@@ -49,17 +48,11 @@ struct VmGenOptions
 {
     /** Seed for both the op generator and the machine config. */
     std::uint64_t seed = 1;
-    /** Ops in the generated sequence. */
-    unsigned ops = 160;
     unsigned ncpus = 4;
     /** 1 = UMA; >1 adds the NUMA topology (ncpus spread evenly). */
     unsigned numa_nodes = 1;
-    /** Mix fork/inherit/destroy churn into the sequence. */
-    bool fork_churn = false;
     /** Attach one DMA device and mix DMA ops into the sequence. */
     bool devices = false;
-    /** Liveness bound of the unperturbed run. */
-    Tick bound = 800 * kMsec;
 };
 
 /** The generated scenario ("vmgen-<seed>", "vmgen-<seed>x<nodes>"). */

@@ -298,7 +298,7 @@ void
 DmaDevice::streamBody()
 {
     sim::Context &ctx = machine_.ctx();
-    while (!stop_ && (stream_.beats == 0 || beat_ < stream_.beats)) {
+    while (!stop_) {
         // One beat: a DMA write into the target page (the entry the
         // revocation races against), then a read sweep over the decoy
         // pages that evicts the target's IOTLB entry, so the next

@@ -6,8 +6,13 @@
  * caches translations must be kept coherent with the pmap module.
  * This model adds the other common translation cache -- a device-side
  * IOTLB fed by an IOMMU page-table walker -- and makes it a
- * first-class responder in the Section 4 shootdown protocol (see
- * pmap/responder.hh).
+ * first-class responder in the Section 4 shootdown protocol.
+ *
+ * Devices occupy the tail of the CpuSet id space: ids [0, ncpus) are
+ * CPUs, ids [ncpus, ncpus + devices) are the devices registered with
+ * ShootdownController::registerResponder(). A Pmap's in-use set
+ * carries both kinds of bits, so othersUsing() triggers a shootdown
+ * even when only a device still caches the space.
  *
  * The device issues DMA reads and writes against a user address space
  * through its IOTLB:
@@ -29,7 +34,9 @@
  * mapping. requestDrain() bounds the conflict: the transfer either
  * completes or aborts within hw::kDevDrainBound, and the initiator spins
  * until the wire is quiet (inFlight() false) before making its pmap
- * changes. An aborted transfer never commits its write.
+ * changes -- the analogue of the paper's "wait until every user
+ * acknowledged", with a bounded rather than interrupt-paced
+ * acknowledgement latency. An aborted transfer never commits its write.
  *
  * The in-flight window spans the WHOLE operation, translation
  * included, for reads as well as writes. The walk consumes the PTE at
@@ -65,7 +72,6 @@
 
 #include "base/types.hh"
 #include "hw/tlb.hh"
-#include "pmap/responder.hh"
 
 namespace mach::kern
 {
@@ -97,14 +103,12 @@ struct DmaStream
      * beat.
      */
     unsigned decoys = 0;
-    /** Idle time between beats. */
+    /** Idle time between beats; beats repeat until stop(). */
     Tick gap = 0;
-    /** Number of beats; 0 = run until stop(). */
-    std::uint64_t beats = 0;
 };
 
-/** One DMA-capable device; implements the shootdown responder role. */
-class DmaDevice : public pmap::TlbResponder
+/** One DMA-capable device; a responder in the shootdown protocol. */
+class DmaDevice
 {
   public:
     /**
@@ -117,15 +121,32 @@ class DmaDevice : public pmap::TlbResponder
     DmaDevice(kern::Machine &machine, pmap::PmapSystem &pmaps,
               unsigned index);
 
-    // ---- TlbResponder -------------------------------------------------
+    // ---- Shootdown responder role ------------------------------------
 
-    CpuId id() const override { return id_; }
-    unsigned node() const override { return node_; }
-    hw::Tlb &tlb() override { return iotlb_; }
-    const hw::Tlb &tlb() const override { return iotlb_; }
-    bool inFlight() const override { return in_flight_; }
-    void requestDrain() override;
-    std::string describe() const override;
+    /** Responder id in the shared CPU+device id space (>= ncpus). */
+    CpuId id() const { return id_; }
+    /** NUMA node the device's bus interface sits on. */
+    unsigned node() const { return node_; }
+    /** The IOTLB the shootdown protocol must keep fresh. */
+    hw::Tlb &tlb() { return iotlb_; }
+    const hw::Tlb &tlb() const { return iotlb_; }
+
+    /**
+     * True while an operation that already consumed a translation is
+     * still in flight. The initiator may not complete its revoke while
+     * this holds: the transfer commits through the old mapping.
+     */
+    bool inFlight() const { return in_flight_; }
+
+    /**
+     * Ask an in-flight operation to complete or abort within
+     * hw::kDevDrainBound. Idempotent; a no-op when nothing is in
+     * flight. Does not consume the caller's simulated time.
+     */
+    void requestDrain();
+
+    /** Short label for traces and audit reports, e.g. "dev2". */
+    std::string describe() const;
 
     unsigned index() const { return index_; }
 

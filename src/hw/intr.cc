@@ -22,7 +22,6 @@ InterruptController::post(CpuId target, Irq irq, Tick now)
         return false; // Merged; the original post's stamp stands.
     pending_[target] |= bit;
     post_ticks_[target * kNumIrqs + static_cast<unsigned>(irq)] = now;
-    ++posts_;
     if (kick_)
         kick_(target);
     return true;

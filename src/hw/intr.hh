@@ -64,8 +64,6 @@ class InterruptController
     /** Register the wakeup callback (one per machine). */
     void setKick(KickFn kick) { kick_ = std::move(kick); }
 
-    std::uint64_t postCount() const { return posts_; }
-
   private:
     const MachineConfig *config_;
     /** pending_[cpu] is a bitmask indexed by Irq. */
@@ -73,7 +71,6 @@ class InterruptController
     /** post_ticks_[cpu * kNumIrqs + irq] = time of the oldest post. */
     std::vector<Tick> post_ticks_;
     KickFn kick_;
-    std::uint64_t posts_ = 0;
 };
 
 } // namespace mach::hw

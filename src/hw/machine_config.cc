@@ -46,6 +46,16 @@ MachineConfig::validate() const
               tlb_l0_entries);
     if (action_queue_size == 0)
         fatal("MachineConfig: action queue must hold at least one entry");
+    if (xpr_capacity == 0)
+        fatal("MachineConfig: xpr buffer must hold at least one entry");
+    if (timer_period != 0 && timer_period < kMsec) {
+        // One tick costs up to ~230 us of dispatch, service and return
+        // (plus the occasional housekeeping pass); periods near that
+        // never drain, and a run hangs.
+        fatal("MachineConfig: timer_period (%llu ns) must be 0 (off) "
+              "or at least 1 ms",
+              static_cast<unsigned long long>(timer_period));
+    }
     if (multicast_ipi && broadcast_ipi)
         fatal("MachineConfig: multicast and broadcast IPI are exclusive");
     if (kernel_pools == 0 || kernel_pools > ncpus ||

@@ -33,7 +33,6 @@ class PhysMem
      */
     explicit PhysMem(std::uint32_t frames, unsigned nodes = 1);
 
-    std::uint32_t totalFrames() const { return total_frames_; }
     std::uint32_t freeFrames() const;
     /** Free frames remaining in @p node's partition. */
     std::uint32_t freeFramesOnNode(unsigned node) const;

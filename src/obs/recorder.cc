@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "base/logging.hh"
+
 namespace mach::obs
 {
 
@@ -104,12 +106,6 @@ setProcessFileTag(const std::string &tag)
     g_process_file_tag = tag;
 }
 
-const std::string &
-processFileTag()
-{
-    return g_process_file_tag;
-}
-
 void
 setProcessTextTrace(std::uint32_t categories)
 {
@@ -159,14 +155,6 @@ Recorder::enableText(std::uint32_t categories, TextSink sink)
     }
 }
 
-void
-Recorder::disable()
-{
-    enabled_ = false;
-    stats_only_ = false;
-    text_mask_ = 0;
-}
-
 TrackId
 Recorder::defineTrack(const std::string &name)
 {
@@ -186,8 +174,25 @@ Recorder::setCpuTracks(unsigned ncpus)
 }
 
 void
+Recorder::sampleEvery(Tick interval, std::function<void()> fn)
+{
+    MACH_ASSERT(interval > 0 || !fn);
+    sample_fn_ = std::move(fn);
+    sample_interval_ = interval;
+    next_sample_ = sample_fn_ ? clock_() + interval : ~Tick{0};
+}
+
+void
 Recorder::push(const Event &event, const Category &category)
 {
+    if (event.ts >= next_sample_) {
+        // Move the boundary past this instant first: the samples the
+        // callback records come back through push() at event.ts.
+        next_sample_ +=
+            ((event.ts - next_sample_) / sample_interval_ + 1) *
+            sample_interval_;
+        sample_fn_();
+    }
     if ((text_mask_ & category.bit) != 0)
         writeLine(event, category.name);
     if (stats_only_)

@@ -131,7 +131,6 @@ std::string suffixedPath(const std::string &path, const std::string &tag);
  * "childN"). Empty in the parent.
  */
 void setProcessFileTag(const std::string &tag);
-const std::string &processFileTag();
 
 /**
  * Process-wide text-trace categories: every Recorder constructed
@@ -169,10 +168,10 @@ class Recorder
 
     /**
      * Stats-only mode: every instrumentation site runs (probes feed
-     * their histograms, samplers feed counters-as-histograms) but no
-     * timeline events are stored -- the memory-flat mode the
-     * serving-tier runs and `machsim --stats-json` use, where only
-     * the latency distributions matter, not the timeline.
+     * their histograms) but no timeline events are stored, counter
+     * samples included -- the memory-flat mode the serving-tier runs
+     * and `machsim --stats-json` use, where only the latency
+     * distributions matter, not the timeline.
      */
     void enableStats();
 
@@ -180,16 +179,24 @@ class Recorder
      * Text trace: render every event of the @p categories (a mask of
      * Category bits) as one line, `<us> us [<category>] <track>
      * <phase> <name> k=v...`, to @p sink (stderr when null). Lines of
-     * a fork child carry its processFileTag() as a "[tag] " prefix.
+     * a fork child carry its process file tag as a "[tag] " prefix.
      * Combines with the other modes; alone it records like
      * enableStats() and stores no events.
      */
     void enableText(std::uint32_t categories, TextSink sink = nullptr);
 
-    void disable();
-
     bool ringMode() const { return ring_capacity_ != 0; }
     std::uint64_t droppedEvents() const { return dropped_; }
+
+    /**
+     * Call @p fn once per @p interval of simulated time, the first
+     * boundary one interval from now: push() runs it just before it
+     * stores the first event at or after each boundary (one call
+     * covers every boundary that event passed). Sampling schedules no
+     * event, so a sampled run dispatches exactly the events of an
+     * unsampled one. A null @p fn detaches.
+     */
+    void sampleEvery(Tick interval, std::function<void()> fn);
 
     // ---- Tracks ------------------------------------------------------
 
@@ -244,7 +251,6 @@ class Recorder
 
     /** Where a failure-triggered dump goes (empty = dumps disabled). */
     void setDumpPath(std::string path) { dump_path_ = std::move(path); }
-    const std::string &dumpPath() const { return dump_path_; }
 
     /**
      * Failure hook: if enabled and a dump path is set, write the
@@ -272,6 +278,10 @@ class Recorder
     std::deque<Event> events_;
     std::vector<std::string> tracks_;
     TrackId cpu_track_base_ = 0;
+    std::function<void()> sample_fn_;
+    Tick sample_interval_ = 0;
+    /** Next sampling boundary; never reached while detached. */
+    Tick next_sample_ = ~Tick{0};
     Metrics metrics_;
     std::string dump_path_;
     bool dumped_ = false;

@@ -29,39 +29,15 @@ Sampler::cpuCounterName(const char *suffix, CpuId id)
     return names_.back().c_str();
 }
 
-Sampler::Sampler(vm::Kernel &kernel, Tick interval)
-    : kernel_(kernel), interval_(interval == 0 ? kMsec : interval)
+Sampler::Sampler(vm::Kernel &kernel, Tick interval) : kernel_(kernel)
 {
-    schedule();
+    kernel_.machine().recorder().sampleEvery(
+        interval == 0 ? kMsec : interval, [this] { sample(); });
 }
 
 Sampler::~Sampler()
 {
-    stop();
-}
-
-void
-Sampler::stop()
-{
-    if (stopped_)
-        return;
-    stopped_ = true;
-    if (pending_valid_)
-        kernel_.machine().ctx().cancel(pending_);
-    pending_valid_ = false;
-}
-
-void
-Sampler::schedule()
-{
-    sim::Context &ctx = kernel_.machine().ctx();
-    pending_ = ctx.scheduleCall(ctx.now() + interval_, [this] {
-        pending_valid_ = false;
-        sample();
-        if (!stopped_)
-            schedule();
-    });
-    pending_valid_ = true;
+    kernel_.machine().recorder().sampleEvery(0, nullptr);
 }
 
 void
@@ -69,9 +45,6 @@ Sampler::sample()
 {
     kern::Machine &machine = kernel_.machine();
     Recorder &rec = machine.recorder();
-    if (!rec.enabled())
-        return;
-    ++samples_;
 
     const TrackId mt = rec.machineTrack();
     rec.counter(mt, "bus.accesses", machine.busAccessTotal());

@@ -2,17 +2,17 @@
  * @file
  * Periodic counter sampling into the timeline recorder.
  *
- * The Sampler schedules itself on the machine's event queue every
- * `interval` ticks and emits counter-track samples: per-CPU TLB hit
- * ratio, shootdown queue depth, idle/active state, plus machine-wide
- * bus accesses, live event-queue size, and free page frames. The
- * samples become 'C' events in the same trace file as the spans, so
- * Perfetto draws them as line charts above the timeline.
+ * Every `interval` ticks the Sampler emits counter-track samples:
+ * per-CPU TLB hit ratio, shootdown queue depth, idle/active state,
+ * plus machine-wide bus accesses, live event-queue size, and free page
+ * frames. The samples become 'C' events in the same trace file as the
+ * spans, so Perfetto draws them as line charts above the timeline.
  *
- * Scheduling the sampler inserts events into the EventQueue and thus
- * shifts the `e<seq>` index space that perturbation schedules address
- * -- so sampling is opt-in (machsim --stats-interval) and is never
- * attached to checker trials that replay recorded schedules.
+ * The recorder calls the Sampler as it records the first event past
+ * each interval boundary (Recorder::sampleEvery); nothing is put on
+ * the event queue. A sampled run therefore dispatches exactly the
+ * events of an unsampled one, and a `--schedule` string addresses the
+ * same `e<seq>` events with or without sampling.
  */
 
 #ifndef MACH_OBS_SAMPLER_HH
@@ -22,7 +22,6 @@
 #include <string>
 
 #include "base/types.hh"
-#include "sim/event_queue.hh"
 
 namespace mach::vm
 {
@@ -32,16 +31,15 @@ class Kernel;
 namespace mach::obs
 {
 
-class Recorder;
-
-/** Self-rescheduling periodic counter sampler. */
+/** Periodic counter sampler, driven by the recorder's event stream. */
 class Sampler
 {
   public:
     /**
      * Start sampling @p kernel's machine into its recorder every
-     * @p interval ticks (first sample after one interval). The kernel
-     * must outlive the sampler; the recorder must be enabled.
+     * @p interval ticks (first sample after one interval; 0 means
+     * 1 ms). The kernel must outlive the sampler; the recorder must
+     * be enabled. Destruction detaches it from the recorder.
      */
     Sampler(vm::Kernel &kernel, Tick interval);
     ~Sampler();
@@ -49,18 +47,7 @@ class Sampler
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;
 
-    /**
-     * Cancel the pending sample event. Required before machine.run()
-     * can drain its queue at end of run (the workload apps stop the
-     * machine explicitly, so in practice the run ends first and stop()
-     * just cleans up the last pending event).
-     */
-    void stop();
-
-    std::uint64_t samplesTaken() const { return samples_; }
-
   private:
-    void schedule();
     void sample();
 
     /**
@@ -72,11 +59,6 @@ class Sampler
 
     std::deque<std::string> names_;
     vm::Kernel &kernel_;
-    Tick interval_;
-    std::uint64_t samples_ = 0;
-    bool stopped_ = false;
-    sim::EventId pending_{};
-    bool pending_valid_ = false;
 };
 
 } // namespace mach::obs

@@ -100,13 +100,4 @@ interleavingSignatures(const Recorder &rec)
     return out;
 }
 
-std::uint64_t
-signatureListHash(const std::vector<std::uint64_t> &sigs)
-{
-    std::uint64_t h = fnv::kOffset;
-    for (const std::uint64_t s : sigs)
-        h = fnv::foldU64(h, s);
-    return h;
-}
-
 } // namespace mach::obs

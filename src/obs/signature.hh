@@ -47,9 +47,6 @@ namespace mach::obs
 std::vector<std::uint64_t>
 interleavingSignatures(const Recorder &rec);
 
-/** One order-sensitive hash over a whole signature list. */
-std::uint64_t signatureListHash(const std::vector<std::uint64_t> &sigs);
-
 } // namespace mach::obs
 
 #endif // MACH_OBS_SIGNATURE_HH

@@ -4,10 +4,10 @@
 #include <cstdio>
 
 #include "base/logging.hh"
+#include "dev/dma_device.hh"
 #include "kern/sched.hh"
 #include "obs/probe.hh"
 #include "pmap/policy.hh"
-#include "pmap/responder.hh"
 #include "pmap/shootdown.hh"
 #include "xpr/xpr.hh"
 
@@ -51,7 +51,7 @@ Pmap::~Pmap()
         if (sys_->machine().cpu(id).cur_pmap == this)
             sys_->machine().cpu(id).cur_pmap = nullptr;
     }
-    for (TlbResponder *dev : sys_->shoot().responders())
+    for (dev::DmaDevice *dev : sys_->shoot().responders())
         dev->tlb().flushSpace(space_);
     sys_->spaces_.erase(space_);
 }
@@ -487,7 +487,7 @@ PmapSystem::auditTlbConsistency() const
     }
     // Devices never participate in the LazyAsid deferral, so nothing
     // of theirs is excused.
-    for (pmap::TlbResponder *dev : shoot_->responders()) {
+    for (dev::DmaDevice *dev : shoot_->responders()) {
         if (shoot_->stateFor(dev->id()).action_needed)
             continue;
         auditTlb(dev->describe(), dev->tlb(),

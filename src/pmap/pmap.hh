@@ -128,7 +128,7 @@ class Pmap
 
     // ---- Device bookkeeping -----------------------------------------
     // DMA-capable devices occupy the tail of the responder id space
-    // (ids >= ncpus, see pmap/responder.hh). The in-use set carries
+    // (ids >= ncpus, see dev/dma_device.hh). The in-use set carries
     // CPU and device bits alike, so othersUsing() triggers the
     // shootdown protocol even when only a device's IOTLB still caches
     // the space.

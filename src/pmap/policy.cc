@@ -20,10 +20,6 @@ class BaselinePolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::Baseline;
-    }
 };
 
 /**
@@ -48,10 +44,6 @@ class LazyAsidPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::LazyAsid;
-    }
 
     bool
     deferTarget(kern::Cpu &self, CpuId target, Pmap &pmap, Vpn start,
@@ -132,10 +124,6 @@ class BatchedPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::Batched;
-    }
 
     bool
     mergeQueued(std::vector<ShootAction> &queue, Pmap &pmap, Vpn start,
@@ -183,10 +171,6 @@ class RangeFlushPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::RangeFlush;
-    }
 
     bool
     invalidate(kern::Cpu &cpu, hw::SpaceId space, Vpn start,
@@ -230,10 +214,6 @@ class ReuseElidePolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::ReuseElide;
-    }
 
     bool
     reuseElideCheck(kern::Cpu &self, Pmap &pmap, Vpn start,

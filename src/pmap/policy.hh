@@ -77,9 +77,6 @@ class ShootdownPolicy
     ShootdownPolicy(const ShootdownPolicy &) = delete;
     ShootdownPolicy &operator=(const ShootdownPolicy &) = delete;
 
-    virtual hw::ShootdownPolicy kind() const = 0;
-    const char *name() const { return hw::shootdownPolicyName(kind()); }
-
     /**
      * Phase-1 hook, called for each prospective target before its
      * action is queued. Returning true means the target needs neither

@@ -1,6 +1,7 @@
 #include "pmap/shootdown.hh"
 
 #include "base/logging.hh"
+#include "dev/dma_device.hh"
 #include "hw/bus.hh"
 #include "kern/cpu.hh"
 #include "kern/machine.hh"
@@ -8,7 +9,6 @@
 #include "obs/probe.hh"
 #include "pmap/pmap.hh"
 #include "pmap/policy.hh"
-#include "pmap/responder.hh"
 #include "xpr/xpr.hh"
 
 namespace mach::pmap
@@ -32,13 +32,12 @@ ShootdownController::ShootdownController(PmapSystem &sys)
 ShootdownController::~ShootdownController() = default;
 
 void
-ShootdownController::registerResponder(TlbResponder *responder)
+ShootdownController::registerResponder(dev::DmaDevice *device)
 {
     // Devices claim the id space tail in registration order so the
     // state_ vector stays index-by-id for CPUs and devices alike.
-    MACH_ASSERT(responder->id() ==
-                machine_.ncpus() + responders_.size());
-    responders_.push_back(responder);
+    MACH_ASSERT(device->id() == machine_.ncpus() + responders_.size());
+    responders_.push_back(device);
     state_.push_back(std::make_unique<CpuShootState>());
 }
 
@@ -175,7 +174,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
             ++remote_invalidates;
             ++shot;
         }
-        for (TlbResponder *dev : responders_) {
+        for (dev::DmaDevice *dev : responders_) {
             if (!pmap.inUse(dev->id()))
                 continue;
             chargeDeviceCommand(self, *dev, hw::kRemoteInvalidateCost);
@@ -245,8 +244,8 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     // hw::kDevDrainBound. The avoidance policies are not consulted:
     // device invalidations are always eager (a deferred IOTLB entry
     // has no context-switch flush to settle it later).
-    std::vector<TlbResponder *> dev_sync;
-    for (TlbResponder *dev : responders_) {
+    std::vector<dev::DmaDevice *> dev_sync;
+    for (dev::DmaDevice *dev : responders_) {
         const CpuId dev_id = dev->id();
         if (!pmap.inUse(dev_id))
             continue;
@@ -366,7 +365,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                              rec.cpuTrack(self.id()), req,
                              obs::Arg{"devices", dev_sync.size()});
         hw::Bus::User bus_user(self.bus());
-        for (TlbResponder *dev : dev_sync) {
+        for (dev::DmaDevice *dev : dev_sync) {
             CpuShootState &st = *state_[dev->id()];
             ++device_sync_waits;
             while (st.action_needed && dev->inFlight() &&
@@ -480,7 +479,8 @@ ShootdownController::postIpi(kern::Cpu &from, CpuId target)
 
 void
 ShootdownController::chargeDeviceCommand(kern::Cpu &self,
-                                         const TlbResponder &dev, Tick base)
+                                         const dev::DmaDevice &dev,
+                                         Tick base)
 {
     Tick cost = base;
     if (dev.node() != self.node()) {

@@ -56,13 +56,17 @@ class Cpu;
 class Machine;
 } // namespace mach::kern
 
+namespace mach::dev
+{
+class DmaDevice;
+} // namespace mach::dev
+
 namespace mach::pmap
 {
 
 class Pmap;
 class PmapSystem;
 class ShootdownPolicy;
-class TlbResponder;
 
 /** One queued TLB consistency action. */
 struct ShootAction
@@ -164,16 +168,16 @@ class ShootdownController
     CpuShootState &stateFor(CpuId id) { return *state_[id]; }
 
     /**
-     * Enroll a non-CPU responder (device IOTLB) in the protocol. The
-     * responder's id() must equal ncpus + (number already registered):
-     * devices claim the tail of the CpuSet id space in registration
-     * order, and each gets its own CpuShootState slot so queueAction /
-     * purgePmap treat it exactly like a processor.
+     * Enroll a DMA device's IOTLB in the protocol. The device's id()
+     * must equal ncpus + (number already registered): devices claim
+     * the tail of the CpuSet id space in registration order, and each
+     * gets its own CpuShootState slot so queueAction / purgePmap treat
+     * it exactly like a processor.
      */
-    void registerResponder(TlbResponder *responder);
+    void registerResponder(dev::DmaDevice *device);
 
-    /** Registered non-CPU responders, indexed by (id - ncpus). */
-    const std::vector<TlbResponder *> &responders() const
+    /** Registered devices, indexed by (id - ncpus). */
+    const std::vector<dev::DmaDevice *> &responders() const
     {
         return responders_;
     }
@@ -245,14 +249,14 @@ class ShootdownController
      * by NUMA distance when the device hangs off another node (counted
      * in cross_node_device_commands).
      */
-    void chargeDeviceCommand(kern::Cpu &self, const TlbResponder &dev,
+    void chargeDeviceCommand(kern::Cpu &self, const dev::DmaDevice &dev,
                              Tick base);
 
     PmapSystem &sys_;
     kern::Machine &machine_;
     std::vector<std::unique_ptr<CpuShootState>> state_;
     std::unique_ptr<ShootdownPolicy> policy_;
-    std::vector<TlbResponder *> responders_;
+    std::vector<dev::DmaDevice *> responders_;
     /**
      * Per-node sets of send-list members awaiting a locally forwarded
      * IPI (their queues and action-needed flags are already set; only

@@ -67,7 +67,6 @@ class Kernel
 
     kern::Machine &machine() { return *machine_; }
     pmap::PmapSystem &pmaps() { return *pmap_sys_; }
-    VmMap &kernelMap() { return kernel_map_; }
     kern::IoDevice &io() { return *io_; }
     DefaultPager &pager() { return *pager_; }
 

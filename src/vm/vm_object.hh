@@ -73,7 +73,6 @@ class VmObject
     std::uint64_t id() const { return id_; }
     std::uint32_t sizePages() const { return size_pages_; }
 
-    VmObject *shadow() { return shadow_.get(); }
     const ObjectPtr &shadowRef() const { return shadow_; }
     std::uint32_t shadowOffset() const { return shadow_offset_; }
 

@@ -195,7 +195,7 @@ TEST(CpuSet, MixedCpuAndDeviceIdSets)
 {
     // An in-use set on a device-equipped machine holds both id
     // families: CPUs at [0, ncpus) and devices at [ncpus, ncpus +
-    // devices) (pmap/responder.hh). The set must not care where the
+    // devices) (dev/dma_device.hh). The set must not care where the
     // family boundary falls, including when it straddles a word.
     const unsigned ncpus = 62;
     const unsigned devices = 4;

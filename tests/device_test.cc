@@ -230,6 +230,69 @@ TEST(DmaDevice, IdleDeviceSitsOnQueuedActionsUntilNextOp)
     });
 }
 
+TEST(DmaDevice, OverflowedDeviceQueueDrainsAsOneIotlbFlush)
+{
+    hw::MachineConfig config = deviceConfig();
+    // One slot: the second action queued at the idle device overflows.
+    config.action_queue_size = 1;
+    inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
+        vm::Task *task = kernel.createTask("dma-overflow");
+        VAddr base = 0;
+        ASSERT_TRUE(
+            kernel.vmAllocate(drv, *task, &base, 2 * kPageSize, true));
+        touchPages(kernel, drv, task, base, 2);
+
+        dev::DmaDevice &device = kernel.device(0);
+        pmap::Pmap &pmap = task->pmap();
+        device.attachTo(pmap);
+        pmap::CpuShootState &st =
+            kernel.pmaps().shoot().stateFor(device.id());
+
+        int phase = 0;
+        kernel.machine().ctx().spawn("dma-ops", [&] {
+            sim::Context &ctx = kernel.machine().ctx();
+            // Phase 0: cache both pages in the IOTLB.
+            EXPECT_TRUE(
+                device.dmaWrite(pmap, vaToVpn(base), 0, 0xaau));
+            EXPECT_TRUE(device.dmaWrite(
+                pmap, vaToVpn(base + kPageSize), 0, 0xaau));
+            phase = 1;
+            while (phase < 2)
+                ctx.sleep(20 * kUsec);
+            // Phase 2: the drain at this operation boundary finds the
+            // overflow and flushes the whole IOTLB once, so the write
+            // walks, sees the revoked PTE, and is refused.
+            EXPECT_EQ(device.tlb().full_flushes, 0u);
+            EXPECT_FALSE(
+                device.dmaWrite(pmap, vaToVpn(base), 0, 0xbbu));
+            EXPECT_EQ(device.tlb().full_flushes, 1u);
+            EXPECT_FALSE(st.overflow);
+            phase = 3;
+        });
+        while (phase < 1)
+            drv.sleep(20 * kUsec);
+
+        // Revoke write access page by page while the device idles: the
+        // first action fills its queue, the second overflows it.
+        ASSERT_TRUE(
+            kernel.vmProtect(drv, *task, base, kPageSize, ProtRead));
+        ASSERT_TRUE(kernel.vmProtect(drv, *task, base + kPageSize,
+                                     kPageSize, ProtRead));
+        EXPECT_TRUE(st.overflow);
+
+        phase = 2;
+        while (phase < 3)
+            drv.sleep(20 * kUsec);
+        EXPECT_FALSE(st.action_needed);
+        EXPECT_EQ(device.writes_committed, 2u);
+        EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
+
+        kernel.machine().ctx().spawn("dma-detach",
+                                     [&] { device.detachFrom(pmap); });
+        drv.sleep(100 * kUsec);
+    });
+}
+
 TEST(DmaDevice, DrainRequestAbortsInFlightWrite)
 {
     hw::MachineConfig config = deviceConfig();

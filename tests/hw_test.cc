@@ -986,6 +986,21 @@ TEST(MachineConfigTest, ValidateRejectsNonsense)
     remote.tlb_remote_invalidate = true;
     EXPECT_EXIT(remote.validate(), ::testing::ExitedWithCode(1),
                 "no_refmod_writeback");
+
+    // An empty xpr buffer panics in xpr::Buffer, and a timer period
+    // near one tick's service time never drains its ticks (a hang).
+    MachineConfig no_xpr;
+    no_xpr.xpr_capacity = 0;
+    EXPECT_EXIT(no_xpr.validate(), ::testing::ExitedWithCode(1), "xpr");
+
+    MachineConfig fast_timer;
+    fast_timer.timer_period = 250 * kUsec;
+    EXPECT_EXIT(fast_timer.validate(), ::testing::ExitedWithCode(1),
+                "timer_period");
+
+    MachineConfig ms_timer;
+    ms_timer.timer_period = kMsec;
+    ms_timer.validate(); // The shortest accepted period; must not exit.
 }
 
 TEST(HwDeathTest, FreeingReservedFrameAsserts)

@@ -14,6 +14,7 @@
 #include "apps/consistency_tester.hh"
 #include "apps/mach_build.hh"
 #include "apps/parthenon.hh"
+#include "obs/probe.hh"
 #include "pmap/shootdown.hh"
 #include "vm/kernel.hh"
 
@@ -58,12 +59,22 @@ delayedConfig()
 TEST(DelayedFlush, TesterStaysConsistent)
 {
     vm::Kernel kernel(delayedConfig());
+    // Stats mode runs every probe site (recording is timing-neutral),
+    // the delayed-flush wait's included.
+    obs::Recorder &rec = kernel.machine().recorder();
+    rec.enableStats();
     apps::ConsistencyTester tester({.children = 5, .warmup = 25 * kMsec});
     tester.execute(kernel);
     EXPECT_TRUE(tester.consistent());
     // It really went through the delayed path, not a shootdown.
-    EXPECT_GT(kernel.pmaps().shoot().delayed_waits, 0u);
-    EXPECT_EQ(kernel.pmaps().shoot().interrupts_sent, 0u);
+    const pmap::ShootdownController &shoot = kernel.pmaps().shoot();
+    EXPECT_GT(shoot.delayed_waits, 0u);
+    EXPECT_EQ(shoot.interrupts_sent, 0u);
+    // Every wait reached the latency histogram.
+    EXPECT_EQ(rec.metrics()
+                  .histogram(obs::kShootDelayedFlushWait.histogram)
+                  .count(),
+              shoot.delayed_waits);
 }
 
 TEST(DelayedFlush, MappingChangeWaitsOutTheFlushes)

@@ -378,8 +378,7 @@ constexpr Flag kFlags[] = {
      "per seed",
      [](Cli &c, const Value &v) { c.trace_json = v.str; }},
     {"--stats-interval", "T", "counter-sample period in ticks (ns); "
-     "default 16 ms with --trace-json, else off; 0 disables (see "
-     "docs/OBSERVABILITY.md on e<seq> schedule indices)",
+     "default 16 ms with --trace-json, else off; 0 disables",
      [](Cli &c, const Value &v) { c.stats_interval = v.u64(0); }},
     {"--flight-recorder", "F", "keep a bounded ring of recent events and "
      "dump it to F when the run fails (oracle violation, failed "
@@ -589,6 +588,7 @@ struct Run
     const std::uint64_t seed;
     std::string trace_json;
     std::string stats_json;
+    std::string flight_recorder;
     vm::Kernel kernel;
     std::unique_ptr<chk::Oracle> oracle;
     std::unique_ptr<apps::Workload> app;
@@ -611,7 +611,7 @@ Run::Run(const Cli &cli, std::uint64_t seed, bool batch)
     };
     trace_json = output(cli.trace_json);
     stats_json = output(cli.stats_json);
-    const std::string flight_recorder = output(cli.flight_recorder);
+    flight_recorder = output(cli.flight_recorder);
 
     kernel.machine().setPerturber(&cli.schedule);
     if (cli.oracle)
@@ -663,8 +663,6 @@ void
 Run::execute()
 {
     result = app->execute(kernel);
-    if (sampler != nullptr)
-        sampler->stop();
 }
 
 int
@@ -724,7 +722,7 @@ Run::finish(bool report)
     // catches verdict failures that produce no violation.
     rec.dumpOnFailure("run failed");
     if (report && rec.dumped())
-        std::printf("flight recorder: %s\n", rec.dumpPath().c_str());
+        std::printf("flight recorder: %s\n", flight_recorder.c_str());
     return 1;
 }
 
@@ -935,9 +933,7 @@ runCheckerScenario(const Cli &cli)
     chk::Explorer explorer(nullptr, farm);
 
     // Recording never perturbs the trial, so recorded and plain
-    // replays produce the same digest. The counter sampler is never
-    // attached here: it would shift the e<seq> index space the
-    // --schedule directives address.
+    // replays produce the same digest.
     const bool record =
         !cli.trace_json.empty() || !cli.flight_recorder.empty();
     std::string trace_json;
