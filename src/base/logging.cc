@@ -61,15 +61,4 @@ warn(const char *fmt, ...)
     va_end(ap);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    if (log_quiet.load(std::memory_order_relaxed))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vlog("info", fmt, ap);
-    va_end(ap);
-}
-
 } // namespace mach

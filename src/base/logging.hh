@@ -7,7 +7,6 @@
  * fatal()  -- the caller/user asked for something unsupportable (bad
  *             configuration, invalid arguments); prints and exits(1).
  * warn()   -- something questionable happened but simulation continues.
- * inform() -- status output for the user.
  */
 
 #ifndef MACH_BASE_LOGGING_HH
@@ -30,10 +29,7 @@ namespace mach
 /** Print a formatted message tagged "warn:". */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a formatted status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Suppress or re-enable warn()/inform() output (used by tests). */
+/** Suppress or re-enable warn() output (used by tests). */
 void setLogQuiet(bool quiet);
 
 /**

@@ -48,11 +48,13 @@ perturbedBound(const Scenario &scenario, const SchedulePerturber &p)
 }
 
 /**
- * One trial's machinery: kernel, oracle, workload -- everything that
- * exists from launch to verdict. Kept in one place so the serial
+ * One trial's machinery: kernel, oracle, driver -- everything that
+ * exists from start to verdict. Kept in one place so the serial
  * path (construct, run, finish) and the snapshot path (construct,
  * run the shared prefix, fork, resume, finish in the child) assemble
- * TrialResults with byte-identical rules.
+ * TrialResults with byte-identical rules. Construction starts the
+ * kernel and spawns the scenario's driver as "chk-driver" on CPU 0;
+ * when the driver returns the run is finished and the machine stops.
  */
 struct TrialHarness
 {
@@ -66,16 +68,20 @@ struct TrialHarness
     {
         if (perturber != nullptr)
             kernel.machine().setPerturber(perturber);
-        scenario.launch(kernel, &state);
+        kernel.start();
+        kernel.spawnThread(
+            nullptr, "chk-driver",
+            [this, driver = scenario.driver](kern::Thread &drv) {
+                driver(kernel, drv, &state);
+                state.finished = true;
+                kernel.machine().ctx().requestStop();
+            },
+            0);
     }
 
-    /** Arm the coverage signal: record everything so finish() can
-     *  extract the interleaving signatures. Timing-neutral. */
-    void
-    enableSigning()
-    {
-        kernel.machine().recorder().enable();
-    }
+    // The driver thread holds `this`.
+    TrialHarness(const TrialHarness &) = delete;
+    TrialHarness &operator=(const TrialHarness &) = delete;
 
     /** Judge the finished run; @p events_fired is the run() total. */
     TrialResult
@@ -229,9 +235,6 @@ decodeTrial(const std::string &s, TrialResult *out)
     return pos == s.size();
 }
 
-/** Flight-recorder ring depth for the minimized-reproducer replay. */
-constexpr std::size_t kFlightRingCapacity = 16384;
-
 // ---- Fork-snapshot batch runner -------------------------------------
 
 /** Slack between the park watermark and the earliest perturbed index:
@@ -289,7 +292,7 @@ runSnapshotBatch(const Scenario &scenario,
     // inherits the recorded events and appends its own, so a child's
     // signature list matches a full signed run of the same probe.
     if (with_signatures)
-        harness.enableSigning();
+        harness.kernel.machine().recorder().enable();
     const kern::Machine::PrefixRun prefix =
         harness.kernel.machine().runPrefix(ew, bw, scenario.bound);
     if (!prefix.parked || prefix.events < kSnapshotFloor)
@@ -470,17 +473,6 @@ Explorer::runTrial(const Scenario &scenario,
 }
 
 TrialResult
-Explorer::runTrialSigned(const Scenario &scenario,
-                         const SchedulePerturber &perturber) const
-{
-    TrialHarness harness(scenario, &perturber);
-    harness.enableSigning();
-    const std::uint64_t fired = harness.kernel.machine().run(
-        perturbedBound(scenario, perturber));
-    return harness.finish(fired);
-}
-
-TrialResult
 Explorer::runTrialRecorded(const Scenario &scenario,
                            const SchedulePerturber &perturber,
                            std::string *trace_json,
@@ -518,13 +510,117 @@ Explorer::runTrials(const Scenario &scenario,
             continue;
         jobs.push_back([this, &scenario, &probes, &results,
                         with_signatures, i] {
-            results[i] = with_signatures
-                             ? runTrialSigned(scenario, probes[i])
-                             : runTrial(scenario, probes[i]);
+            results[i] =
+                with_signatures
+                    ? runTrialRecorded(scenario, probes[i], nullptr)
+                    : runTrial(scenario, probes[i]);
         });
     }
     farm::runMany(std::move(jobs), farm_.jobs);
     return results;
+}
+
+bool
+Explorer::baselineHolds(const Scenario &scenario, bool sign,
+                        ExploreResult *res) const
+{
+    const SchedulePerturber none;
+    res->baseline = sign ? runTrialRecorded(scenario, none, nullptr)
+                         : runTrial(scenario, none);
+    ++res->trials;
+    if (!res->baseline.failed() && res->baseline.coverage_ok)
+        return true;
+    res->baseline_failed = true;
+    say("baseline failed: " + scenario.name + " " + res->baseline.note);
+    return false;
+}
+
+void
+Explorer::account(const Scenario &scenario,
+                  const std::vector<SchedulePerturber> &wave,
+                  const std::vector<TrialResult> &rs, Corpus *corpus,
+                  std::size_t first_ord, std::size_t n_systematic,
+                  const char *label, ExploreResult *res) const
+{
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        ++res->trials;
+        if (corpus != nullptr) {
+            CorpusEntry entry;
+            entry.scenario = scenario.name;
+            entry.schedule = wave[i].format();
+            entry.signatures = rs[i].signatures;
+            entry.digest = rs[i].digest;
+            entry.trial = res->trials;
+            entry.failed = rs[i].failed();
+            if (corpus->admit(std::move(entry)) != 0)
+                ++res->coverage_novel;
+        }
+        if (!rs[i].failed())
+            continue;
+        ++res->failures;
+        res->first_failing = wave[i];
+        res->first_failure = rs[i];
+        const char *phase =
+            first_ord + i < n_systematic ? "systematic" : label;
+        say("failing schedule for " + scenario.name + " (" + phase +
+            " probe): " + wave[i].format());
+        return;
+    }
+}
+
+void
+Explorer::runWaves(const Scenario &scenario,
+                   const std::vector<SchedulePerturber> &probes,
+                   Corpus *corpus, std::size_t n_systematic,
+                   const char *label, ExploreResult *res) const
+{
+    // Accounting is as-if-serial regardless of the farm shape: a
+    // wave's extra speculative trials past the first failure are never
+    // counted, so trials/failures/first_failing are independent of
+    // jobs, snapshots, and wave size. Waves grow geometrically:
+    // campaigns stop at their first failure, so ones that fail early
+    // waste little speculation, and ones that run long amortize the
+    // farm.
+    const bool farmed =
+        farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
+    std::size_t wave_size = farmed ? 4 : 1;
+    const std::size_t wave_cap =
+        farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)
+               : 1;
+    for (std::size_t base = 0;
+         base < probes.size() && res->failures == 0;) {
+        const std::size_t end =
+            std::min(probes.size(), base + wave_size);
+        const std::vector<SchedulePerturber> wave(
+            probes.begin() + static_cast<std::ptrdiff_t>(base),
+            probes.begin() + static_cast<std::ptrdiff_t>(end));
+        account(scenario, wave,
+                runTrials(scenario, wave, corpus != nullptr), corpus,
+                base, n_systematic, label, res);
+        base = end;
+        wave_size = std::min(wave_cap, wave_size * 2);
+    }
+}
+
+void
+Explorer::finishFailure(const Scenario &scenario, unsigned budget,
+                        ExploreResult *res) const
+{
+    if (res->failures == 0)
+        return;
+    res->minimized = minimize(scenario, res->first_failing, budget);
+    res->minimized_schedule = res->minimized.format();
+    // Replay the reproducer once more with the flight recorder on:
+    // recording is cost-free in simulated time, so this is the same
+    // trial (same digest) plus an openable timeline of the failure's
+    // final stretch.
+    res->minimized_result =
+        runTrialRecorded(scenario, res->minimized,
+                         &res->flight_trace_json, obs::kFlightRingCapacity);
+    char line[128];
+    std::snprintf(line, sizeof(line), "minimized to %u directive(s): ",
+                  static_cast<unsigned>(res->minimized.size()));
+    say(line + res->minimized_schedule);
 }
 
 ExploreResult
@@ -541,25 +637,20 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
         opt.corpus != nullptr ? opt.corpus
                               : (opt.coverage_guided ? &local : nullptr);
     const bool dedup = corpus != nullptr;
-    const bool sign = opt.coverage_guided;
+    // Coverage mode runs every trial signed and admits it to the
+    // corpus; blind mode uses the corpus for dedup only.
+    Corpus *admit = opt.coverage_guided ? corpus : nullptr;
 
-    res.baseline = sign ? runTrialSigned(scenario, SchedulePerturber{})
-                        : runTrial(scenario, SchedulePerturber{});
-    ++res.trials;
-    if (res.baseline.failed() || !res.baseline.coverage_ok) {
-        res.baseline_failed = true;
-        say("baseline failed: " + scenario.name + " " +
-            res.baseline.note);
+    if (!baselineHolds(scenario, admit != nullptr, &res))
         return res;
-    }
-    if (sign) {
-        corpus->markTried(scenario.name, "");
+    if (admit != nullptr) {
+        admit->markTried(scenario.name, "");
         CorpusEntry entry;
         entry.scenario = scenario.name;
         entry.signatures = res.baseline.signatures;
         entry.digest = res.baseline.digest;
         entry.trial = res.trials;
-        if (corpus->admit(std::move(entry)) != 0)
+        if (admit->admit(std::move(entry)) != 0)
             ++res.coverage_novel;
     }
 
@@ -614,67 +705,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
             probes.push_back(std::move(p));
         }
     }
-
-    // Execute in waves. Accounting is as-if-serial regardless of the
-    // farm shape: a wave's extra speculative trials past the first
-    // failure are never counted, so trials/failures/first_failing
-    // are independent of jobs, snapshots, and wave size. Waves grow
-    // geometrically: campaigns stop at their first failure, so ones
-    // that fail early waste little speculation, and ones that run long
-    // amortize the farm.
-    const bool farmed =
-        farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
-
-    // Serial, in-order accounting for one executed wave: count trials,
-    // feed signatures to the corpus, latch the first failure. Identical
-    // at every farm shape because wave composition never depends on it.
-    const auto account = [&](const std::vector<SchedulePerturber> &wave,
-                             const std::vector<TrialResult> &rs,
-                             std::size_t first_ord,
-                             const char *phase_label) {
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            ++res.trials;
-            if (sign) {
-                CorpusEntry entry;
-                entry.scenario = scenario.name;
-                entry.schedule = wave[i].format();
-                entry.signatures = rs[i].signatures;
-                entry.digest = rs[i].digest;
-                entry.trial = res.trials;
-                entry.failed = rs[i].failed();
-                if (corpus->admit(std::move(entry)) != 0)
-                    ++res.coverage_novel;
-            }
-            if (!rs[i].failed())
-                continue;
-            ++res.failures;
-            res.first_failing = wave[i];
-            res.first_failure = rs[i];
-            const char *phase =
-                phase_label != nullptr
-                    ? phase_label
-                    : (first_ord + i < n_systematic ? "systematic"
-                                                    : "random");
-            say("failing schedule for " + scenario.name + " (" + phase +
-                " probe): " + wave[i].format());
-            return;
-        }
-    };
-
-    std::size_t wave_size = farmed ? 4 : 1;
-    const std::size_t wave_cap =
-        farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)
-               : 1;
-    for (std::size_t base = 0; base < probes.size() && res.failures == 0;) {
-        const std::size_t end =
-            std::min(probes.size(), base + wave_size);
-        const std::vector<SchedulePerturber> wave(
-            probes.begin() + static_cast<std::ptrdiff_t>(base),
-            probes.begin() + static_cast<std::ptrdiff_t>(end));
-        account(wave, runTrials(scenario, wave, sign), base, nullptr);
-        base = end;
-        wave_size = std::min(wave_cap, wave_size * 2);
-    }
+    runWaves(scenario, probes, admit, n_systematic, "random", &res);
 
     // Phase 2 (coverage-guided mode): mutate corpus entries instead of
     // sampling blind. Waves are a fixed width -- generation reads the
@@ -682,12 +713,12 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     // as-if-serial accounting) are identical at any farm shape.
     // Duplicates consume budget without running, so a converged corpus
     // winds a campaign down instead of re-running old schedules.
-    if (opt.coverage_guided && res.failures == 0) {
+    if (admit != nullptr && res.failures == 0) {
         Rng mrng(opt.seed, "chk.explorer.mutate");
         unsigned generated = 0;
         while (generated < opt.random_budget && res.failures == 0) {
             const std::vector<const CorpusEntry *> pool =
-                corpus->mutationPool(scenario.name);
+                admit->mutationPool(scenario.name);
             std::vector<SchedulePerturber> wave;
             while (wave.size() < kCoverageWave &&
                    generated < opt.random_budget) {
@@ -695,7 +726,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
                 SchedulePerturber p =
                     mutateProbe(mrng, pool, n_events, n_bus);
                 if (p.empty() ||
-                    !corpus->markTried(scenario.name, p.format())) {
+                    !admit->markTried(scenario.name, p.format())) {
                     ++res.duplicate_probes_skipped;
                     continue;
                 }
@@ -703,28 +734,12 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
             }
             if (wave.empty())
                 continue;
-            account(wave, runTrials(scenario, wave, true), 0,
-                    "mutated");
+            account(scenario, wave, runTrials(scenario, wave, true),
+                    admit, 0, 0, "mutated", &res);
         }
     }
 
-    if (res.failures != 0) {
-        res.minimized = minimize(scenario, res.first_failing,
-                                 opt.minimize_budget);
-        res.minimized_schedule = res.minimized.format();
-        // Replay the reproducer once more with the flight recorder on:
-        // recording is cost-free in simulated time, so this is the
-        // same trial (same digest) plus an openable timeline of the
-        // failure's final stretch.
-        res.minimized_result = runTrialRecorded(
-            scenario, res.minimized, &res.flight_trace_json,
-            kFlightRingCapacity);
-        char line[128];
-        std::snprintf(line, sizeof(line),
-                      "minimized to %u directive(s): ",
-                      static_cast<unsigned>(res.minimized.size()));
-        say(line + res.minimized_schedule);
-    }
+    finishFailure(scenario, opt.minimize_budget, &res);
     return res;
 }
 
@@ -733,15 +748,8 @@ Explorer::exploreExhaustive(const Scenario &scenario,
                             const ExhaustiveWindow &window)
 {
     ExploreResult res;
-
-    res.baseline = runTrial(scenario, SchedulePerturber{});
-    ++res.trials;
-    if (res.baseline.failed() || !res.baseline.coverage_ok) {
-        res.baseline_failed = true;
-        say("baseline failed: " + scenario.name + " " +
-            res.baseline.note);
+    if (!baselineHolds(scenario, false, &res))
         return res;
-    }
 
     const std::uint64_t n_events =
         std::max<std::uint64_t>(1, res.baseline.events_fired);
@@ -788,49 +796,8 @@ Explorer::exploreExhaustive(const Scenario &scenario,
         std::to_string(hi) + "]: " + std::to_string(probes.size()) +
         " placements");
 
-    // Same farmed wave execution and as-if-serial accounting as
-    // explore()'s probe loop.
-    const bool farmed =
-        farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
-    std::size_t wave_size = farmed ? 4 : 1;
-    const std::size_t wave_cap =
-        farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)
-               : 1;
-    for (std::size_t base = 0; base < probes.size() && res.failures == 0;) {
-        const std::size_t end =
-            std::min(probes.size(), base + wave_size);
-        const std::vector<SchedulePerturber> wave(
-            probes.begin() + static_cast<std::ptrdiff_t>(base),
-            probes.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<TrialResult> rs = runTrials(scenario, wave);
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            ++res.trials;
-            if (!rs[i].failed())
-                continue;
-            ++res.failures;
-            res.first_failing = wave[i];
-            res.first_failure = rs[i];
-            say("failing schedule for " + scenario.name +
-                " (exhaustive probe): " + wave[i].format());
-            break;
-        }
-        base = end;
-        wave_size = std::min(wave_cap, wave_size * 2);
-    }
-
-    if (res.failures != 0) {
-        res.minimized = minimize(scenario, res.first_failing,
-                                 kExhaustiveMinimizeBudget);
-        res.minimized_schedule = res.minimized.format();
-        res.minimized_result = runTrialRecorded(
-            scenario, res.minimized, &res.flight_trace_json,
-            kFlightRingCapacity);
-        char line[128];
-        std::snprintf(line, sizeof(line),
-                      "minimized to %u directive(s): ",
-                      static_cast<unsigned>(res.minimized.size()));
-        say(line + res.minimized_schedule);
-    }
+    runWaves(scenario, probes, nullptr, 0, "exhaustive", &res);
+    finishFailure(scenario, kExhaustiveMinimizeBudget, &res);
     return res;
 }
 

@@ -66,11 +66,12 @@ struct TrialResult
     std::string note;
     /**
      * Per-quiescent-window interleaving signatures (the coverage
-     * signal; obs/signature.hh). Only filled by signed trials --
-     * runTrialSigned() or runTrials(..., with_signatures=true); a
-     * plain runTrial() leaves it empty. Signed and unsigned trials of
-     * the same (scenario, schedule) pair agree on every other field,
-     * digest included: recording is timing-neutral.
+     * signal; obs/signature.hh). Only filled by signed trials, which
+     * record every event: runTrialRecorded() without a ring, or
+     * runTrials(..., with_signatures=true); a plain runTrial() leaves
+     * it empty. Signed and unsigned trials of the same (scenario,
+     * schedule) pair agree on every other field, digest included:
+     * recording is timing-neutral.
      */
     std::vector<std::uint64_t> signatures;
 
@@ -186,9 +187,11 @@ class Explorer
     /**
      * runTrial() with the machine's timeline recorder enabled; the
      * run's Chrome Trace Event JSON lands in @p trace_json (when
-     * non-null). @p ring_capacity 0 records everything; otherwise only
-     * the most recent events survive (flight-recorder mode). The
-     * TrialResult -- digest included -- is identical to an unrecorded
+     * non-null). @p ring_capacity 0 records everything, which also
+     * captures the interleaving signatures into
+     * TrialResult::signatures (a signed trial); otherwise only the
+     * most recent events survive (flight-recorder mode). Every other
+     * field -- digest included -- is identical to an unrecorded
      * runTrial() of the same pair, because recording charges no
      * simulated time.
      */
@@ -196,15 +199,6 @@ class Explorer
                                  const SchedulePerturber &perturber,
                                  std::string *trace_json,
                                  std::size_t ring_capacity = 0) const;
-
-    /**
-     * runTrial() with the interleaving-signature coverage signal
-     * captured into TrialResult::signatures. Every other field --
-     * digest included -- is identical to the unsigned trial of the
-     * same pair (recording charges no simulated time).
-     */
-    TrialResult runTrialSigned(const Scenario &scenario,
-                               const SchedulePerturber &perturber) const;
 
     /**
      * Run one trial per perturbation in @p probes and return their
@@ -260,6 +254,39 @@ class Explorer
         if (log_)
             log_(msg);
     }
+
+    /**
+     * Run the unperturbed baseline into @p res, signed when @p sign.
+     * False (logged, baseline_failed set) when it fails or misses the
+     * scenario's coverage, which ends the campaign.
+     */
+    bool baselineHolds(const Scenario &scenario, bool sign,
+                       ExploreResult *res) const;
+
+    /**
+     * As-if-serial accounting for one executed wave: count trials,
+     * admit each result to @p corpus (when non-null; the trials ran
+     * signed), and latch and log the first failure. Probe ordinals
+     * (@p first_ord + i) below @p n_systematic are logged as
+     * "systematic" probes, the rest as @p label probes.
+     */
+    void account(const Scenario &scenario,
+                 const std::vector<SchedulePerturber> &wave,
+                 const std::vector<TrialResult> &rs, Corpus *corpus,
+                 std::size_t first_ord, std::size_t n_systematic,
+                 const char *label, ExploreResult *res) const;
+
+    /** Run @p probes in geometrically growing farmed waves, each
+     *  accounted by account(), until the first failure. */
+    void runWaves(const Scenario &scenario,
+                  const std::vector<SchedulePerturber> &probes,
+                  Corpus *corpus, std::size_t n_systematic,
+                  const char *label, ExploreResult *res) const;
+
+    /** The failure tail: minimize the first failing schedule within
+     *  @p budget trials, replay it flight-recorded, log it. */
+    void finishFailure(const Scenario &scenario, unsigned budget,
+                       ExploreResult *res) const;
 
     Log log_;
     farm::FarmOptions farm_;

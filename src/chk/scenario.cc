@@ -16,34 +16,27 @@
 namespace mach::chk
 {
 
+void
+ScenarioState::failPredicate(std::string why)
+{
+    if (predicate_ok) {
+        predicate_ok = false;
+        note = std::move(why);
+    }
+}
+
+void
+ScenarioState::failCoverage(std::string why)
+{
+    if (coverage_ok) {
+        coverage_ok = false;
+        if (note.empty())
+            note = std::move(why);
+    }
+}
+
 namespace
 {
-
-void
-failPredicate(ScenarioState *state, std::string why)
-{
-    if (state->predicate_ok) {
-        state->predicate_ok = false;
-        state->note = std::move(why);
-    }
-}
-
-void
-failCoverage(ScenarioState *state, std::string why)
-{
-    if (state->coverage_ok) {
-        state->coverage_ok = false;
-        if (state->note.empty())
-            state->note = std::move(why);
-    }
-}
-
-void
-finish(vm::Kernel &kernel, ScenarioState *state)
-{
-    state->finished = true;
-    kernel.machine().ctx().requestStop();
-}
 
 /**
  * One writer child: hammers its page with counter increments while
@@ -53,11 +46,10 @@ finish(vm::Kernel &kernel, ScenarioState *state)
  * completed went through a stale translation.
  */
 kern::Thread::Body
-writerChild(vm::Kernel *kp, VAddr va, const bool *stop, Tick gap,
+writerChild(vm::Kernel &kernel, VAddr va, const bool *stop, Tick gap,
             Tick masked_section)
 {
-    return [kp, va, stop, gap, masked_section](kern::Thread &self) {
-        vm::Kernel &kernel = *kp;
+    return [&kernel, va, stop, gap, masked_section](kern::Thread &self) {
         std::uint32_t n = 0;
         while (!*stop) {
             kern::AccessResult r = self.access(va, ProtWrite);
@@ -84,7 +76,7 @@ watchRevoked(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
 {
     if (!kernel.vmProtect(self, task, base, pages * kPageSize,
                           ProtRead)) {
-        failPredicate(state, "vmProtect(read-only) failed");
+        state->failPredicate("vmProtect(read-only) failed");
         return;
     }
     std::vector<std::uint32_t> before(pages, 0);
@@ -101,13 +93,16 @@ watchRevoked(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
                           "%s round %u: page %u counter moved "
                           "%u -> %u through a revoked mapping",
                           who, round, i, before[i], after[i]);
-            failPredicate(state, msg);
+            state->failPredicate(msg);
         }
     }
     if (!kernel.vmProtect(self, task, base, pages * kPageSize,
                           ProtReadWrite))
-        failPredicate(state, "vmProtect(restore) failed");
+        state->failPredicate("vmProtect(restore) failed");
 }
+
+/** Extra scenario-specific coverage, checked as the storm ends. */
+using Coverage = std::function<void(vm::Kernel &, ScenarioState *)>;
 
 /**
  * The generic storm: @p children writer threads on CPUs 1..children,
@@ -116,59 +111,45 @@ watchRevoked(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
  * @p masked_section nonzero the writers interleave interrupt-masked
  * kernel sections between accesses.
  */
-/** Extra scenario-specific coverage run right before finish(). */
-using Coverage = std::function<void(vm::Kernel &, ScenarioState *)>;
-
-Scenario::Launch
-stormLaunch(unsigned children, unsigned rounds, Tick warmup,
+Scenario::Driver
+stormDriver(unsigned children, unsigned rounds, Tick warmup,
             Tick settle, Tick masked_section = 0,
             Coverage extra = {})
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, children, rounds, warmup, settle,
-             masked_section, extra](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-storm");
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base,
-                                       children * kPageSize, true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                bool stop = false;
-                const unsigned ncpus = kernel.machine().ncpus();
-                std::vector<kern::Thread *> kids;
-                for (unsigned i = 0; i < children; ++i) {
-                    kids.push_back(kernel.spawnThread(
-                        task, "chk-kid",
-                        writerChild(kp, base + i * kPageSize, &stop,
-                                    250 * kUsec, masked_section),
-                        1 + static_cast<std::int64_t>(
-                                i % (ncpus - 1))));
-                }
-                drv.sleep(warmup);
-                for (unsigned round = 0; round < rounds; ++round) {
-                    watchRevoked(kernel, drv, *task, base, children,
-                                 settle, state, "storm", round);
-                    drv.sleep(settle);
-                }
-                stop = true;
-                for (kern::Thread *t : kids)
-                    drv.join(*t);
-                if (kernel.machine().cfg().consistency_strategy ==
-                        hw::ConsistencyStrategy::Shootdown &&
-                    kernel.pmaps().shoot().initiated == 0)
-                    failCoverage(state, "storm: no shootdown ran");
-                if (extra)
-                    extra(kernel, state);
-                finish(kernel, state);
-            },
-            0);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-storm");
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base, children * kPageSize,
+                               true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        bool stop = false;
+        const unsigned ncpus = kernel.machine().ncpus();
+        std::vector<kern::Thread *> kids;
+        for (unsigned i = 0; i < children; ++i) {
+            kids.push_back(kernel.spawnThread(
+                task, "chk-kid",
+                writerChild(kernel, base + i * kPageSize, &stop,
+                            250 * kUsec, masked_section),
+                1 + static_cast<std::int64_t>(i % (ncpus - 1))));
+        }
+        drv.sleep(warmup);
+        for (unsigned round = 0; round < rounds; ++round) {
+            watchRevoked(kernel, drv, *task, base, children, settle,
+                         state, "storm", round);
+            drv.sleep(settle);
+        }
+        stop = true;
+        for (kern::Thread *t : kids)
+            drv.join(*t);
+        if (kernel.machine().cfg().consistency_strategy ==
+                hw::ConsistencyStrategy::Shootdown &&
+            kernel.pmaps().shoot().initiated == 0)
+            state->failCoverage("storm: no shootdown ran");
+        if (extra)
+            extra(kernel, state);
     };
 }
 
@@ -178,65 +159,51 @@ stormLaunch(unsigned children, unsigned rounds, Tick warmup,
  * initiator-waits-while-another-initiates interleavings and the
  * respond-while-spinning path of Section 4.
  */
-Scenario::Launch
-concurrentInitiatorsLaunch(unsigned initiators, unsigned rounds)
+Scenario::Driver
+concurrentInitiatorsDriver(unsigned initiators, unsigned rounds)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, initiators, rounds](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-conc");
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base,
-                                       initiators * kPageSize, true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                bool stop = false;
-                std::vector<kern::Thread *> all;
-                for (unsigned i = 0; i < initiators; ++i) {
-                    all.push_back(kernel.spawnThread(
-                        task, "chk-kid",
-                        writerChild(kp, base + i * kPageSize, &stop,
-                                    250 * kUsec, 0),
-                        1 + static_cast<std::int64_t>(i)));
-                }
-                drv.sleep(2 * kMsec);
-                for (unsigned i = 0; i < initiators; ++i) {
-                    const VAddr page = base + i * kPageSize;
-                    all.push_back(kernel.spawnThread(
-                        nullptr, "chk-init",
-                        [kp, state, task, page, rounds,
-                         i](kern::Thread &self) {
-                            vm::Kernel &kernel = *kp;
-                            for (unsigned r = 0; r < rounds; ++r) {
-                                watchRevoked(kernel, self, *task, page,
-                                             1, kMsec, state,
-                                             i == 0 ? "init0"
-                                                    : "init1",
-                                             r);
-                                self.sleep(kMsec);
-                            }
-                        },
-                        1 + static_cast<std::int64_t>(initiators + i)));
-                }
-                // Join initiators first, then release the writers.
-                for (std::size_t i = initiators; i < all.size(); ++i)
-                    drv.join(*all[i]);
-                stop = true;
-                for (unsigned i = 0; i < initiators; ++i)
-                    drv.join(*all[i]);
-                if (kernel.pmaps().shoot().initiated <
-                    rounds * initiators / 2)
-                    failCoverage(state,
-                                 "concurrent: too few shootdowns");
-                finish(kernel, state);
-            },
-            0);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-conc");
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base,
+                               initiators * kPageSize, true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        bool stop = false;
+        std::vector<kern::Thread *> all;
+        for (unsigned i = 0; i < initiators; ++i) {
+            all.push_back(kernel.spawnThread(
+                task, "chk-kid",
+                writerChild(kernel, base + i * kPageSize, &stop,
+                            250 * kUsec, 0),
+                1 + static_cast<std::int64_t>(i)));
+        }
+        drv.sleep(2 * kMsec);
+        for (unsigned i = 0; i < initiators; ++i) {
+            const VAddr page = base + i * kPageSize;
+            all.push_back(kernel.spawnThread(
+                nullptr, "chk-init",
+                [&kernel, state, task, page, rounds,
+                 i](kern::Thread &self) {
+                    for (unsigned r = 0; r < rounds; ++r) {
+                        watchRevoked(kernel, self, *task, page, 1,
+                                     kMsec, state,
+                                     i == 0 ? "init0" : "init1", r);
+                        self.sleep(kMsec);
+                    }
+                },
+                1 + static_cast<std::int64_t>(initiators + i)));
+        }
+        // Join initiators first, then release the writers.
+        for (std::size_t i = initiators; i < all.size(); ++i)
+            drv.join(*all[i]);
+        stop = true;
+        for (unsigned i = 0; i < initiators; ++i)
+            drv.join(*all[i]);
+        if (kernel.pmaps().shoot().initiated < rounds * initiators / 2)
+            state->failCoverage("concurrent: too few shootdowns");
     };
 }
 
@@ -248,69 +215,55 @@ concurrentInitiatorsLaunch(unsigned initiators, unsigned rounds)
  * optimization) -- and wakes the CPUs so the idle-exit path must
  * drain before any kernel translation is used.
  */
-Scenario::Launch
-idleDrainLaunch(unsigned k)
+Scenario::Driver
+idleDrainDriver(unsigned k)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, k](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                std::vector<VAddr> vas(k, 0);
-                std::vector<kern::Thread *> workers;
-                for (unsigned i = 0; i < k; ++i) {
-                    workers.push_back(kernel.spawnThread(
-                        nullptr, "chk-kw",
-                        [kp, &vas, i](kern::Thread &self) {
-                            vm::Kernel &kernel = *kp;
-                            vas[i] =
-                                kernel.kmemAlloc(self, kPageSize);
-                            if (vas[i] == 0)
-                                return;
-                            for (unsigned j = 0; j < 8; ++j) {
-                                self.store32(vas[i], j);
-                                self.cpu().advance(100 * kUsec);
-                            }
-                        },
-                        1 + static_cast<std::int64_t>(i)));
-                }
-                for (kern::Thread *w : workers)
-                    drv.join(*w);
-                drv.sleep(2 * kMsec); // let the worker CPUs park idle
-                const std::uint64_t drains_before =
-                    kernel.pmaps().shoot().idle_drains;
-                for (unsigned i = 0; i < k; ++i) {
-                    if (vas[i] != 0)
-                        kernel.kmemFree(drv, vas[i], kPageSize);
-                }
-                // Wake each parked CPU with fresh kernel work that
-                // itself touches kmem right after the idle exit.
-                std::vector<kern::Thread *> wakers;
-                for (unsigned i = 0; i < k; ++i) {
-                    wakers.push_back(kernel.spawnThread(
-                        nullptr, "chk-wake",
-                        [kp](kern::Thread &self) {
-                            vm::Kernel &kernel = *kp;
-                            VAddr va =
-                                kernel.kmemAlloc(self, kPageSize);
-                            if (va == 0)
-                                return;
-                            self.store32(va, 1);
-                            kernel.kmemFree(self, va, kPageSize);
-                        },
-                        1 + static_cast<std::int64_t>(i)));
-                }
-                for (kern::Thread *w : wakers)
-                    drv.join(*w);
-                if (kernel.pmaps().shoot().idle_drains ==
-                    drains_before)
-                    failCoverage(state,
-                                 "idle-drain: no idle drain fired");
-                finish(kernel, state);
-            },
-            0);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        std::vector<VAddr> vas(k, 0);
+        std::vector<kern::Thread *> workers;
+        for (unsigned i = 0; i < k; ++i) {
+            workers.push_back(kernel.spawnThread(
+                nullptr, "chk-kw",
+                [&kernel, &vas, i](kern::Thread &self) {
+                    vas[i] = kernel.kmemAlloc(self, kPageSize);
+                    if (vas[i] == 0)
+                        return;
+                    for (unsigned j = 0; j < 8; ++j) {
+                        self.store32(vas[i], j);
+                        self.cpu().advance(100 * kUsec);
+                    }
+                },
+                1 + static_cast<std::int64_t>(i)));
+        }
+        for (kern::Thread *w : workers)
+            drv.join(*w);
+        drv.sleep(2 * kMsec); // let the worker CPUs park idle
+        const std::uint64_t drains_before =
+            kernel.pmaps().shoot().idle_drains;
+        for (unsigned i = 0; i < k; ++i) {
+            if (vas[i] != 0)
+                kernel.kmemFree(drv, vas[i], kPageSize);
+        }
+        // Wake each parked CPU with fresh kernel work that itself
+        // touches kmem right after the idle exit.
+        std::vector<kern::Thread *> wakers;
+        for (unsigned i = 0; i < k; ++i) {
+            wakers.push_back(kernel.spawnThread(
+                nullptr, "chk-wake",
+                [&kernel](kern::Thread &self) {
+                    VAddr va = kernel.kmemAlloc(self, kPageSize);
+                    if (va == 0)
+                        return;
+                    self.store32(va, 1);
+                    kernel.kmemFree(self, va, kPageSize);
+                },
+                1 + static_cast<std::int64_t>(i)));
+        }
+        for (kern::Thread *w : wakers)
+            drv.join(*w);
+        if (kernel.pmaps().shoot().idle_drains == drains_before)
+            state->failCoverage("idle-drain: no idle drain fired");
     };
 }
 
@@ -320,57 +273,44 @@ idleDrainLaunch(unsigned k)
  * them one by one, overflowing the idle CPU's queue so the eventual
  * idle-exit drain must fall back to a full TLB flush.
  */
-Scenario::Launch
-overflowLaunch(unsigned pages)
+Scenario::Driver
+overflowDriver(unsigned pages)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, pages](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                std::vector<VAddr> vas(pages, 0);
-                kern::Thread *worker = kernel.spawnThread(
-                    nullptr, "chk-kw",
-                    [kp, &vas, pages](kern::Thread &self) {
-                        vm::Kernel &kernel = *kp;
-                        for (unsigned i = 0; i < pages; ++i) {
-                            vas[i] =
-                                kernel.kmemAlloc(self, kPageSize);
-                            if (vas[i] != 0)
-                                self.store32(vas[i], i);
-                        }
-                        self.cpu().advance(200 * kUsec);
-                    },
-                    1);
-                drv.join(*worker);
-                drv.sleep(2 * kMsec); // park CPU 1 in the idle loop
-                const std::uint64_t overflows_before =
-                    kernel.pmaps().shoot().queue_overflows;
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        std::vector<VAddr> vas(pages, 0);
+        kern::Thread *worker = kernel.spawnThread(
+            nullptr, "chk-kw",
+            [&kernel, &vas, pages](kern::Thread &self) {
                 for (unsigned i = 0; i < pages; ++i) {
+                    vas[i] = kernel.kmemAlloc(self, kPageSize);
                     if (vas[i] != 0)
-                        kernel.kmemFree(drv, vas[i], kPageSize);
+                        self.store32(vas[i], i);
                 }
-                kern::Thread *waker = kernel.spawnThread(
-                    nullptr, "chk-wake",
-                    [kp](kern::Thread &self) {
-                        vm::Kernel &kernel = *kp;
-                        VAddr va = kernel.kmemAlloc(self, kPageSize);
-                        if (va != 0) {
-                            self.store32(va, 1);
-                            kernel.kmemFree(self, va, kPageSize);
-                        }
-                    },
-                    1);
-                drv.join(*waker);
-                if (kernel.pmaps().shoot().queue_overflows ==
-                    overflows_before)
-                    failCoverage(state,
-                                 "overflow: queue never overflowed");
-                finish(kernel, state);
+                self.cpu().advance(200 * kUsec);
             },
-            0);
+            1);
+        drv.join(*worker);
+        drv.sleep(2 * kMsec); // park CPU 1 in the idle loop
+        const std::uint64_t overflows_before =
+            kernel.pmaps().shoot().queue_overflows;
+        for (unsigned i = 0; i < pages; ++i) {
+            if (vas[i] != 0)
+                kernel.kmemFree(drv, vas[i], kPageSize);
+        }
+        kern::Thread *waker = kernel.spawnThread(
+            nullptr, "chk-wake",
+            [&kernel](kern::Thread &self) {
+                VAddr va = kernel.kmemAlloc(self, kPageSize);
+                if (va != 0) {
+                    self.store32(va, 1);
+                    kernel.kmemFree(self, va, kPageSize);
+                }
+            },
+            1);
+        drv.join(*waker);
+        if (kernel.pmaps().shoot().queue_overflows == overflows_before)
+            state->failCoverage("overflow: queue never overflowed");
     };
 }
 
@@ -401,50 +341,40 @@ numaConfig(unsigned ncpus = 8, unsigned nodes = 2)
  * reprotect shootdowns -- the stale-translation hazard the oracle
  * audits.
  */
-Scenario::Launch
-numaMigrateLaunch(unsigned rounds)
+Scenario::Driver
+numaMigrateDriver(unsigned rounds)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, rounds](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-migrate");
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base, kPageSize,
-                                       true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                bool stop = false;
-                const unsigned ncpus = kernel.machine().ncpus();
-                // One writer per node, both on the same page: the
-                // frame lands on whichever node faults first, so the
-                // other writer's refaults are remote.
-                kern::Thread *near = kernel.spawnThread(
-                    task, "chk-kid",
-                    writerChild(kp, base, &stop, 250 * kUsec, 0), 1);
-                kern::Thread *far = kernel.spawnThread(
-                    task, "chk-kid",
-                    writerChild(kp, base, &stop, 250 * kUsec, 0),
-                    static_cast<std::int64_t>(ncpus - 1));
-                drv.sleep(4 * kMsec);
-                for (unsigned round = 0; round < rounds; ++round) {
-                    watchRevoked(kernel, drv, *task, base, 1, 2 * kMsec,
-                                 state, "migrate", round);
-                    drv.sleep(2 * kMsec);
-                }
-                stop = true;
-                drv.join(*near);
-                drv.join(*far);
-                if (kernel.page_migrations == 0)
-                    failCoverage(state, "migrate: no page migrated");
-                finish(kernel, state);
-            },
-            0);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-migrate");
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base, kPageSize, true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        bool stop = false;
+        const unsigned ncpus = kernel.machine().ncpus();
+        // One writer per node, both on the same page: the frame lands
+        // on whichever node faults first, so the other writer's
+        // refaults are remote.
+        kern::Thread *near = kernel.spawnThread(
+            task, "chk-kid",
+            writerChild(kernel, base, &stop, 250 * kUsec, 0), 1);
+        kern::Thread *far = kernel.spawnThread(
+            task, "chk-kid",
+            writerChild(kernel, base, &stop, 250 * kUsec, 0),
+            static_cast<std::int64_t>(ncpus - 1));
+        drv.sleep(4 * kMsec);
+        for (unsigned round = 0; round < rounds; ++round) {
+            watchRevoked(kernel, drv, *task, base, 1, 2 * kMsec, state,
+                         "migrate", round);
+            drv.sleep(2 * kMsec);
+        }
+        stop = true;
+        drv.join(*near);
+        drv.join(*far);
+        if (kernel.page_migrations == 0)
+            state->failCoverage("migrate: no page migrated");
     };
 }
 
@@ -457,7 +387,7 @@ storm(std::string name, std::string summary, hw::MachineConfig config,
     s.summary = std::move(summary);
     s.config = config;
     s.bound = bound;
-    s.launch = stormLaunch(3, 3, 4 * kMsec, 2 * kMsec);
+    s.driver = stormDriver(3, 3, 4 * kMsec, 2 * kMsec);
     return s;
 }
 
@@ -497,106 +427,83 @@ lazyAsidConfig()
  * even unperturbed, which is the baseline coverage check that the
  * lazy machinery engaged at all.
  */
-Scenario::Launch
-lazyAsidLaunch()
+void
+lazyAsidDriver(vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state)
 {
-    return [](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-asid");
-                vm::Task *other = kernel.createTask("chk-asid-b");
-                VAddr target = 0;
-                VAddr fill = 0;
-                if (!kernel.vmAllocate(drv, *task, &target, kPageSize,
-                                       true) ||
-                    !kernel.vmAllocate(drv, *other, &fill, kPageSize,
-                                       true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                bool stop_writer = false;
-                bool stop_filler = false;
-                // Touch signal, bumped right after each store; the
-                // driver keys its revoke off it so the revoke lands
-                // while the writer still owns its on-CPU window.
-                std::uint32_t beat = 0;
-                kern::Thread *writer = kernel.spawnThread(
-                    task, "chk-kid",
-                    [kp, target, &stop_writer,
-                     &beat](kern::Thread &self) {
-                        vm::Kernel &kernel = *kp;
-                        std::uint32_t n = 0;
-                        while (!stop_writer) {
-                            kern::AccessResult r =
-                                self.access(target, ProtWrite);
-                            if (r.ok)
-                                kernel.machine().mem().write32(
-                                    r.paddr, ++n);
-                            else
-                                self.access(target, ProtRead);
-                            ++beat;
-                            // On-CPU window: A stays current here. It
-                            // must comfortably cover the driver's
-                            // beat-to-revoke latency (the vm op's
-                            // kernel section and map walk are a few
-                            // hundred us), so only an injected delay
-                            // pushes the revoke past it.
-                            self.cpu().advance(2000 * kUsec);
-                            // Off-CPU window: the filler's space is
-                            // context-loaded over A's.
-                            self.sleep(2500 * kUsec);
-                        }
-                    },
-                    1);
-                kern::Thread *filler = kernel.spawnThread(
-                    other, "chk-filler",
-                    [fill, &stop_filler](kern::Thread &self) {
-                        while (!stop_filler) {
-                            self.access(fill, ProtRead);
-                            self.compute(200 * kUsec);
-                            // Voluntary yield: with the scheduler
-                            // timer off, the woken writer is only
-                            // dispatched at a block point, so keep
-                            // them frequent.
-                            self.sleep(100 * kUsec);
-                        }
-                    },
-                    1);
-                drv.sleep(4 * kMsec);
-                for (unsigned round = 0; round < 3; ++round) {
-                    const std::uint32_t seen = beat;
-                    while (beat == seen && !state->finished)
-                        drv.sleep(20 * kUsec);
-                    // The 4 ms settle spans the writer's wakeup (its
-                    // 2.5 ms sleep plus the filler's sub-300-us
-                    // dispatch grain), so a store through a stale
-                    // surviving entry always lands inside the watch.
-                    watchRevoked(kernel, drv, *task, target, 1,
-                                 4 * kMsec, state, "asid", round);
-                    drv.sleep(2 * kMsec);
-                }
-                stop_writer = true;
-                drv.join(*writer);
-                // Coverage revoke: A cannot be current on CPU 1 now.
-                if (!kernel.vmProtect(drv, *task, target, kPageSize,
-                                      ProtRead))
-                    failPredicate(state, "vmProtect(cover) failed");
-                stop_filler = true;
-                drv.join(*filler);
-                if (kernel.pmaps()
-                        .shoot()
-                        .policy()
-                        .flushes_deferred == 0)
-                    failCoverage(state, "asid: no deferred flush");
-                finish(kernel, state);
-            },
-            0);
-    };
+    vm::Task *task = kernel.createTask("chk-asid");
+    vm::Task *other = kernel.createTask("chk-asid-b");
+    VAddr target = 0;
+    VAddr fill = 0;
+    if (!kernel.vmAllocate(drv, *task, &target, kPageSize, true) ||
+        !kernel.vmAllocate(drv, *other, &fill, kPageSize, true)) {
+        state->failPredicate("vmAllocate failed");
+        return;
+    }
+    bool stop_writer = false;
+    bool stop_filler = false;
+    // Touch signal, bumped right after each store; the driver keys its
+    // revoke off it so the revoke lands while the writer still owns
+    // its on-CPU window.
+    std::uint32_t beat = 0;
+    kern::Thread *writer = kernel.spawnThread(
+        task, "chk-kid",
+        [&kernel, target, &stop_writer, &beat](kern::Thread &self) {
+            std::uint32_t n = 0;
+            while (!stop_writer) {
+                kern::AccessResult r = self.access(target, ProtWrite);
+                if (r.ok)
+                    kernel.machine().mem().write32(r.paddr, ++n);
+                else
+                    self.access(target, ProtRead);
+                ++beat;
+                // On-CPU window: A stays current here. It must
+                // comfortably cover the driver's beat-to-revoke
+                // latency (the vm op's kernel section and map walk are
+                // a few hundred us), so only an injected delay pushes
+                // the revoke past it.
+                self.cpu().advance(2000 * kUsec);
+                // Off-CPU window: the filler's space is context-loaded
+                // over A's.
+                self.sleep(2500 * kUsec);
+            }
+        },
+        1);
+    kern::Thread *filler = kernel.spawnThread(
+        other, "chk-filler",
+        [fill, &stop_filler](kern::Thread &self) {
+            while (!stop_filler) {
+                self.access(fill, ProtRead);
+                self.compute(200 * kUsec);
+                // Voluntary yield: with the scheduler timer off, the
+                // woken writer is only dispatched at a block point, so
+                // keep them frequent.
+                self.sleep(100 * kUsec);
+            }
+        },
+        1);
+    drv.sleep(4 * kMsec);
+    for (unsigned round = 0; round < 3; ++round) {
+        const std::uint32_t seen = beat;
+        while (beat == seen)
+            drv.sleep(20 * kUsec);
+        // The 4 ms settle spans the writer's wakeup (its 2.5 ms sleep
+        // plus the filler's sub-300-us dispatch grain), so a store
+        // through a stale surviving entry always lands inside the
+        // watch.
+        watchRevoked(kernel, drv, *task, target, 1, 4 * kMsec, state,
+                     "asid", round);
+        drv.sleep(2 * kMsec);
+    }
+    stop_writer = true;
+    drv.join(*writer);
+    // Coverage revoke: A cannot be current on CPU 1 now.
+    if (!kernel.vmProtect(drv, *task, target, kPageSize, ProtRead))
+        state->failPredicate("vmProtect(cover) failed");
+    stop_filler = true;
+    drv.join(*filler);
+    if (kernel.pmaps().shoot().policy().flushes_deferred == 0)
+        state->failCoverage("asid: no deferred flush");
 }
 
 // ---- Device / IOTLB scenarios (docs/DEVICES.md) --------------------
@@ -656,124 +563,104 @@ devConfig(unsigned devices, unsigned ncpus = 4)
  * waited out any in-flight transfer, and every later write must fault
  * on the read-only PTE.
  */
-Scenario::Launch
-devStormLaunch(unsigned rounds, unsigned decoys, Tick margin,
+Scenario::Driver
+devStormDriver(unsigned rounds, unsigned decoys, Tick margin,
                Tick settle, unsigned probes)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, rounds, decoys, margin, settle,
-             probes](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-dev");
-                vm::Task *aud = kernel.createTask("chk-dev-audit");
-                VAddr base = 0;
-                VAddr probe = 0;
-                if (!kernel.vmAllocate(drv, *task, &base,
-                                       (1 + decoys) * kPageSize,
-                                       true) ||
-                    !kernel.vmAllocate(drv, *aud, &probe, kPageSize,
-                                       true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                // Fault every page in up front: the IOMMU walker does
-                // not fault -- a DMA against an unmapped page is a
-                // dropped operation, not a lazy fill.
-                kern::Thread *toucher = kernel.spawnThread(
-                    task, "chk-touch",
-                    [decoys, base](kern::Thread &self) {
-                        for (unsigned i = 0; i <= decoys; ++i)
-                            self.access(base + i * kPageSize,
-                                        ProtWrite);
-                    },
-                    1);
-                drv.join(*toucher);
-                kern::Thread *audtouch = kernel.spawnThread(
-                    aud, "chk-touch",
-                    [probe](kern::Thread &self) {
-                        self.access(probe, ProtWrite);
-                    },
-                    1);
-                drv.join(*audtouch);
-
-                dev::DmaDevice &device = kernel.device(0);
-                dev::DmaStream stream;
-                stream.pmap = &task->pmap();
-                stream.target = vaToVpn(base);
-                stream.decoy_base = vaToVpn(base + kPageSize);
-                stream.decoys = decoys;
-                // The idle gap must swallow the driver's whole revoke
-                // pipeline: from the beat bump it observes, through
-                // the margin, the VM-op entry costs, and the locked
-                // pmap section up to the drain request -- ~1.2 ms all
-                // told. A device walk that starts while that section
-                // holds the lock stalls in-flight until the drain
-                // request aborts it, so a gap shorter than the
-                // pipeline would park the device inside the locked
-                // window on every unperturbed beat.
-                stream.gap = 1500 * kUsec;
-                device.startStream(stream);
-                drv.sleep(2 * kMsec);
-                for (unsigned round = 0; round < rounds; ++round) {
-                    // Sync to the device: wait out the current beat,
-                    // then the margin (the sweep takes ~70 us
-                    // unperturbed), so the revoke lands in the gap.
-                    const std::uint64_t seen = device.beat();
-                    while (device.beat() == seen && !state->finished)
-                        drv.sleep(20 * kUsec);
-                    drv.sleep(margin);
-                    if (!kernel.vmProtect(drv, *task, base, kPageSize,
-                                          ProtRead)) {
-                        failPredicate(state,
-                                      "vmProtect(read-only) failed");
-                        break;
-                    }
-                    const std::uint64_t committed =
-                        device.writes_committed;
-                    for (unsigned p = 0; p < probes; ++p) {
-                        drv.sleep(25 * kUsec);
-                        kernel.vmProtect(drv, *aud, probe, kPageSize,
-                                         (p & 1) ? ProtReadWrite
-                                                 : ProtRead);
-                    }
-                    drv.sleep(settle);
-                    if (device.writes_committed != committed) {
-                        char msg[96];
-                        std::snprintf(
-                            msg, sizeof(msg),
-                            "dev round %u: DMA write committed "
-                            "through a revoked mapping (%llu -> %llu)",
-                            round,
-                            static_cast<unsigned long long>(committed),
-                            static_cast<unsigned long long>(
-                                device.writes_committed));
-                        failPredicate(state, msg);
-                    }
-                    if (!kernel.vmProtect(drv, *task, base, kPageSize,
-                                          ProtReadWrite))
-                        failPredicate(state,
-                                      "vmProtect(restore) failed");
-                    repairForDma(kernel, drv, *task, base, 1);
-                    drv.sleep(settle);
-                }
-                device.stop();
-                while (device.streaming())
-                    drv.sleep(100 * kUsec);
-                if (device.writes_committed == 0)
-                    failCoverage(state, "dev: no DMA write committed");
-                if (device.dma_faults == 0)
-                    failCoverage(state,
-                                 "dev: no revoked DMA was dropped");
-                if (kernel.pmaps().shoot().device_commands == 0)
-                    failCoverage(state, "dev: no device command sent");
-                finish(kernel, state);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-dev");
+        vm::Task *aud = kernel.createTask("chk-dev-audit");
+        VAddr base = 0;
+        VAddr probe = 0;
+        if (!kernel.vmAllocate(drv, *task, &base,
+                               (1 + decoys) * kPageSize, true) ||
+            !kernel.vmAllocate(drv, *aud, &probe, kPageSize, true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        // Fault every page in up front: the IOMMU walker does not
+        // fault -- a DMA against an unmapped page is a dropped
+        // operation, not a lazy fill.
+        kern::Thread *toucher = kernel.spawnThread(
+            task, "chk-touch",
+            [decoys, base](kern::Thread &self) {
+                for (unsigned i = 0; i <= decoys; ++i)
+                    self.access(base + i * kPageSize, ProtWrite);
             },
-            0);
+            1);
+        drv.join(*toucher);
+        kern::Thread *audtouch = kernel.spawnThread(
+            aud, "chk-touch",
+            [probe](kern::Thread &self) {
+                self.access(probe, ProtWrite);
+            },
+            1);
+        drv.join(*audtouch);
+
+        dev::DmaDevice &device = kernel.device(0);
+        dev::DmaStream stream;
+        stream.pmap = &task->pmap();
+        stream.target = vaToVpn(base);
+        stream.decoy_base = vaToVpn(base + kPageSize);
+        stream.decoys = decoys;
+        // The idle gap must swallow the driver's whole revoke
+        // pipeline: from the beat bump it observes, through the
+        // margin, the VM-op entry costs, and the locked pmap section
+        // up to the drain request -- ~1.2 ms all told. A device walk
+        // that starts while that section holds the lock stalls
+        // in-flight until the drain request aborts it, so a gap
+        // shorter than the pipeline would park the device inside the
+        // locked window on every unperturbed beat.
+        stream.gap = 1500 * kUsec;
+        device.startStream(stream);
+        drv.sleep(2 * kMsec);
+        for (unsigned round = 0; round < rounds; ++round) {
+            // Sync to the device: wait out the current beat, then the
+            // margin (the sweep takes ~70 us unperturbed), so the
+            // revoke lands in the gap.
+            const std::uint64_t seen = device.beat();
+            while (device.beat() == seen)
+                drv.sleep(20 * kUsec);
+            drv.sleep(margin);
+            if (!kernel.vmProtect(drv, *task, base, kPageSize,
+                                  ProtRead)) {
+                state->failPredicate("vmProtect(read-only) failed");
+                break;
+            }
+            const std::uint64_t committed = device.writes_committed;
+            for (unsigned p = 0; p < probes; ++p) {
+                drv.sleep(25 * kUsec);
+                kernel.vmProtect(drv, *aud, probe, kPageSize,
+                                 (p & 1) ? ProtReadWrite : ProtRead);
+            }
+            drv.sleep(settle);
+            if (device.writes_committed != committed) {
+                char msg[96];
+                std::snprintf(
+                    msg, sizeof(msg),
+                    "dev round %u: DMA write committed "
+                    "through a revoked mapping (%llu -> %llu)",
+                    round, static_cast<unsigned long long>(committed),
+                    static_cast<unsigned long long>(
+                        device.writes_committed));
+                state->failPredicate(msg);
+            }
+            if (!kernel.vmProtect(drv, *task, base, kPageSize,
+                                  ProtReadWrite))
+                state->failPredicate("vmProtect(restore) failed");
+            repairForDma(kernel, drv, *task, base, 1);
+            drv.sleep(settle);
+        }
+        device.stop();
+        while (device.streaming())
+            drv.sleep(100 * kUsec);
+        if (device.writes_committed == 0)
+            state->failCoverage("dev: no DMA write committed");
+        if (device.dma_faults == 0)
+            state->failCoverage("dev: no revoked DMA was dropped");
+        if (kernel.pmaps().shoot().device_commands == 0)
+            state->failCoverage("dev: no device command sent");
     };
 }
 
@@ -786,86 +673,70 @@ devStormLaunch(unsigned rounds, unsigned decoys, Tick margin,
  * the initiator's device sync observes a quiet wire before the pmap
  * change is made.
  */
-Scenario::Launch
-devAbortLaunch(unsigned rounds)
+Scenario::Driver
+devAbortDriver(unsigned rounds)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, rounds](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-dev-mask");
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base, kPageSize,
-                                       true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                kern::Thread *toucher = kernel.spawnThread(
-                    task, "chk-touch",
-                    [base](kern::Thread &self) {
-                        self.access(base, ProtWrite);
-                    },
-                    1);
-                drv.join(*toucher);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-dev-mask");
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base, kPageSize, true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        kern::Thread *toucher = kernel.spawnThread(
+            task, "chk-touch",
+            [base](kern::Thread &self) { self.access(base, ProtWrite); },
+            1);
+        drv.join(*toucher);
 
-                dev::DmaDevice &device = kernel.device(0);
-                dev::DmaStream stream;
-                stream.pmap = &task->pmap();
-                stream.target = vaToVpn(base);
-                stream.gap = 100 * kUsec;
-                device.startStream(stream);
-                for (unsigned round = 0; round < rounds; ++round) {
-                    // The beat bumps at a commit; the next transfer
-                    // spans [gap, gap + 2 ms] after it, so a revoke
-                    // half a millisecond in is reliably mid-transfer.
-                    const std::uint64_t seen = device.beat();
-                    while (device.beat() == seen && !state->finished)
-                        drv.sleep(20 * kUsec);
-                    drv.sleep(500 * kUsec);
-                    if (!kernel.vmProtect(drv, *task, base, kPageSize,
-                                          ProtRead)) {
-                        failPredicate(state,
-                                      "vmProtect(read-only) failed");
-                        break;
-                    }
-                    const std::uint64_t committed =
-                        device.writes_committed;
-                    drv.sleep(2 * kMsec);
-                    if (device.writes_committed != committed) {
-                        char msg[96];
-                        std::snprintf(
-                            msg, sizeof(msg),
-                            "mask round %u: aborted/revoked DMA "
-                            "write landed (%llu -> %llu)",
-                            round,
-                            static_cast<unsigned long long>(committed),
-                            static_cast<unsigned long long>(
-                                device.writes_committed));
-                        failPredicate(state, msg);
-                    }
-                    if (!kernel.vmProtect(drv, *task, base, kPageSize,
-                                          ProtReadWrite))
-                        failPredicate(state,
-                                      "vmProtect(restore) failed");
-                    repairForDma(kernel, drv, *task, base, 1);
-                    drv.sleep(kMsec);
-                }
-                device.stop();
-                while (device.streaming())
-                    drv.sleep(100 * kUsec);
-                if (device.dma_aborts == 0)
-                    failCoverage(state, "mask: no transfer aborted");
-                if (kernel.pmaps().shoot().device_sync_waits == 0)
-                    failCoverage(state, "mask: no device sync wait");
-                if (device.writes_committed == 0)
-                    failCoverage(state, "mask: no DMA write committed");
-                finish(kernel, state);
-            },
-            0);
+        dev::DmaDevice &device = kernel.device(0);
+        dev::DmaStream stream;
+        stream.pmap = &task->pmap();
+        stream.target = vaToVpn(base);
+        stream.gap = 100 * kUsec;
+        device.startStream(stream);
+        for (unsigned round = 0; round < rounds; ++round) {
+            // The beat bumps at a commit; the next transfer spans
+            // [gap, gap + 2 ms] after it, so a revoke half a
+            // millisecond in is reliably mid-transfer.
+            const std::uint64_t seen = device.beat();
+            while (device.beat() == seen)
+                drv.sleep(20 * kUsec);
+            drv.sleep(500 * kUsec);
+            if (!kernel.vmProtect(drv, *task, base, kPageSize,
+                                  ProtRead)) {
+                state->failPredicate("vmProtect(read-only) failed");
+                break;
+            }
+            const std::uint64_t committed = device.writes_committed;
+            drv.sleep(2 * kMsec);
+            if (device.writes_committed != committed) {
+                char msg[96];
+                std::snprintf(
+                    msg, sizeof(msg),
+                    "mask round %u: aborted/revoked DMA "
+                    "write landed (%llu -> %llu)",
+                    round, static_cast<unsigned long long>(committed),
+                    static_cast<unsigned long long>(
+                        device.writes_committed));
+                state->failPredicate(msg);
+            }
+            if (!kernel.vmProtect(drv, *task, base, kPageSize,
+                                  ProtReadWrite))
+                state->failPredicate("vmProtect(restore) failed");
+            repairForDma(kernel, drv, *task, base, 1);
+            drv.sleep(kMsec);
+        }
+        device.stop();
+        while (device.streaming())
+            drv.sleep(100 * kUsec);
+        if (device.dma_aborts == 0)
+            state->failCoverage("mask: no transfer aborted");
+        if (kernel.pmaps().shoot().device_sync_waits == 0)
+            state->failCoverage("mask: no device sync wait");
+        if (device.writes_committed == 0)
+            state->failCoverage("mask: no DMA write committed");
     };
 }
 
@@ -877,99 +748,81 @@ devAbortLaunch(unsigned rounds)
  * command crossing the interconnect at remote cost, while the healthy
  * drains keep both IOTLBs clean.
  */
-Scenario::Launch
-devNumaLaunch(unsigned rounds)
+Scenario::Driver
+devNumaDriver(unsigned rounds)
 {
-    return [=](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state, rounds](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-dev-numa");
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base,
-                                       2 * kPageSize, true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
-                }
-                kern::Thread *toucher = kernel.spawnThread(
-                    task, "chk-touch",
-                    [base](kern::Thread &self) {
-                        self.access(base, ProtWrite);
-                        self.access(base + kPageSize, ProtWrite);
-                    },
-                    1);
-                drv.join(*toucher);
-
-                // No decoys: the entries stay resident, so steady
-                // state runs on IOTLB hits and every revocation has a
-                // live entry to kill on each device.
-                for (unsigned d = 0; d < 2; ++d) {
-                    dev::DmaStream stream;
-                    stream.pmap = &task->pmap();
-                    stream.target = vaToVpn(base + d * kPageSize);
-                    stream.gap = 300 * kUsec;
-                    kernel.device(d).startStream(stream);
-                }
-                drv.sleep(2 * kMsec);
-                for (unsigned round = 0; round < rounds; ++round) {
-                    if (!kernel.vmProtect(drv, *task, base,
-                                          2 * kPageSize, ProtRead)) {
-                        failPredicate(state,
-                                      "vmProtect(read-only) failed");
-                        break;
-                    }
-                    const std::uint64_t committed =
-                        kernel.device(0).writes_committed +
-                        kernel.device(1).writes_committed;
-                    drv.sleep(1500 * kUsec);
-                    const std::uint64_t now_committed =
-                        kernel.device(0).writes_committed +
-                        kernel.device(1).writes_committed;
-                    if (now_committed != committed) {
-                        char msg[96];
-                        std::snprintf(
-                            msg, sizeof(msg),
-                            "numa-dev round %u: DMA write committed "
-                            "through a revoked mapping (%llu -> %llu)",
-                            round,
-                            static_cast<unsigned long long>(committed),
-                            static_cast<unsigned long long>(
-                                now_committed));
-                        failPredicate(state, msg);
-                    }
-                    if (!kernel.vmProtect(drv, *task, base,
-                                          2 * kPageSize,
-                                          ProtReadWrite))
-                        failPredicate(state,
-                                      "vmProtect(restore) failed");
-                    repairForDma(kernel, drv, *task, base, 2);
-                    drv.sleep(1500 * kUsec);
-                }
-                for (unsigned d = 0; d < 2; ++d)
-                    kernel.device(d).stop();
-                while (kernel.device(0).streaming() ||
-                       kernel.device(1).streaming())
-                    drv.sleep(100 * kUsec);
-                if (kernel.pmaps().shoot().cross_node_device_commands ==
-                    0)
-                    failCoverage(state,
-                                 "numa-dev: no cross-node command");
-                if (kernel.device(0).tlb().hits +
-                        kernel.device(1).tlb().hits ==
-                    0)
-                    failCoverage(state, "numa-dev: no IOTLB hit");
-                if (kernel.device(0).writes_committed +
-                        kernel.device(1).writes_committed ==
-                    0)
-                    failCoverage(state,
-                                 "numa-dev: no DMA write committed");
-                finish(kernel, state);
+    return [=](vm::Kernel &kernel, kern::Thread &drv,
+               ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-dev-numa");
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base, 2 * kPageSize,
+                               true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        kern::Thread *toucher = kernel.spawnThread(
+            task, "chk-touch",
+            [base](kern::Thread &self) {
+                self.access(base, ProtWrite);
+                self.access(base + kPageSize, ProtWrite);
             },
-            0);
+            1);
+        drv.join(*toucher);
+
+        // No decoys: the entries stay resident, so steady state runs
+        // on IOTLB hits and every revocation has a live entry to kill
+        // on each device.
+        for (unsigned d = 0; d < 2; ++d) {
+            dev::DmaStream stream;
+            stream.pmap = &task->pmap();
+            stream.target = vaToVpn(base + d * kPageSize);
+            stream.gap = 300 * kUsec;
+            kernel.device(d).startStream(stream);
+        }
+        drv.sleep(2 * kMsec);
+        for (unsigned round = 0; round < rounds; ++round) {
+            if (!kernel.vmProtect(drv, *task, base, 2 * kPageSize,
+                                  ProtRead)) {
+                state->failPredicate("vmProtect(read-only) failed");
+                break;
+            }
+            const std::uint64_t committed =
+                kernel.device(0).writes_committed +
+                kernel.device(1).writes_committed;
+            drv.sleep(1500 * kUsec);
+            const std::uint64_t now_committed =
+                kernel.device(0).writes_committed +
+                kernel.device(1).writes_committed;
+            if (now_committed != committed) {
+                char msg[96];
+                std::snprintf(
+                    msg, sizeof(msg),
+                    "numa-dev round %u: DMA write committed "
+                    "through a revoked mapping (%llu -> %llu)",
+                    round, static_cast<unsigned long long>(committed),
+                    static_cast<unsigned long long>(now_committed));
+                state->failPredicate(msg);
+            }
+            if (!kernel.vmProtect(drv, *task, base, 2 * kPageSize,
+                                  ProtReadWrite))
+                state->failPredicate("vmProtect(restore) failed");
+            repairForDma(kernel, drv, *task, base, 2);
+            drv.sleep(1500 * kUsec);
+        }
+        for (unsigned d = 0; d < 2; ++d)
+            kernel.device(d).stop();
+        while (kernel.device(0).streaming() ||
+               kernel.device(1).streaming())
+            drv.sleep(100 * kUsec);
+        if (kernel.pmaps().shoot().cross_node_device_commands == 0)
+            state->failCoverage("numa-dev: no cross-node command");
+        if (kernel.device(0).tlb().hits + kernel.device(1).tlb().hits ==
+            0)
+            state->failCoverage("numa-dev: no IOTLB hit");
+        if (kernel.device(0).writes_committed +
+                kernel.device(1).writes_committed ==
+            0)
+            state->failCoverage("numa-dev: no DMA write committed");
     };
 }
 
@@ -990,7 +843,7 @@ builtinScenarios()
         s.summary = "two initiators reprotecting one pmap";
         s.config = smallConfig();
         s.bound = 400 * kMsec;
-        s.launch = concurrentInitiatorsLaunch(2, 3);
+        s.driver = concurrentInitiatorsDriver(2, 3);
         out.push_back(s);
     }
     {
@@ -999,7 +852,7 @@ builtinScenarios()
         s.summary = "kernel shootdown vs idle CPUs draining on exit";
         s.config = smallConfig();
         s.bound = 400 * kMsec;
-        s.launch = idleDrainLaunch(3);
+        s.driver = idleDrainDriver(3);
         out.push_back(s);
     }
     {
@@ -1009,7 +862,7 @@ builtinScenarios()
         s.config = smallConfig();
         s.config.action_queue_size = 2;
         s.bound = 400 * kMsec;
-        s.launch = overflowLaunch(5);
+        s.driver = overflowDriver(5);
         out.push_back(s);
     }
     {
@@ -1018,7 +871,7 @@ builtinScenarios()
         s.summary = "responders inside interrupt-masked sections";
         s.config = smallConfig();
         s.bound = 600 * kMsec;
-        s.launch = stormLaunch(3, 3, 4 * kMsec, 3 * kMsec,
+        s.driver = stormDriver(3, 3, 4 * kMsec, 3 * kMsec,
                                1200 * kUsec);
         out.push_back(s);
     }
@@ -1104,13 +957,13 @@ builtinScenarios()
         // 5 writers on an 8-CPU/2-node box put two targets on node 1,
         // so a cross-node shootdown needs both the delegate IPI and
         // the delegate's local forward.
-        s.launch = stormLaunch(
+        s.driver = stormDriver(
             5, 3, 4 * kMsec, 2 * kMsec, 0,
             [](vm::Kernel &kernel, ScenarioState *state) {
                 if (kernel.pmaps().shoot().cross_node_ipis == 0)
-                    failCoverage(state, "numa: no cross-node IPI");
+                    state->failCoverage("numa: no cross-node IPI");
                 if (kernel.pmaps().shoot().forwarded_ipis == 0)
-                    failCoverage(state, "numa: no forwarded IPI");
+                    state->failCoverage("numa: no forwarded IPI");
             });
         out.push_back(s);
     }
@@ -1121,7 +974,7 @@ builtinScenarios()
         s.config = numaConfig();
         s.bound = 600 * kMsec;
         // Initiator threads land on CPUs 3 and 4 = nodes 0 and 1.
-        s.launch = concurrentInitiatorsLaunch(2, 3);
+        s.driver = concurrentInitiatorsDriver(2, 3);
         out.push_back(s);
     }
     {
@@ -1132,7 +985,7 @@ builtinScenarios()
         s.config.numa_placement = hw::PlacementPolicy::Migrate;
         s.config.numa_migrate_threshold = 2;
         s.bound = 600 * kMsec;
-        s.launch = numaMigrateLaunch(4);
+        s.driver = numaMigrateDriver(4);
         out.push_back(s);
     }
     {
@@ -1142,11 +995,11 @@ builtinScenarios()
         s.config = numaConfig();
         s.config.numa_pt_replicas = true;
         s.bound = 600 * kMsec;
-        s.launch = stormLaunch(
+        s.driver = stormDriver(
             5, 3, 4 * kMsec, 2 * kMsec, 0,
             [](vm::Kernel &kernel, ScenarioState *state) {
                 if (kernel.pmaps().kernelPmap().table().replicas() < 2)
-                    failCoverage(state, "replicas: not enabled");
+                    state->failCoverage("replicas: not enabled");
             });
         out.push_back(s);
     }
@@ -1160,18 +1013,18 @@ builtinScenarios()
         // delegate is often unable to take its cross-node IPI -- the
         // forward set must still drain (idle exit or a later respond)
         // for every shootdown to terminate within the bound.
-        s.launch = stormLaunch(
+        s.driver = stormDriver(
             5, 3, 4 * kMsec, 3 * kMsec, 1200 * kUsec,
             [](vm::Kernel &kernel, ScenarioState *state) {
                 if (kernel.pmaps().shoot().forwarded_ipis == 0)
-                    failCoverage(state, "delegate: no forwarded IPI");
+                    state->failCoverage("delegate: no forwarded IPI");
             });
         out.push_back(s);
     }
 
     // ---- Device / IOTLB scenarios (docs/DEVICES.md) ----------------
     {
-        // Healthy twin of broken-iotlb: same machine, same launch,
+        // Healthy twin of broken-iotlb: same machine, same driver,
         // but the drain applies its invalidations, so neither the
         // commit predicate nor the audit probes ever fire.
         Scenario s;
@@ -1179,7 +1032,7 @@ builtinScenarios()
         s.summary = "DMA stream racing revocations through an IOTLB";
         s.config = devConfig(1);
         s.bound = 600 * kMsec;
-        s.launch = devStormLaunch(3, 8, 250 * kUsec, 1500 * kUsec, 8);
+        s.driver = devStormDriver(3, 8, 250 * kUsec, 1500 * kUsec, 8);
         out.push_back(s);
     }
     {
@@ -1189,7 +1042,7 @@ builtinScenarios()
         s.config = devConfig(1);
         s.config.dev_transfer_cost = 2 * kMsec;
         s.bound = 600 * kMsec;
-        s.launch = devAbortLaunch(3);
+        s.driver = devAbortDriver(3);
         out.push_back(s);
     }
     {
@@ -1200,7 +1053,7 @@ builtinScenarios()
         s.config.devices = 2;
         s.config.iotlb_entries = 4;
         s.bound = 600 * kMsec;
-        s.launch = devNumaLaunch(3);
+        s.driver = devNumaDriver(3);
         out.push_back(s);
     }
 
@@ -1214,7 +1067,7 @@ builtinScenarios()
         s.summary = "lazy-ASID deferred flushes under revocation";
         s.config = lazyAsidConfig();
         s.bound = 400 * kMsec;
-        s.launch = lazyAsidLaunch();
+        s.driver = lazyAsidDriver;
         out.push_back(s);
     }
 
@@ -1263,7 +1116,7 @@ brokenStallScenario()
     // One writer: with a single responder the no-stall window is a
     // few microseconds wide and the unperturbed run happens to
     // survive it, so detection genuinely requires exploration.
-    s.launch = stormLaunch(1, 3, 4 * kMsec, 2 * kMsec);
+    s.driver = stormDriver(1, 3, 4 * kMsec, 2 * kMsec);
     return s;
 }
 
@@ -1283,7 +1136,7 @@ brokenReplicaScenario()
     s.config.numa_pt_replicas = true;
     s.config.planted_bug = hw::PlantedBug::DeferReplicaSync;
     s.bound = 600 * kMsec;
-    s.launch = stormLaunch(1, 3, 4 * kMsec, 2 * kMsec);
+    s.driver = stormDriver(1, 3, 4 * kMsec, 2 * kMsec);
     return s;
 }
 
@@ -1296,88 +1149,70 @@ brokenL0Scenario()
     s.config = smallConfig(4);
     s.config.planted_bug = hw::PlantedBug::SkipL0Invalidate;
     s.bound = 400 * kMsec;
-    s.launch = [](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "chk-driver",
-            [kp, state](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("chk-l0");
-                // Twice the 4-slot L0: a fast-path hit does not
-                // refill, so a sweep of exactly l0_size pages can be
-                // partially resident and leave the target slot alive.
-                // At 2x the capacity every sweep access has reuse
-                // distance >= 8 and must miss, so four of its fills
-                // land before the sweep ends and the target slot is
-                // out by construction.
-                constexpr unsigned kDecoys = 8;
-                VAddr base = 0;
-                if (!kernel.vmAllocate(drv, *task, &base,
-                                       (1 + kDecoys) * kPageSize,
-                                       true)) {
-                    failPredicate(state, "vmAllocate failed");
-                    finish(kernel, state);
-                    return;
+    s.driver = [](vm::Kernel &kernel, kern::Thread &drv,
+                  ScenarioState *state) {
+        vm::Task *task = kernel.createTask("chk-l0");
+        // Twice the 4-slot L0: a fast-path hit does not refill, so a
+        // sweep of exactly l0_size pages can be partially resident and
+        // leave the target slot alive. At 2x the capacity every sweep
+        // access has reuse distance >= 8 and must miss, so four of its
+        // fills land before the sweep ends and the target slot is out
+        // by construction.
+        constexpr unsigned kDecoys = 8;
+        VAddr base = 0;
+        if (!kernel.vmAllocate(drv, *task, &base,
+                               (1 + kDecoys) * kPageSize, true)) {
+            state->failPredicate("vmAllocate failed");
+            return;
+        }
+        const VAddr target = base;
+        const VAddr decoys = base + kPageSize;
+        bool stop = false;
+        // Loop counter, bumped right after the target touch. The
+        // driver keys its revoke off this signal so the revoke lands a
+        // fixed interval after the touch -- far past the decoy sweep
+        // that flushes the target out of the L0, unless a perturbation
+        // parks the writer inside the sweep.
+        std::uint32_t beat = 0;
+        kern::Thread *writer = kernel.spawnThread(
+            task, "chk-kid",
+            [&kernel, target, decoys, &stop, &beat](kern::Thread &self) {
+                std::uint32_t n = 0;
+                while (!stop) {
+                    kern::AccessResult r = self.access(target, ProtWrite);
+                    if (r.ok)
+                        kernel.machine().mem().write32(r.paddr, ++n);
+                    else
+                        self.access(target, ProtRead);
+                    ++beat;
+                    // The sweep: a few microseconds of decoy walks,
+                    // after which the target slot has rotated out of
+                    // the 4-entry L0.
+                    for (unsigned i = 0; i < kDecoys; ++i)
+                        self.access(decoys + i * kPageSize, ProtRead);
+                    self.cpu().advance(250 * kUsec);
                 }
-                const VAddr target = base;
-                const VAddr decoys = base + kPageSize;
-                bool stop = false;
-                // Loop counter, bumped right after the target touch.
-                // The driver keys its revoke off this signal so the
-                // revoke lands a fixed interval after the touch --
-                // far past the decoy sweep that flushes the target
-                // out of the L0, unless a perturbation parks the
-                // writer inside the sweep.
-                std::uint32_t beat = 0;
-                kern::Thread *writer = kernel.spawnThread(
-                    task, "chk-kid",
-                    [kp, target, decoys, &stop,
-                     &beat](kern::Thread &self) {
-                        vm::Kernel &kernel = *kp;
-                        std::uint32_t n = 0;
-                        while (!stop) {
-                            kern::AccessResult r =
-                                self.access(target, ProtWrite);
-                            if (r.ok)
-                                kernel.machine().mem().write32(
-                                    r.paddr, ++n);
-                            else
-                                self.access(target, ProtRead);
-                            ++beat;
-                            // The sweep: a few microseconds of decoy
-                            // walks, after which the target slot has
-                            // rotated out of the 4-entry L0.
-                            for (unsigned i = 0; i < kDecoys; ++i)
-                                self.access(decoys + i * kPageSize,
-                                            ProtRead);
-                            self.cpu().advance(250 * kUsec);
-                        }
-                    },
-                    1);
-                drv.sleep(4 * kMsec);
-                for (unsigned round = 0; round < 3; ++round) {
-                    // Sync to the writer: wait out the current beat,
-                    // then give the sweep 250 us to finish (it takes
-                    // ~40 us unperturbed) before revoking. Only a
-                    // schedule that delays the sweep by most of that
-                    // margin leaves the stale slot resident at the
-                    // revoke's completion.
-                    const std::uint32_t seen = beat;
-                    while (beat == seen && !state->finished)
-                        drv.sleep(20 * kUsec);
-                    drv.sleep(250 * kUsec);
-                    watchRevoked(kernel, drv, *task, target, 1,
-                                 2 * kMsec, state, "l0", round);
-                    drv.sleep(2 * kMsec);
-                }
-                stop = true;
-                drv.join(*writer);
-                if (kernel.pmaps().shoot().initiated == 0)
-                    failCoverage(state, "l0: no shootdown ran");
-                finish(kernel, state);
             },
-            0);
+            1);
+        drv.sleep(4 * kMsec);
+        for (unsigned round = 0; round < 3; ++round) {
+            // Sync to the writer: wait out the current beat, then give
+            // the sweep 250 us to finish (it takes ~40 us unperturbed)
+            // before revoking. Only a schedule that delays the sweep
+            // by most of that margin leaves the stale slot resident at
+            // the revoke's completion.
+            const std::uint32_t seen = beat;
+            while (beat == seen)
+                drv.sleep(20 * kUsec);
+            drv.sleep(250 * kUsec);
+            watchRevoked(kernel, drv, *task, target, 1, 2 * kMsec, state,
+                         "l0", round);
+            drv.sleep(2 * kMsec);
+        }
+        stop = true;
+        drv.join(*writer);
+        if (kernel.pmaps().shoot().initiated == 0)
+            state->failCoverage("l0: no shootdown ran");
     };
     return s;
 }
@@ -1388,7 +1223,7 @@ brokenAsidScenario()
     Scenario s;
     s.name = "broken-asid";
     s.summary = "planted bug: context load skips the ASID check";
-    // Same machine and launch as policy-lazy-asid, but the LazyAsid
+    // Same machine and driver as policy-lazy-asid, but the LazyAsid
     // context-load hook returns before consulting the deferred-flush
     // set, so a space whose flush was deferred comes back current
     // with its revoked translations still live. Unperturbed, every
@@ -1398,7 +1233,7 @@ brokenAsidScenario()
     s.config = lazyAsidConfig();
     s.config.planted_bug = hw::PlantedBug::SkipAsidGenCheck;
     s.bound = 400 * kMsec;
-    s.launch = lazyAsidLaunch();
+    s.driver = lazyAsidDriver;
     return s;
 }
 
@@ -1408,7 +1243,7 @@ brokenIotlbScenario()
     Scenario s;
     s.name = "broken-iotlb";
     s.summary = "planted bug: device drain skips the invalidations";
-    // Same machine and launch as dev-dma-race, but the device's drain
+    // Same machine and driver as dev-dma-race, but the device's drain
     // clears the action-needed flag (the audit excuse) and charges
     // full cost while skipping the IOTLB invalidations. Unperturbed,
     // every drain runs when the decoy sweep has already evicted the
@@ -1420,7 +1255,7 @@ brokenIotlbScenario()
     s.config = devConfig(1);
     s.config.planted_bug = hw::PlantedBug::SkipIotlbInvalidate;
     s.bound = 600 * kMsec;
-    s.launch = devStormLaunch(3, 8, 250 * kUsec, 1500 * kUsec, 8);
+    s.driver = devStormDriver(3, 8, 250 * kUsec, 1500 * kUsec, 8);
     return s;
 }
 
@@ -1435,42 +1270,32 @@ findScenario(const std::vector<Scenario> &library,
     return nullptr;
 }
 
+std::vector<Scenario>
+plantedBugScenarios()
+{
+    return {brokenStallScenario(), brokenReplicaScenario(),
+            brokenL0Scenario(), brokenAsidScenario(),
+            brokenIotlbScenario()};
+}
+
 bool
 resolveScenario(const std::string &name, Scenario *out)
 {
-    if (name == "broken-stall") {
-        *out = brokenStallScenario();
-        return true;
-    }
-    if (name == "broken-replica") {
-        *out = brokenReplicaScenario();
-        return true;
-    }
-    if (name == "broken-l0") {
-        *out = brokenL0Scenario();
-        return true;
-    }
-    if (name == "broken-asid") {
-        *out = brokenAsidScenario();
-        return true;
-    }
-    if (name == "broken-iotlb") {
-        *out = brokenIotlbScenario();
-        return true;
-    }
     VmGenOptions g;
     if (parseVmgenName(name, &g)) {
         *out = vmgenScenario(g);
         return true;
     }
-    std::vector<Scenario> library = builtinScenarios();
-    for (Scenario &s : library) {
-        if (s.name == name) {
-            *out = std::move(s);
-            return true;
+    const auto take = [&](std::vector<Scenario> library) {
+        for (Scenario &s : library) {
+            if (s.name == name) {
+                *out = std::move(s);
+                return true;
+            }
         }
-    }
-    return false;
+        return false;
+    };
+    return take(builtinScenarios()) || take(plantedBugScenarios());
 }
 
 } // namespace mach::chk

@@ -2,9 +2,12 @@
  * @file
  * Adversarial shootdown scenarios for the model checker.
  *
- * A Scenario packs a machine configuration, a liveness bound, and a
- * launch function that spawns a workload chosen to stress one corner
- * of the TLB consistency algorithm:
+ * A Scenario is a machine configuration, a liveness bound, and a
+ * driver body chosen to stress one corner of the TLB consistency
+ * algorithm. The trial harness (chk/explorer.cc) builds the kernel,
+ * starts it, runs the driver as the "chk-driver" thread on CPU 0, and
+ * marks the run finished and stops the machine when the driver
+ * returns. Scenarios cover:
  *
  *  - concurrent initiators operating on the same pmap,
  *  - an initiator racing responders that drain from the idle loop,
@@ -16,9 +19,9 @@
  *    remote invalidate, ASID tags, virtual cache), the Section 8
  *    pool restructuring, and the delayed-flush strategy.
  *
- * Workloads report through ScenarioState instead of asserting:
+ * Drivers report through ScenarioState instead of asserting:
  * `finished` is the bounded-liveness signal (every shootdown
- * terminates and the workload runs to completion within the bound);
+ * terminates and the driver returns within the bound);
  * `predicate_ok` carries the paper's end-to-end safety property (no
  * write lands through a revoked mapping); `coverage_ok` confirms the
  * scenario actually exercised its target path (e.g. the idle-drain
@@ -37,6 +40,11 @@
 #include "base/types.hh"
 #include "hw/machine_config.hh"
 
+namespace mach::kern
+{
+class Thread;
+} // namespace mach::kern
+
 namespace mach::vm
 {
 class Kernel;
@@ -45,10 +53,10 @@ class Kernel;
 namespace mach::chk
 {
 
-/** Outcome flags a scenario workload reports into. */
+/** Outcome flags a scenario driver reports into. */
 struct ScenarioState
 {
-    /** Workload ran to completion (bounded liveness). */
+    /** The driver returned (bounded liveness); set by the harness. */
     bool finished = false;
     /** Safety predicate held (no write through a revoked mapping). */
     bool predicate_ok = true;
@@ -56,24 +64,33 @@ struct ScenarioState
     bool coverage_ok = true;
     /** First predicate / coverage failure, for the report. */
     std::string note;
+
+    /** The predicate failed; the first such failure names the note. */
+    void failPredicate(std::string why);
+    /** The coverage target was missed; notes it if nothing else did. */
+    void failCoverage(std::string why);
 };
 
 /** One adversarial workload plus the machine it runs on. */
 struct Scenario
 {
-    /** Spawns the workload; must arrange state->finished + stop. */
-    using Launch = std::function<void(vm::Kernel &, ScenarioState *)>;
+    /** The body of the "chk-driver" thread (CPU 0, kernel started). */
+    using Driver =
+        std::function<void(vm::Kernel &, kern::Thread &, ScenarioState *)>;
 
     std::string name;
     std::string summary;
     hw::MachineConfig config;
     /** Sim-time liveness bound for the unperturbed run. */
     Tick bound = 0;
-    Launch launch;
+    Driver driver;
 };
 
 /** The full built-in scenario library. */
 std::vector<Scenario> builtinScenarios();
+
+/** The planted-bug scenarios: stall, replica, l0, asid, iotlb. */
+std::vector<Scenario> plantedBugScenarios();
 
 /**
  * The deliberately broken protocol: the writer/reprotect storm on a
@@ -150,14 +167,11 @@ const Scenario *findScenario(const std::vector<Scenario> &library,
                              const std::string &name);
 
 /**
- * Resolve @p name to a runnable scenario: the built-in library (which
- * includes the generated vmgen entries), any
+ * Resolve @p name to a runnable scenario: any
  * vmgen-<seed>[x<nodes>][d] name (chk/vmgen.hh; the "d" suffix mixes
- * in DMA-device ops), or one of the planted bugs (broken-stall,
- * broken-replica, broken-l0, broken-asid, broken-iotlb). This is the
- * one name->scenario map the
- * CLI, the corpus replay test, and the CI lanes share. Returns false
- * when nothing matches.
+ * in DMA-device ops), the built-in library, or one of the planted
+ * bugs. This is the one name->scenario map the CLI, the corpus replay
+ * test, and the CI lanes share. Returns false when nothing matches.
  */
 bool resolveScenario(const std::string &name, Scenario *out);
 

@@ -30,15 +30,6 @@ struct ModelPage
     Prot prot = ProtReadWrite;
 };
 
-void
-fail(ScenarioState *state, std::string why)
-{
-    if (state->predicate_ok) {
-        state->predicate_ok = false;
-        state->note = std::move(why);
-    }
-}
-
 /**
  * The body thread's op sequence. Serial and self-contained: every
  * model transition is driven by this thread's own deterministic Rng
@@ -60,7 +51,7 @@ runOps(vm::Kernel &kernel, kern::Thread &self, vm::Task &task,
     };
     const auto check = [&](bool cond, const char *what) {
         if (!cond)
-            fail(state, std::string("vmgen: ") + what);
+            state->failPredicate(std::string("vmgen: ") + what);
         return cond;
     };
 
@@ -257,95 +248,71 @@ vmgenScenario(const VmGenOptions &opt)
         s.config.iotlb_entries = 4;
     }
     s.bound = kBound;
-    const VmGenOptions o = opt;
-    s.launch = [o](vm::Kernel &kernel, ScenarioState *state) {
-        vm::Kernel *kp = &kernel;
-        kernel.start();
-        kernel.spawnThread(
-            nullptr, "vmgen-driver",
-            [kp, state, o](kern::Thread &drv) {
-                vm::Kernel &kernel = *kp;
-                vm::Task *task = kernel.createTask("vmgen");
-                VAddr anchor = 0;
-                if (!kernel.vmAllocate(drv, *task, &anchor, kPageSize,
-                                       true)) {
-                    fail(state, "vmgen: anchor vmAllocate failed");
-                    state->finished = true;
-                    kernel.machine().ctx().requestStop();
-                    return;
-                }
-                // Read-only touchers keep the task's pmap live on the
-                // other CPUs (spread across nodes when there are
-                // several), so every protection reduction the op
-                // sequence performs is a real cross-CPU shootdown.
-                // They never write, so they cannot perturb the model.
-                bool stop = false;
-                const unsigned ncpus = kernel.machine().ncpus();
-                std::vector<kern::Thread *> touchers;
-                const unsigned n_touch =
-                    ncpus > 2 ? 2 : (ncpus > 1 ? 1 : 0);
-                for (unsigned i = 0; i < n_touch; ++i) {
-                    const std::int64_t pin =
-                        i == 0 ? 1
-                               : static_cast<std::int64_t>(ncpus - 1);
-                    touchers.push_back(kernel.spawnThread(
-                        task, "vmgen-touch",
-                        [anchor, &stop](kern::Thread &self) {
-                            while (!stop) {
-                                self.access(anchor, ProtRead);
-                                self.cpu().advance(250 * kUsec);
-                            }
-                        },
-                        pin));
-                }
-                // The device joins the task's responder set for the
-                // whole op sequence, so every protection reduction
-                // and deallocation also queues at its IOTLB.
-                if (o.devices)
-                    kernel.device(0).attachTo(task->pmap());
-                kern::Thread *body = kernel.spawnThread(
-                    task, "vmgen-body",
-                    [kp, state, o, task](kern::Thread &self) {
-                        runOps(*kp, self, *task, o, state);
-                    },
-                    0);
-                drv.join(*body);
-                stop = true;
-                for (kern::Thread *t : touchers)
-                    drv.join(*t);
-                if (o.devices) {
-                    // Detach from a plain fiber: the final drain
-                    // consumes simulated time.
-                    bool detached = false;
-                    kernel.machine().ctx().spawn(
-                        "vmgen-detach", [kp, task, &detached] {
-                            kp->device(0).detachFrom(task->pmap());
-                            detached = true;
-                        });
-                    while (!detached)
-                        drv.sleep(20 * kUsec);
-                    const dev::DmaDevice &device = kernel.device(0);
-                    if ((device.dma_reads + device.dma_writes == 0 ||
-                         kernel.pmaps().shoot().device_commands == 0) &&
-                        state->coverage_ok) {
-                        state->coverage_ok = false;
-                        if (state->note.empty())
-                            state->note =
-                                "vmgen: device path not exercised";
+    s.driver = [o = opt](vm::Kernel &kernel, kern::Thread &drv,
+                         ScenarioState *state) {
+        vm::Task *task = kernel.createTask("vmgen");
+        VAddr anchor = 0;
+        if (!kernel.vmAllocate(drv, *task, &anchor, kPageSize, true)) {
+            state->failPredicate("vmgen: anchor vmAllocate failed");
+            return;
+        }
+        // Read-only touchers keep the task's pmap live on the other
+        // CPUs (spread across nodes when there are several), so every
+        // protection reduction the op sequence performs is a real
+        // cross-CPU shootdown. They never write, so they cannot
+        // perturb the model.
+        bool stop = false;
+        const unsigned ncpus = kernel.machine().ncpus();
+        std::vector<kern::Thread *> touchers;
+        const unsigned n_touch = ncpus > 2 ? 2 : (ncpus > 1 ? 1 : 0);
+        for (unsigned i = 0; i < n_touch; ++i) {
+            const std::int64_t pin =
+                i == 0 ? 1 : static_cast<std::int64_t>(ncpus - 1);
+            touchers.push_back(kernel.spawnThread(
+                task, "vmgen-touch",
+                [anchor, &stop](kern::Thread &self) {
+                    while (!stop) {
+                        self.access(anchor, ProtRead);
+                        self.cpu().advance(250 * kUsec);
                     }
-                }
-                if (kernel.machine().cfg().consistency_strategy ==
-                        hw::ConsistencyStrategy::Shootdown &&
-                    kernel.pmaps().shoot().initiated == 0 &&
-                    state->coverage_ok) {
-                    state->coverage_ok = false;
-                    if (state->note.empty())
-                        state->note = "vmgen: no shootdown ran";
-                }
-                state->finished = true;
-                kernel.machine().ctx().requestStop();
+                },
+                pin));
+        }
+        // The device joins the task's responder set for the whole op
+        // sequence, so every protection reduction and deallocation
+        // also queues at its IOTLB.
+        if (o.devices)
+            kernel.device(0).attachTo(task->pmap());
+        kern::Thread *body = kernel.spawnThread(
+            task, "vmgen-body",
+            [&kernel, state, o, task](kern::Thread &self) {
+                runOps(kernel, self, *task, o, state);
             },
             0);
+        drv.join(*body);
+        stop = true;
+        for (kern::Thread *t : touchers)
+            drv.join(*t);
+        if (o.devices) {
+            // Detach from a plain fiber: the final drain consumes
+            // simulated time.
+            bool detached = false;
+            kernel.machine().ctx().spawn(
+                "vmgen-detach", [&kernel, task, &detached] {
+                    kernel.device(0).detachFrom(task->pmap());
+                    detached = true;
+                });
+            while (!detached)
+                drv.sleep(20 * kUsec);
+            const dev::DmaDevice &device = kernel.device(0);
+            if (device.dma_reads + device.dma_writes == 0 ||
+                kernel.pmaps().shoot().device_commands == 0)
+                state->failCoverage("vmgen: device path not exercised");
+        }
+        if (kernel.machine().cfg().consistency_strategy ==
+                hw::ConsistencyStrategy::Shootdown &&
+            kernel.pmaps().shoot().initiated == 0)
+            state->failCoverage("vmgen: no shootdown ran");
     };
     return s;
 }

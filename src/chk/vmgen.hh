@@ -3,13 +3,16 @@
  * Property-based scenario generation: random-but-legal VM-op
  * sequences as checker scenarios.
  *
- * vmgenScenario() promotes the reference-model generator behind
- * tests/vm_fuzz_test.cc into a reusable library: a seeded, fully
- * deterministic sequence of allocate / write / read / protect / copy
- * / remap / deallocate operations runs on one body thread against a
- * host-side model of what the address space must contain, while
- * read-only toucher threads on the other CPUs keep the task's pmap
- * live so every reprotect is a real shootdown.
+ * vmgenScenario() is the repository's reference-model VM-op
+ * generator (tests/vm_fuzz_test.cc runs it across seeds, machine
+ * shapes and shootdown policies): a seeded, fully deterministic
+ * sequence of allocate / write / read / protect / copy / remap /
+ * deallocate operations runs on one body thread against a host-side
+ * model of what the address space must contain, while read-only
+ * toucher threads on the other CPUs keep the task's pmap live so
+ * every reprotect is a real shootdown. The scenario's driver starts
+ * the touchers and the body, joins them, and then checks coverage
+ * (a shootdown ran; with devices, the DMA path was exercised).
  *
  * The resulting Scenario is legal by construction under *any* delay
  * perturbation: the model is driven only by the body thread's own

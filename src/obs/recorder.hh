@@ -73,6 +73,10 @@ inline constexpr Category kIrqCategory{"irq", 1u << 3};
 inline constexpr Category kTlbCategory{"tlb", 1u << 4};
 inline constexpr std::uint32_t kAllCategories = (1u << 5) - 1;
 
+/** Ring depth of a flight recording (enableRing): `machsim
+ *  --flight-recorder` and the explorer's reproducer replay. */
+inline constexpr std::size_t kFlightRingCapacity = 16384;
+
 /**
  * Parse a comma-separated category list ("shoot,vm", "all") into a
  * text-trace mask. An unknown (or empty) name fails with the name in

@@ -135,7 +135,6 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     cpu.active = false;
     lock_.rawLock(cpu);
     cpu.advanceNoPoll(hw::kPmapOpBaseCost);
-    ++ops;
 
     bool need_consistency = reduces && cfg.shootdown_enabled;
     unsigned mapped = 0;

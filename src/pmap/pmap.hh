@@ -144,7 +144,6 @@ class Pmap
 
     // ---- Statistics --------------------------------------------------
 
-    std::uint64_t ops = 0;
     std::uint64_t shootdowns_initiated = 0;
     std::uint64_t shootdowns_avoided_lazy = 0;
 

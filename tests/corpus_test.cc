@@ -18,11 +18,14 @@
  *    around a sync point: it finds the planted stall bug there and
  *    certifies the healthy protocol clean over the same window;
  *  - a campaign resumed on an existing corpus never re-runs a
- *    schedule it already tried (duplicate_probes_skipped).
+ *    schedule it already tried (duplicate_probes_skipped), also
+ *    when the corpus was written to a directory and loaded back.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -183,7 +186,7 @@ TEST(CommittedCorpus, SignaturesReplayBitExactly)
         ASSERT_TRUE(
             SchedulePerturber::parse(entry->schedule, &p, nullptr));
         const chk::TrialResult signed_run =
-            explorer.runTrialSigned(scenario, p);
+            explorer.runTrialRecorded(scenario, p, nullptr);
         EXPECT_EQ(signed_run.signatures, entry->signatures) << name;
         EXPECT_EQ(signed_run.digest, entry->digest) << name;
     }
@@ -314,6 +317,58 @@ TEST(CorpusResume, NeverRepeatsATriedSchedule)
     const chk::ExploreResult resumed = explorer.explore(*storm, opt);
     EXPECT_GE(resumed.duplicate_probes_skipped, 6u);
     EXPECT_LT(resumed.trials, first.trials);
+}
+
+/**
+ * The same resume, through the disk: a guided campaign run into a
+ * directory-backed corpus leaves one file per admitted entry plus
+ * tried.log, a fresh Corpus on that directory loads the same entries
+ * and buckets, and a campaign on the reloaded corpus skips its whole
+ * systematic sweep as already tried.
+ */
+TEST(CorpusResume, RoundTripsThroughTheDirectory)
+{
+    const std::vector<chk::Scenario> library = chk::builtinScenarios();
+    const chk::Scenario *storm =
+        chk::findScenario(library, "storm-baseline");
+    ASSERT_NE(storm, nullptr);
+    const std::string dir = ::testing::TempDir() + "mach-corpus-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+
+    chk::ExploreOptions opt;
+    opt.systematic_budget = 6;
+    opt.random_budget = 6;
+    opt.coverage_guided = true;
+    chk::Explorer explorer;
+
+    const auto byFile = [](const chk::Corpus &corpus) {
+        std::map<std::string, std::string> out;
+        for (const chk::CorpusEntry &e : corpus.entries())
+            out[chk::Corpus::entryFileName(e)] =
+                chk::Corpus::formatEntry(e);
+        return out;
+    };
+
+    std::map<std::string, std::string> written;
+    std::size_t buckets = 0;
+    {
+        chk::Corpus corpus(dir);
+        opt.corpus = &corpus;
+        explorer.explore(*storm, opt);
+        ASSERT_GE(corpus.entries().size(), 1u);
+        written = byFile(corpus);
+        buckets = corpus.buckets(storm->name);
+    }
+
+    chk::Corpus reloaded(dir);
+    EXPECT_EQ(byFile(reloaded), written);
+    EXPECT_EQ(reloaded.buckets(storm->name), buckets);
+
+    opt.corpus = &reloaded;
+    const chk::ExploreResult resumed = explorer.explore(*storm, opt);
+    EXPECT_GE(resumed.duplicate_probes_skipped, opt.systematic_budget);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

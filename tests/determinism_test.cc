@@ -311,10 +311,10 @@ TEST(DeterminismDigest, InterleavingSignaturesAreStable)
 
     const chk::Explorer explorer;
     const chk::TrialResult once =
-        explorer.runTrialSigned(*storm, perturber);
+        explorer.runTrialRecorded(*storm, perturber, nullptr);
     ASSERT_FALSE(once.signatures.empty());
     const chk::TrialResult again =
-        explorer.runTrialSigned(*storm, perturber);
+        explorer.runTrialRecorded(*storm, perturber, nullptr);
     EXPECT_EQ(once.signatures, again.signatures);
     EXPECT_EQ(once.digest, again.digest);
 
@@ -336,7 +336,7 @@ TEST(DeterminismDigest, InterleavingSignaturesAreStable)
     chk::Scenario no_l0 = *storm;
     no_l0.config.tlb_l0_entries = 0;
     const chk::TrialResult uncached =
-        explorer.runTrialSigned(no_l0, perturber);
+        explorer.runTrialRecorded(no_l0, perturber, nullptr);
     EXPECT_EQ(uncached.signatures, once.signatures);
     EXPECT_EQ(uncached.digest, once.digest);
 }

@@ -9,8 +9,9 @@
  *    from a test fiber and check the responder contract directly:
  *    IOTLB fill and hit, translation faults, the idle device sitting
  *    on queued consistency actions until its next operation boundary,
- *    the in-flight transfer abort under a drain request, and detach
- *    removing the device from the responder set.
+ *    the in-flight transfer abort under a drain request, detach
+ *    removing the device from the responder set, and Section 9's
+ *    remote invalidation reaching the IOTLB.
  *
  *  - The device scenarios from the checker library re-run under every
  *    shootdown-avoidance policy (the same adaptation rules as the
@@ -380,6 +381,138 @@ TEST(DmaDevice, DetachLeavesResponderSetForTheSpace)
         EXPECT_EQ(shoot.device_commands, commands_before);
         EXPECT_FALSE(
             shoot.stateFor(device.id()).action_needed);
+    });
+}
+
+/**
+ * Section 9's remote invalidation with a device attached: the
+ * initiator shoots the entries straight out of the IOTLB, as out of
+ * the CPU TLBs, with no interrupt and no queued action. A revocation
+ * within tlb_flush_threshold pages invalidates its range; a wider one
+ * flushes the whole space, so an IOTLB entry outside the range goes
+ * too.
+ */
+TEST(DmaDevice, RemoteInvalidationReachesTheIotlb)
+{
+    hw::MachineConfig config = deviceConfig();
+    config.tlb_remote_invalidate = true;
+    config.tlb_no_refmod_writeback = true;
+    inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
+        constexpr unsigned kPages = 8;
+        vm::Task *task = kernel.createTask("dma-remote");
+        VAddr base = 0;
+        ASSERT_TRUE(kernel.vmAllocate(drv, *task, &base,
+                                      kPages * kPageSize, true));
+        touchPages(kernel, drv, task, base, kPages);
+        // A reader on CPU 1 keeps the pmap in use there, so every
+        // revocation also shoots a CPU TLB.
+        bool stop = false;
+        kern::Thread *reader = kernel.spawnThread(
+            task, "dev-reader",
+            [base, &stop](kern::Thread &self) {
+                while (!stop) {
+                    self.access(base, ProtRead);
+                    self.cpu().advance(100 * kUsec);
+                }
+            },
+            1);
+
+        dev::DmaDevice &device = kernel.device(0);
+        pmap::Pmap &pmap = task->pmap();
+        const hw::SpaceId space = pmap.space();
+        const Vpn first = vaToVpn(base);
+        pmap::ShootdownController &shoot = kernel.pmaps().shoot();
+        const auto dma = [&](Vpn vpn) {
+            bool ok = false;
+            bool done = false;
+            kernel.machine().ctx().spawn("dma-op", [&] {
+                ok = device.dmaWrite(pmap, vpn, 0, 0xaau);
+                done = true;
+            });
+            while (!done)
+                drv.sleep(20 * kUsec);
+            return ok;
+        };
+        device.attachTo(pmap);
+
+        // One page: invalidated by range.
+        ASSERT_TRUE(dma(first));
+        ASSERT_TRUE(device.tlb().cachesMapping(space, first, ProtWrite));
+        std::uint64_t commands = shoot.device_commands;
+        std::uint64_t remote = shoot.remote_invalidates;
+        ASSERT_TRUE(
+            kernel.vmProtect(drv, *task, base, kPageSize, ProtRead));
+        EXPECT_FALSE(device.tlb().cachesMapping(space, first, ProtRead));
+        EXPECT_EQ(shoot.device_commands - commands, 1u);
+        EXPECT_EQ(shoot.remote_invalidates - remote, 2u); // CPU 1 + dev
+        EXPECT_FALSE(dma(first));
+
+        // Five pages (> tlb_flush_threshold): the space is flushed,
+        // page 7's entry outside the range included.
+        for (const unsigned page : {1u, 2u, 3u, 7u})
+            ASSERT_TRUE(dma(first + page));
+        commands = shoot.device_commands;
+        remote = shoot.remote_invalidates;
+        ASSERT_TRUE(kernel.vmProtect(drv, *task, base + kPageSize,
+                                     5 * kPageSize, ProtRead));
+        EXPECT_FALSE(device.tlb().cachesSpace(space));
+        EXPECT_EQ(shoot.device_commands - commands, 1u);
+        EXPECT_EQ(shoot.remote_invalidates - remote, 2u);
+        EXPECT_FALSE(dma(first + 1));
+        EXPECT_TRUE(dma(first + 7));
+        EXPECT_EQ(device.dma_faults, 2u);
+        for (CpuId id = 0; id < kernel.machine().ncpus(); ++id)
+            EXPECT_FALSE(kernel.machine().cpu(id).tlb().cachesMapping(
+                space, first + 1, ProtWrite));
+        EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
+
+        stop = true;
+        drv.join(*reader);
+        kernel.machine().ctx().spawn("dma-detach",
+                                     [&] { device.detachFrom(pmap); });
+        drv.sleep(100 * kUsec);
+    });
+}
+
+/** Remote invalidation cannot pull an entry out from under a transfer
+ *  on the wire: the initiator waits the transfer out first. */
+TEST(DmaDevice, RemoteInvalidationWaitsOutATransferInFlight)
+{
+    hw::MachineConfig config = deviceConfig();
+    config.tlb_remote_invalidate = true;
+    config.tlb_no_refmod_writeback = true;
+    config.dev_transfer_cost = 2 * kMsec;
+    inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
+        vm::Task *task = kernel.createTask("dma-remote-wait");
+        VAddr base = 0;
+        ASSERT_TRUE(
+            kernel.vmAllocate(drv, *task, &base, kPageSize, true));
+        touchPages(kernel, drv, task, base, 1);
+
+        dev::DmaDevice &device = kernel.device(0);
+        pmap::Pmap &pmap = task->pmap();
+        device.attachTo(pmap);
+        bool done = false;
+        kernel.machine().ctx().spawn("dma-op", [&] {
+            device.dmaWrite(pmap, vaToVpn(base), 0, 0xccu);
+            done = true;
+        });
+        drv.sleep(500 * kUsec); // Mid-transfer (ends at +2 ms).
+        ASSERT_TRUE(device.inFlight());
+
+        ASSERT_TRUE(
+            kernel.vmProtect(drv, *task, base, kPageSize, ProtRead));
+        EXPECT_FALSE(device.inFlight());
+        EXPECT_GE(kernel.pmaps().shoot().device_sync_waits, 1u);
+        EXPECT_FALSE(device.tlb().cachesMapping(
+            pmap.space(), vaToVpn(base), ProtRead));
+        EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
+        while (!done)
+            drv.sleep(20 * kUsec);
+
+        kernel.machine().ctx().spawn("dma-detach",
+                                     [&] { device.detachFrom(pmap); });
+        drv.sleep(100 * kUsec);
     });
 }
 

@@ -2,17 +2,20 @@
  * @file
  * Timeline observability tests: histogram math, recorder and probe
  * mechanics (ring eviction, disabled no-op, attribution, path
- * suffixing), and the determinism contract of the Chrome Trace Event
- * JSON export -- a span-balance validator over a real tester run plus
- * golden FNV-1a digests pinning the exported bytes for fixed seeds and
- * flag sets.
+ * suffixing, the failure-triggered dump), and the determinism
+ * contract of the Chrome Trace Event JSON export -- a span-balance
+ * validator over a real tester run plus golden FNV-1a digests
+ * pinning the exported bytes for fixed seeds and flag sets.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "base/perturb.hh"
 #include "base/rng.hh"
 #include "chk/explorer.hh"
+#include "chk/oracle.hh"
 #include "chk/scenario.hh"
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
@@ -477,6 +481,50 @@ TEST(ObsTrace, GeneratedScenarioTraceBalancesSpans)
     const std::vector<ParsedEvent> events = parseTraceEvents(json);
     ASSERT_GT(events.size(), 50u);
     validateSpanBalance(events, /*expect_counters=*/false);
+}
+
+TEST(ObsTrace, FirstOracleViolationDumpsTheRingOnce)
+{
+    // The flight recorder's failure trigger: with shootdowns off the
+    // tester's reprotect leaves stale translations behind, the
+    // oracle's first audit that sees one dumps the ring to the armed
+    // path, and any later failure finds the dump already written.
+    setLogQuiet(true);
+    const std::string dir = ::testing::TempDir() + "mach-dump-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/flight.json";
+
+    hw::MachineConfig config;
+    config.shootdown_enabled = false;
+    vm::Kernel kernel(config);
+    obs::Recorder &rec = kernel.machine().recorder();
+    rec.enableRing(obs::kFlightRingCapacity);
+    rec.setDumpPath(path);
+    chk::Oracle oracle(kernel);
+    apps::ConsistencyTester tester({.children = 3, .warmup = 15 * kMsec});
+    tester.execute(kernel);
+
+    EXPECT_FALSE(tester.consistent());
+    EXPECT_GT(oracle.violationCount(), 0u);
+    EXPECT_TRUE(rec.dumped());
+    EXPECT_FALSE(rec.dumpOnFailure("second failure"));
+
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path().string());
+    ASSERT_EQ(files, std::vector<std::string>{path});
+    std::ifstream in(path);
+    std::stringstream body;
+    body << in.rdbuf();
+    const std::string json = body.str();
+    EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+    EXPECT_GT(parseTraceEvents(json).size(), 50u);
+    EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":1,\"name\":\"dump_reason\","
+                        "\"args\":{\"name\":\"stale translation\"}}"),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ObsTrace, RecordingDoesNotPerturbTheRun)

@@ -1,18 +1,21 @@
 /**
  * @file
- * Reference-model fuzzing of the VM system: a random sequence of
- * allocate / write / read / protect / copy / deallocate operations is
- * executed against both the simulated kernel and a simple host-side
- * model of what an address space should contain; every read is checked
- * against the model and every protection decision against the model's
- * rights. Parameterized over seeds.
+ * Reference-model fuzzing of the VM system. The VmFuzz and
+ * VmFuzzPolicy arms run the checker's generator (chk/vmgen.hh): a
+ * seeded sequence of allocate / write / read / protect / copy / remap
+ * / deallocate operations is executed against both the simulated
+ * kernel and a host-side model of what the address space should
+ * contain, every read is checked against the model and every
+ * protection decision against the model's rights, and the trial runs
+ * under the stale-translation oracle, which audits every TLB after
+ * each pmap operation. The arms below them fuzz paging, fork
+ * inheritance and DMA ops.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -27,12 +30,20 @@ namespace mach
 namespace
 {
 
-/** The reference model: per-page value and rights. */
-struct ModelPage
+/** Run @p scenario unperturbed and check every verdict the trial
+ *  reports: finished, model predicate, coverage, oracle. */
+void
+expectCleanTrial(const chk::Scenario &scenario)
 {
-    std::uint32_t value = 0; // Fresh anonymous memory reads zero.
-    Prot prot = ProtReadWrite;
-};
+    const chk::TrialResult r =
+        chk::Explorer().runTrial(scenario, SchedulePerturber{});
+    EXPECT_TRUE(r.completed) << scenario.name;
+    EXPECT_TRUE(r.predicate_ok) << scenario.name << ": " << r.note;
+    EXPECT_TRUE(r.coverage_ok) << scenario.name << ": " << r.note;
+    EXPECT_EQ(r.violation_count, 0u)
+        << scenario.name << ": "
+        << (r.violations.empty() ? "" : r.violations.front());
+}
 
 /** (seed, NUMA node count): every seed runs on the single-bus
  *  Multimax shape and on a 2-node machine, where allocations and
@@ -42,177 +53,11 @@ class VmFuzz
 {
 };
 
-/**
- * The fuzz body, shared by the machine-shape arm and the
- * shootdown-policy arm: run the op sequence for @p seed on a kernel
- * built from @p config and check every observation against the
- * host-side model.
- */
-void
-runFuzzAgainstModel(const hw::MachineConfig &config, std::uint64_t seed)
-{
-    vm::Kernel kernel(config);
-    kernel.start();
-
-    bool finished = false;
-    int ops_done = 0;
-
-    kernel.spawnThread(nullptr, "fuzz-driver", [&](kern::Thread &drv) {
-        vm::Task *task = kernel.createTask("fuzz");
-        kern::Thread *body = kernel.spawnThread(
-            task, "fuzz-body", [&](kern::Thread &self) {
-                Rng rng(seed * 2654435761u + 1);
-                std::map<VAddr, ModelPage> model;
-
-                auto random_page = [&]() -> VAddr {
-                    if (model.empty())
-                        return 0;
-                    auto it = model.begin();
-                    std::advance(it, static_cast<long>(
-                                         rng.below(model.size())));
-                    return it->first;
-                };
-
-                for (int op = 0; op < 220; ++op, ++ops_done) {
-                    const std::uint64_t kind = rng.below(100);
-                    if (kind < 20 || model.empty()) {
-                        // Allocate 1-5 pages.
-                        const std::uint32_t pages =
-                            static_cast<std::uint32_t>(rng.range(1, 5));
-                        VAddr va = 0;
-                        ASSERT_TRUE(kernel.vmAllocate(
-                            self, *task, &va, pages * kPageSize, true));
-                        for (std::uint32_t p = 0; p < pages; ++p)
-                            model[va + p * kPageSize] = ModelPage{};
-                    } else if (kind < 45) {
-                        // Write a random page.
-                        const VAddr page = random_page();
-                        const auto value =
-                            static_cast<std::uint32_t>(rng.next());
-                        const bool ok = self.store32(page, value);
-                        ModelPage &m = model.at(page);
-                        if (protAllows(m.prot, ProtWrite)) {
-                            ASSERT_TRUE(ok) << "page 0x" << std::hex
-                                            << page;
-                            m.value = value;
-                        } else {
-                            ASSERT_FALSE(ok);
-                        }
-                    } else if (kind < 70) {
-                        // Read a random page and check the model.
-                        const VAddr page = random_page();
-                        std::uint32_t value = 0;
-                        const bool ok = self.load32(page, &value);
-                        const ModelPage &m = model.at(page);
-                        if (protAllows(m.prot, ProtRead)) {
-                            ASSERT_TRUE(ok);
-                            ASSERT_EQ(value, m.value)
-                                << "page 0x" << std::hex << page
-                                << " op " << std::dec << op;
-                        } else {
-                            ASSERT_FALSE(ok);
-                        }
-                    } else if (kind < 83) {
-                        // Re-protect a random page.
-                        const VAddr page = random_page();
-                        static const Prot kChoices[] = {
-                            ProtNone, ProtRead, ProtReadWrite};
-                        const Prot prot =
-                            kChoices[rng.below(3)];
-                        ASSERT_TRUE(kernel.vmProtect(
-                            self, *task, page, kPageSize, prot));
-                        model.at(page).prot = prot;
-                    } else if (kind < 88) {
-                        // Remap: move a page's contents to a fresh
-                        // mapping (munmap + mmap + carry the value),
-                        // exercising address reuse right after a
-                        // deallocation's shootdown.
-                        const VAddr page = random_page();
-                        const ModelPage m = model.at(page);
-                        std::uint32_t carried = 0;
-                        const bool readable =
-                            protAllows(m.prot, ProtRead);
-                        if (readable) {
-                            ASSERT_TRUE(self.load32(page, &carried));
-                        }
-                        ASSERT_TRUE(kernel.vmDeallocate(
-                            self, *task, page, kPageSize));
-                        model.erase(page);
-                        VAddr fresh = 0;
-                        ASSERT_TRUE(kernel.vmAllocate(
-                            self, *task, &fresh, kPageSize, true));
-                        model[fresh] = ModelPage{};
-                        if (readable) {
-                            ASSERT_TRUE(self.store32(fresh, carried));
-                            model.at(fresh).value = carried;
-                        }
-                    } else if (kind < 93) {
-                        // Virtual-copy a random page; the copy gets
-                        // the source's current value, then diverges.
-                        const VAddr page = random_page();
-                        const ModelPage &src = model.at(page);
-                        if (!protAllows(src.prot, ProtRead))
-                            continue;
-                        VAddr copy = 0;
-                        ASSERT_TRUE(kernel.vmCopy(self, *task, page,
-                                                  kPageSize, &copy));
-                        model[copy] =
-                            ModelPage{src.value, src.prot};
-                        // Write the copy; the source must not move.
-                        if (protAllows(src.prot, ProtWrite)) {
-                            const auto value =
-                                static_cast<std::uint32_t>(rng.next());
-                            ASSERT_TRUE(self.store32(copy, value));
-                            model.at(copy).value = value;
-                        }
-                        std::uint32_t check = 0;
-                        ASSERT_TRUE(self.load32(page, &check));
-                        ASSERT_EQ(check, model.at(page).value);
-                    } else {
-                        // Deallocate a random page.
-                        const VAddr page = random_page();
-                        ASSERT_TRUE(kernel.vmDeallocate(
-                            self, *task, page, kPageSize));
-                        model.erase(page);
-                        std::uint32_t value = 0;
-                        ASSERT_FALSE(self.load32(page, &value));
-                    }
-                }
-
-                // Full final sweep against the model.
-                for (const auto &[page, m] : model) {
-                    std::uint32_t value = 0;
-                    const bool ok = self.load32(page, &value);
-                    if (protAllows(m.prot, ProtRead)) {
-                        ASSERT_TRUE(ok);
-                        ASSERT_EQ(value, m.value)
-                            << "final sweep page 0x" << std::hex
-                            << page;
-                    } else {
-                        ASSERT_FALSE(ok);
-                    }
-                }
-            });
-        drv.join(*body);
-        finished = true;
-        kernel.machine().ctx().requestStop();
-    });
-
-    kernel.machine().run();
-    ASSERT_TRUE(finished);
-    EXPECT_EQ(ops_done, 220);
-    EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
-}
-
 TEST_P(VmFuzz, MatchesReferenceModel)
 {
-    const std::uint64_t seed = std::get<0>(GetParam());
     setLogQuiet(true);
-    hw::MachineConfig config;
-    config.ncpus = 4;
-    config.seed = seed;
-    config.numa_nodes = std::get<1>(GetParam());
-    runFuzzAgainstModel(config, seed);
+    expectCleanTrial(chk::vmgenScenario(
+        {std::get<0>(GetParam()), 4, std::get<1>(GetParam())}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -227,8 +72,8 @@ INSTANTIATE_TEST_SUITE_P(
  * policy: deferred flushes, coalesced IPIs, range invalidation and
  * reuse elision must all remain invisible to the VM semantics --
  * every read still matches the model, every protection decision
- * still matches the model's rights, and the end-of-run TLB-vs-PTE
- * audit still comes back clean.
+ * still matches the model's rights, and the oracle's TLB-vs-PTE
+ * audits still come back clean.
  */
 class VmFuzzPolicy
     : public ::testing::TestWithParam<
@@ -238,15 +83,12 @@ class VmFuzzPolicy
 
 TEST_P(VmFuzzPolicy, MatchesReferenceModel)
 {
-    const hw::ShootdownPolicy policy = std::get<0>(GetParam());
-    const std::uint64_t seed = std::get<1>(GetParam());
     setLogQuiet(true);
-    hw::MachineConfig config;
-    config.ncpus = 4;
-    config.seed = seed;
+    chk::Scenario scenario =
+        chk::vmgenScenario({std::get<1>(GetParam()), 4, 1});
     // Also sets the TLB feature the policy requires.
-    config.setShootdownPolicy(policy);
-    runFuzzAgainstModel(config, seed);
+    scenario.config.setShootdownPolicy(std::get<0>(GetParam()));
+    expectCleanTrial(scenario);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -501,15 +343,7 @@ TEST_P(VmFuzzDevice, MatchesModelWithDmaOps)
     if (o.numa_nodes > 1)
         o.ncpus = 2 * o.numa_nodes;
     o.devices = true;
-
-    chk::Explorer explorer;
-    const chk::TrialResult r =
-        explorer.runTrial(chk::vmgenScenario(o), SchedulePerturber{});
-    EXPECT_TRUE(r.completed) << "seed " << o.seed;
-    EXPECT_TRUE(r.predicate_ok) << r.note;
-    EXPECT_TRUE(r.coverage_ok) << r.note;
-    EXPECT_EQ(r.violation_count, 0u)
-        << (r.violations.empty() ? "" : r.violations.front());
+    expectCleanTrial(chk::vmgenScenario(o));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -525,9 +525,6 @@ farmJobs(const Cli &cli)
     return cli.jobs != 0 ? cli.jobs : farm::defaultJobs(1);
 }
 
-/** Ring depth for --flight-recorder (matches the explorer's). */
-constexpr std::size_t kFlightRingCapacity = 16384;
-
 bool
 writeTextFile(const std::string &path, const std::string &body)
 {
@@ -642,7 +639,7 @@ Run::Run(const Cli &cli, std::uint64_t seed, bool batch)
     obs::Recorder &rec = kernel.machine().recorder();
     if (!trace_json.empty() || !flight_recorder.empty()) {
         if (trace_json.empty())
-            rec.enableRing(kFlightRingCapacity);
+            rec.enableRing(obs::kFlightRingCapacity);
         else
             rec.enable();
         if (!flight_recorder.empty())
@@ -867,19 +864,11 @@ int
 runCheckerScenario(const Cli &cli)
 {
     if (cli.scenario == "list") {
-        for (const chk::Scenario &s : chk::builtinScenarios())
-            std::printf("%-22s %s\n", s.name.c_str(),
-                        s.summary.c_str());
-        std::printf("%-22s %s\n", "broken-stall",
-                    chk::brokenStallScenario().summary.c_str());
-        std::printf("%-22s %s\n", "broken-replica",
-                    chk::brokenReplicaScenario().summary.c_str());
-        std::printf("%-22s %s\n", "broken-l0",
-                    chk::brokenL0Scenario().summary.c_str());
-        std::printf("%-22s %s\n", "broken-asid",
-                    chk::brokenAsidScenario().summary.c_str());
-        std::printf("%-22s %s\n", "broken-iotlb",
-                    chk::brokenIotlbScenario().summary.c_str());
+        for (const auto &library :
+             {chk::builtinScenarios(), chk::plantedBugScenarios()})
+            for (const chk::Scenario &s : library)
+                std::printf("%-22s %s\n", s.name.c_str(),
+                            s.summary.c_str());
         return 0;
     }
     chk::Scenario scenario;
@@ -940,7 +929,7 @@ runCheckerScenario(const Cli &cli)
     const chk::TrialResult r =
         record ? explorer.runTrialRecorded(
                      scenario, cli.schedule, &trace_json,
-                     cli.trace_json.empty() ? kFlightRingCapacity : 0)
+                     cli.trace_json.empty() ? obs::kFlightRingCapacity : 0)
                : explorer.runTrial(scenario, cli.schedule);
     if (!cli.trace_json.empty()) {
         if (writeTextFile(cli.trace_json, trace_json))
