@@ -114,8 +114,8 @@ Corpus::absorb(CorpusEntry entry, bool rewrite)
     for (const std::uint64_t s : entry.signatures)
         seen.insert(s);
     tried_.insert(scheduleHash(entry.scenario, entry.schedule));
-    if (rewrite && !dir_.empty())
-        persistEntry(entry);
+    if (rewrite && !dir_.empty() && !persistEntry(entry))
+        ++unpersisted_entries_;
     entries_.push_back(std::move(entry));
 }
 
@@ -142,7 +142,8 @@ Corpus::markTried(const std::string &scenario,
     const std::uint64_t h = scheduleHash(scenario, schedule);
     if (!tried_.insert(h).second)
         return false;
-    persistTried(h);
+    if (!dir_.empty() && !persistTried(h))
+        ++unpersisted_tried_;
     return true;
 }
 
@@ -240,22 +241,20 @@ Corpus::persistEntry(const CorpusEntry &entry) const
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     std::ofstream out(dir_ + "/" + entryFileName(entry));
-    if (!out)
-        return false;
     out << formatEntry(entry);
-    return static_cast<bool>(out);
+    out.close(); // A failed flush shows only here.
+    return !out.fail();
 }
 
-void
+bool
 Corpus::persistTried(std::uint64_t hash) const
 {
-    if (dir_.empty())
-        return;
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     std::ofstream out(dir_ + "/tried.log", std::ios::app);
-    if (out)
-        out << hex16(hash) << "\n";
+    out << hex16(hash) << "\n";
+    out.close();
+    return !out.fail();
 }
 
 } // namespace mach::chk

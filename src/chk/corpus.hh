@@ -24,6 +24,8 @@
  * campaign (the weekly workflow, a re-run explorer lane) never spends
  * budget re-running a directive set any earlier campaign already
  * tried; the explorer reports those skips as duplicate_probes_skipped.
+ * A write that fails is counted, not fatal: the campaign goes on in
+ * memory, and machsim reports the loss and exits 1.
  */
 
 #ifndef MACH_CHK_CORPUS_HH
@@ -82,6 +84,14 @@ class Corpus
     const std::string &dir() const { return dir_; }
     const std::vector<CorpusEntry> &entries() const { return entries_; }
 
+    /**
+     * Admitted entries whose file could not be written, and tried
+     * schedules whose tried.log line could not be appended: what a
+     * campaign found but the directory does not hold.
+     */
+    std::size_t unpersistedEntries() const { return unpersisted_entries_; }
+    std::size_t unpersistedTried() const { return unpersisted_tried_; }
+
     /** Entries for one scenario, excluding the baseline ("") one. */
     std::vector<const CorpusEntry *>
     mutationPool(const std::string &scenario) const;
@@ -120,9 +130,11 @@ class Corpus
   private:
     void absorb(CorpusEntry entry, bool rewrite);
     bool persistEntry(const CorpusEntry &entry) const;
-    void persistTried(std::uint64_t hash) const;
+    bool persistTried(std::uint64_t hash) const;
 
     std::string dir_;
+    std::size_t unpersisted_entries_ = 0;
+    std::size_t unpersisted_tried_ = 0;
     std::vector<CorpusEntry> entries_;
     /** scenario -> distinct window signatures seen. */
     std::map<std::string, std::set<std::uint64_t>> buckets_;

@@ -35,7 +35,30 @@ Context::currentFiber() const
 void
 Context::block()
 {
-    MACH_ASSERT(Fiber::current() != nullptr);
+    Fiber *self = Fiber::current();
+    MACH_ASSERT(self != nullptr);
+    // Take the front wake as dispatch() would, but from this fiber.
+    while (eliding_ && !stop_requested_ && !queue_.empty()) {
+        const EventQueue::Front front = queue_.front();
+        if (front.when > until_ || front.fn != &Context::wakeTrampoline ||
+            front.ctx != this)
+            break;
+        const FiberId id = front.token;
+        Fiber *next = fiber(id);
+        // Only resume() can enter a fiber's fresh stack.
+        if (next != nullptr && !next->started())
+            break;
+        MACH_ASSERT(front.when >= now_);
+        now_ = queue_.popFront();
+        ++handoffs_;
+        if (next == self)
+            return;
+        if (next == nullptr)
+            continue; // Fiber finished before a stale wake fired.
+        current_id_ = id;
+        Fiber::switchTo(*next);
+        return;
+    }
     Fiber::yieldToScheduler();
 }
 
@@ -103,10 +126,12 @@ Context::resumeFiber(FiberId id)
     FiberId prev = current_id_;
     current_id_ = id;
     f->resume();
-    current_id_ = prev;
+    // block() may have handed control on: the fiber that yielded back
+    // is the current one, not necessarily the one resumed.
+    const FiberId back = std::exchange(current_id_, prev);
 
-    if (f->finished()) {
-        fibers_[id - 1].reset();
+    if (fiber(back)->finished()) {
+        fibers_[back - 1].reset();
         --live_fibers_;
     }
 }
@@ -137,7 +162,7 @@ Context::dispatch(Tick until, const std::function<bool()> *stop_after,
     eliding_ = stop_after == nullptr;
     until_ = until;
     stop_requested_ = false;
-    const std::uint64_t elided_before = elided_wakes_;
+    const std::uint64_t inline_before = elided_wakes_ + handoffs_;
 
     std::uint64_t dispatched = 0;
     while (!queue_.empty() && !stop_requested_) {
@@ -160,7 +185,7 @@ Context::dispatch(Tick until, const std::function<bool()> *stop_after,
 
     running_ = false;
     eliding_ = false;
-    return dispatched + (elided_wakes_ - elided_before);
+    return dispatched + (elided_wakes_ + handoffs_ - inline_before);
 }
 
 } // namespace mach::sim

@@ -53,6 +53,17 @@ class Context
     /**
      * Block the current fiber until some event wakes it. Must be called
      * from within a fiber.
+     *
+     * Direct handoff: inside run() (never runGuarded(), whose guard
+     * must see every event), with no stop requested, while the next
+     * event lies within run()'s horizon and is a wake of a fiber that
+     * has started, block() dispatches it itself, exactly as run()
+     * would: it advances now() and counts as dispatched. Its own wake
+     * returns at once, a finished fiber's is dropped and the next event
+     * looked at, and any other fiber is switched to directly, without
+     * the round trip through the scheduler. Every other case (a
+     * callback, a fiber's first wake, the horizon, a stop, an empty
+     * queue) yields to the scheduler. Outcomes are identical.
      */
     void block();
 
@@ -79,7 +90,9 @@ class Context
      * perturbed time is within run()'s horizon and strictly earlier
      * than every live event is taken inline instead: it consumes its
      * sequence number, advances now(), counts as dispatched, and
-     * leaves an invalid id in @p pending. Outcomes are identical.
+     * leaves an invalid id in @p pending. Outcomes are identical. A
+     * wake that is not elided is queued, and block() may still hand
+     * off to whatever leads the queue.
      */
     void blockUntil(Tick when, EventId *pending = nullptr);
 
@@ -93,21 +106,22 @@ class Context
      * Dispatch events one at a time, in (time, sequence) order, until
      * the queue is empty, simulated time would pass @p until, or a stop
      * is requested. Returns the number of events dispatched, counting
-     * the wakes blockUntil() took inline.
+     * the wakes blockUntil() took inline and those block() handed off.
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
     /**
      * The same loop as run(), but it evaluates @p stop_after after
      * every dispatched event and stops once it returns true, and it
-     * never elides a wake (the guard must see every event). Used by
-     * the run farm to park a machine at a prefix-snapshot point (a
-     * deterministic event-insertion / bus-access watermark) from which
-     * fork-style clones resume. On return *hit_guard says whether the
-     * guard ended the run (true) or the queue drained, time ran out, or
-     * a stop was requested (false) -- in the latter cases the run is
-     * complete and clones must not resume it, or they would drain
-     * events a stop-requested serial run leaves pending.
+     * never elides or hands off a wake (the guard must see every
+     * event). Used by the run farm to park a machine at a
+     * prefix-snapshot point (a deterministic event-insertion /
+     * bus-access watermark) from which fork-style clones resume. On
+     * return *hit_guard says whether the guard ended the run (true) or
+     * the queue drained, time ran out, or a stop was requested (false)
+     * -- in the latter cases the run is complete and clones must not
+     * resume it, or they would drain events a stop-requested serial
+     * run leaves pending.
      */
     std::uint64_t runGuarded(Tick until,
                              const std::function<bool()> &stop_after,
@@ -121,6 +135,9 @@ class Context
 
     /** Wakes blockUntil() has taken inline: a counter, not a setting. */
     std::uint64_t elidedWakes() const { return elided_wakes_; }
+
+    /** Wakes block() has dispatched itself: a counter, not a setting. */
+    std::uint64_t handoffs() const { return handoffs_; }
 
     /** Expose the queue for white-box tests and micro benchmarks. */
     EventQueue &queue() { return queue_; }
@@ -136,7 +153,10 @@ class Context
         return id - 1 < fibers_.size() ? fibers_[id - 1].get() : nullptr;
     }
     void resumeFiber(FiberId id);
-    /** run() and runGuarded(): a null @p stop_after allows elision. */
+    /**
+     * run() and runGuarded(): a null @p stop_after allows elision and
+     * handoff.
+     */
     std::uint64_t dispatch(Tick until,
                            const std::function<bool()> *stop_after,
                            bool *hit_guard);
@@ -147,10 +167,14 @@ class Context
     Tick now_ = 0;
     bool stop_requested_ = false;
     bool running_ = false;
-    /** Inside run(), not runGuarded(): blockUntil may elide to until_. */
+    /**
+     * Inside run(), not runGuarded(): blockUntil may elide and block
+     * may hand off, up to until_.
+     */
     bool eliding_ = false;
     Tick until_ = 0;
     std::uint64_t elided_wakes_ = 0;
+    std::uint64_t handoffs_ = 0;
     FiberId current_id_ = 0;
     /** Indexed by FiberId - 1; null once the fiber has finished. */
     std::vector<std::unique_ptr<Fiber>> fibers_;

@@ -142,8 +142,17 @@ EventQueue::nextTime() const
     return heap_.front().when;
 }
 
-Tick
-EventQueue::fireFront()
+EventQueue::Front
+EventQueue::front() const
+{
+    MACH_ASSERT(live_ > 0);
+    const Item &item = heap_.front();
+    const Node &node = slab_[item.key & kSlotMask];
+    return {item.when, node.raw_fn, node.raw_ctx, node.raw_token};
+}
+
+EventQueue::Item
+EventQueue::unlinkFront()
 {
     MACH_ASSERT(live_ > 0);
     const Item front = heap_.front();
@@ -152,6 +161,21 @@ EventQueue::fireFront()
     // The one sweep per dispatch: the next front is live before the
     // payload runs and may schedule or cancel.
     sweepFront();
+    return front;
+}
+
+Tick
+EventQueue::popFront()
+{
+    const Item front = unlinkFront();
+    releaseNode(static_cast<std::uint32_t>(front.key & kSlotMask));
+    return front.when;
+}
+
+Tick
+EventQueue::fireFront()
+{
+    const Item front = unlinkFront();
     const auto slot = static_cast<std::uint32_t>(front.key & kSlotMask);
     Node &node = slab_[slot];
     if (node.raw_fn != nullptr) {

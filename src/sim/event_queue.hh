@@ -86,6 +86,26 @@ class EventQueue
      */
     Tick fireFront();
 
+    /** The earliest event, as front() shows it. */
+    struct Front
+    {
+        Tick when;
+        /** The raw payload; fn is null for a schedule() callback. */
+        RawFn fn;
+        void *ctx;
+        std::uint64_t token;
+    };
+
+    /** The earliest event, left in place. Panics if empty. */
+    Front front() const;
+
+    /**
+     * Remove the earliest event as fireFront() does, but do not invoke
+     * it: the caller acts on what front() showed (Context::block takes
+     * a fiber wake this way). Returns its time. Panics if empty.
+     */
+    Tick popFront();
+
     /**
      * The self-wake fast path (Context::blockUntil). If an event
      * scheduled now for @p *when, after its perturbation delay, would
@@ -163,6 +183,11 @@ class EventQueue
     EventId enqueue(Tick when, std::uint32_t slot);
     /** Remove the front item from the heap. */
     void popItem();
+    /**
+     * fireFront() and popFront(): pop the live front item and sweep
+     * the stale ones behind it; its slot still holds the payload.
+     */
+    Item unlinkFront();
     /** Pop stale items until a live one (or nothing) leads. */
     void sweepFront();
 

@@ -25,11 +25,24 @@ namespace
  */
 thread_local Fiber *current_fiber = nullptr;
 /** Resume point of the scheduler (main) context, set by resume(). */
-thread_local std::jmp_buf scheduler_env;
+thread_local void *scheduler_env[5];
 #if defined(__SANITIZE_THREAD__)
 /** The scheduler's TSan context, set by resume(). */
 thread_local void *scheduler_tsan_fiber = nullptr;
 #endif
+
+/**
+ * Resume the context a __builtin_setjmp saved in @p env. GCC requires
+ * the __builtin_longjmp to sit in another function than its setjmp,
+ * never inlined into it. TSan leaves this one uninstrumented: its
+ * function-entry record would land on the target's shadow stack (the
+ * caller has switched TSan contexts), and no exit would ever pop it.
+ */
+[[noreturn]] __attribute__((noinline, no_sanitize_thread)) void
+jump(void **env)
+{
+    __builtin_longjmp(env, 1);
+}
 
 using Stack = std::unique_ptr<unsigned char[]>;
 
@@ -134,7 +147,7 @@ Fiber::resume()
     MACH_ASSERT(!finished_);
 
     current_fiber = this;
-    if (_setjmp(scheduler_env) == 0) {
+    if (__builtin_setjmp(scheduler_env) == 0) {
 #if defined(__SANITIZE_THREAD__)
         scheduler_tsan_fiber = __tsan_get_current_fiber();
         __tsan_switch_to_fiber(tsan_fiber_, 0);
@@ -142,8 +155,8 @@ Fiber::resume()
         if (!started_) {
             // First entry: only ucontext can redirect execution onto
             // the fiber's own fresh stack. setcontext never returns --
-            // the fiber comes back via the _longjmp in
-            // yieldToScheduler, landing in the branch above.
+            // the fiber (or one it switched to) comes back via the
+            // jump in yieldToScheduler, landing past the branch above.
             started_ = true;
             if (getcontext(&context_) != 0)
                 panic("getcontext failed");
@@ -159,7 +172,7 @@ Fiber::resume()
             setcontext(&context_);
             panic("setcontext into fiber %s failed", name_.c_str());
         }
-        std::longjmp(env_, 1);
+        jump(env_);
     }
     current_fiber = nullptr;
 }
@@ -169,13 +182,29 @@ Fiber::yieldToScheduler()
 {
     Fiber *self = current_fiber;
     MACH_ASSERT(self != nullptr);
-    // The blocked-fiber frame below stays alive until the matching
-    // _longjmp(env_) in resume() reenters it.
-    if (_setjmp(self->env_) == 0) {
+    // The blocked-fiber frame below stays alive until resume() or
+    // switchTo() jumps back into it.
+    if (__builtin_setjmp(self->env_) == 0) {
 #if defined(__SANITIZE_THREAD__)
         __tsan_switch_to_fiber(scheduler_tsan_fiber, 0);
 #endif
-        std::longjmp(scheduler_env, 1);
+        jump(scheduler_env);
+    }
+}
+
+void
+Fiber::switchTo(Fiber &next)
+{
+    Fiber *self = current_fiber;
+    MACH_ASSERT(self != nullptr && self != &next);
+    MACH_ASSERT(next.started_ && !next.finished_);
+    // As in yieldToScheduler, but the jump lands in next's frame.
+    if (__builtin_setjmp(self->env_) == 0) {
+        current_fiber = &next;
+#if defined(__SANITIZE_THREAD__)
+        __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+        jump(next.env_);
     }
 }
 

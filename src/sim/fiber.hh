@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative fibers built on ucontext + setjmp.
+ * Cooperative fibers built on ucontext + __builtin_setjmp.
  *
  * Every simulated execution context (a kernel thread running on a
  * simulated CPU, an idle loop, a workload driver) is a Fiber. Exactly one
@@ -10,12 +10,20 @@
  * is what makes every experiment deterministic and replayable.
  *
  * ucontext is used only to enter a fresh stack for the first time
- * (makecontext is the portable way to do that). Every steady-state
- * switch uses _setjmp/_longjmp instead: swapcontext saves and restores
- * the signal mask with an rt_sigprocmask syscall per switch, which
- * dominates switch cost, while _setjmp/_longjmp are pure user-space
- * register save/restore. The simulator never relies on per-fiber
- * signal masks, so the two are equivalent here.
+ * (makecontext is the portable way to do that). Every later switch is
+ * a __builtin_setjmp/__builtin_longjmp pair: swapcontext saves and
+ * restores the signal mask with an rt_sigprocmask syscall per switch,
+ * and glibc's _setjmp/longjmp still pay for _longjmp_unwind, pointer
+ * demangling and a saved-mask check on every jump. The builtins save
+ * only the frame pointer, stack pointer and resume address; GCC makes
+ * the function that calls __builtin_setjmp keep every other register
+ * in its own frame. The simulator never relies on per-fiber signal
+ * masks, so the forms are equivalent here.
+ *
+ * A switch goes from the scheduler to a fiber (resume), from a fiber
+ * back to the scheduler (yieldToScheduler), or straight from one fiber
+ * to another (switchTo, which sim::Context::block uses to hand a wake
+ * off without the round trip through the scheduler).
  */
 
 #ifndef MACH_SIM_FIBER_HH
@@ -23,7 +31,6 @@
 
 #include <ucontext.h>
 
-#include <csetjmp>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -76,6 +83,18 @@ class Fiber
      */
     static void yieldToScheduler();
 
+    /**
+     * Transfer control from the running fiber straight to @p next, a
+     * started, unfinished, blocked fiber; returns when some fiber or
+     * the scheduler switches back to the caller. The next yield to the
+     * scheduler, from whichever fiber, returns from the resume() that
+     * started the chain.
+     */
+    static void switchTo(Fiber &next);
+
+    /** True once resume() has entered the fiber for the first time. */
+    bool started() const { return started_; }
+
   private:
     static void trampoline(unsigned hi, unsigned lo);
     void start();
@@ -90,15 +109,18 @@ class Fiber
     std::unique_ptr<unsigned char[]> stack_;
     /** First-entry context (stack setup); unused after start(). */
     ucontext_t context_;
-    /** Resume point of a blocked fiber (set by yieldToScheduler). */
-    std::jmp_buf env_;
+    /**
+     * Resume point of a blocked fiber (set by yieldToScheduler and
+     * switchTo): the five words __builtin_setjmp fills.
+     */
+    void *env_[5] = {};
     bool started_ = false;
     bool finished_ = false;
 #if defined(__SANITIZE_THREAD__)
     /**
      * This fiber's ThreadSanitizer context. TSan keeps one shadow
-     * stack and jmp_buf list per context; sharing the scheduler's
-     * would let its _setjmp discard the fibers' resume points.
+     * stack per context and sees none of the builtin jumps, so every
+     * jump switches to its target's context first.
      */
     void *tsan_fiber_ = nullptr;
 #endif

@@ -1,5 +1,7 @@
 #include "vm/vm_map.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace mach::vm
@@ -7,7 +9,7 @@ namespace mach::vm
 
 VmMap::VmMap(std::string name, VAddr range_lo, VAddr range_hi)
     : name_(std::move(name)), range_lo_(range_lo), range_hi_(range_hi),
-      lock_(name_ + "-map")
+      first_free_(range_lo), lock_(name_ + "-map")
 {
     MACH_ASSERT(pageTrunc(range_lo) == range_lo);
     MACH_ASSERT(pageTrunc(range_hi) == range_hi);
@@ -36,8 +38,15 @@ VmMap::findSpaceIn(VAddr lo, VAddr hi, std::uint32_t size) const
 {
     MACH_ASSERT(size > 0 && pageRound(size) == size);
     MACH_ASSERT(lo >= range_lo_ && hi <= range_hi_ && lo < hi);
-    VAddr candidate = lo;
-    for (const auto &[start, entry] : entries_) {
+    // Everything below first_free_ is mapped, so a first fit from lo
+    // cannot start there; resume the scan at the entry holding (or
+    // else following) the first address that could.
+    VAddr candidate = std::max(lo, first_free_);
+    auto it = entries_.upper_bound(candidate);
+    if (it != entries_.begin())
+        --it;
+    for (; it != entries_.end(); ++it) {
+        const auto &[start, entry] = *it;
         if (entry.end <= candidate)
             continue;
         if (start >= hi)
@@ -71,6 +80,13 @@ VmMap::insert(const VmMapEntry &entry)
 
     auto [pos, inserted] = entries_.emplace(entry.start, entry);
     MACH_ASSERT(inserted);
+    if (entry.start == first_free_) {
+        // Closing the lowest hole may join the run to the entries
+        // already mapped above it.
+        for (auto next = pos;
+             next != entries_.end() && next->first == first_free_; ++next)
+            first_free_ = next->second.end;
+    }
     return &pos->second;
 }
 
@@ -94,6 +110,10 @@ VmMap::erase(VAddr start)
 {
     const auto erased = entries_.erase(start);
     MACH_ASSERT(erased == 1);
+    // An entry below the lowest hole lay in the contiguous run, which
+    // now ends at its start.
+    if (start < first_free_)
+        first_free_ = start;
 }
 
 unsigned

@@ -130,10 +130,18 @@ class VmMap
         return entries_;
     }
 
+    /**
+     * For changing what entries map (Kernel::forkTask); their extents
+     * and the set of entries change only through insert(), erase(),
+     * clipAndApply() and simplify(), which keep first_free_.
+     */
     std::map<VAddr, VmMapEntry> &entries() { return entries_; }
 
     /** Total mapped bytes. */
     std::uint64_t mappedBytes() const;
+
+    /** The first_free_ hint (white-box tests). */
+    VAddr firstFree() const { return first_free_; }
 
   private:
     /** Split the entry containing @p va so an entry boundary lands
@@ -145,6 +153,14 @@ class VmMap
     VAddr range_lo_;
     VAddr range_hi_;
     std::map<VAddr, VmMapEntry> entries_;
+    /**
+     * Mach's first_free hint: the end of the run of contiguous entries
+     * that starts at range_lo_, so the lowest unmapped address. insert()
+     * advances it and erase() pulls it back; clip() and simplify()
+     * change no coverage, so they leave it alone. findSpaceIn() starts
+     * its first-fit scan here instead of at the bottom of the map.
+     */
+    VAddr first_free_;
     kern::RwMutex lock_;
 };
 

@@ -19,13 +19,16 @@
  *    certifies the healthy protocol clean over the same window;
  *  - a campaign resumed on an existing corpus never re-runs a
  *    schedule it already tried (duplicate_probes_skipped), also
- *    when the corpus was written to a directory and loaded back.
+ *    when the corpus was written to a directory and loaded back;
+ *  - a corpus whose directory cannot be written counts every write
+ *    it lost.
  */
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -369,6 +372,57 @@ TEST(CorpusResume, RoundTripsThroughTheDirectory)
     const chk::ExploreResult resumed = explorer.explore(*storm, opt);
     EXPECT_GE(resumed.duplicate_probes_skipped, opt.systematic_budget);
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * A corpus directory under a regular file cannot be created: the same
+ * campaign then runs in memory, and the corpus counts every entry file
+ * and tried.log line a writable directory received as not persisted.
+ */
+TEST(CorpusResume, CountsWritesThatFail)
+{
+    const std::vector<chk::Scenario> library = chk::builtinScenarios();
+    const chk::Scenario *storm =
+        chk::findScenario(library, "storm-baseline");
+    ASSERT_NE(storm, nullptr);
+    const std::string base = ::testing::TempDir() + "mach-corpus-" +
+                             std::to_string(::getpid());
+    const std::string good = base + "-good";
+    const std::string file = base + "-file";
+    std::filesystem::remove_all(good);
+    std::filesystem::remove_all(file);
+    std::ofstream(file) << "a regular file\n";
+
+    chk::ExploreOptions opt;
+    opt.systematic_budget = 6;
+    opt.random_budget = 6;
+    opt.coverage_guided = true;
+    chk::Explorer explorer;
+
+    chk::Corpus written(good);
+    opt.corpus = &written;
+    explorer.explore(*storm, opt);
+    EXPECT_EQ(written.unpersistedEntries(), 0u);
+    EXPECT_EQ(written.unpersistedTried(), 0u);
+    std::size_t files = 0;
+    for (const auto &it : std::filesystem::directory_iterator(good))
+        files += it.path().extension() == ".corpus" ? 1 : 0;
+    std::size_t tried = 0;
+    std::ifstream log(good + "/tried.log");
+    for (std::string line; std::getline(log, line);)
+        ++tried;
+    ASSERT_GE(files, 1u);
+    ASSERT_GE(tried, 1u);
+
+    chk::Corpus lost(file + "/sub");
+    opt.corpus = &lost;
+    explorer.explore(*storm, opt);
+    EXPECT_EQ(lost.entries().size(), written.entries().size());
+    EXPECT_EQ(lost.unpersistedEntries(), files);
+    EXPECT_EQ(lost.unpersistedTried(), tried);
+    EXPECT_FALSE(std::filesystem::exists(file + "/sub"));
+    std::filesystem::remove_all(good);
+    std::filesystem::remove_all(file);
 }
 
 } // namespace

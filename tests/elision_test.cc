@@ -1,12 +1,14 @@
 /**
  * @file
- * Self-wake elision at machine scale. Context::run() takes a fiber's
- * wake inline when nothing else could run first; runGuarded() never
- * does, which makes it the no-elision reference. Whole workloads --
- * the Section 5.1 tester, the serving tier, a NUMA machine, and a
- * machine with DMA devices -- must give identical digests, event
- * counts, and clocks either way, and the fast path must actually fire
- * on serving traffic, so a change that quietly disables it fails here.
+ * Self-wake elision and direct handoff at machine scale. Context::run()
+ * takes a fiber's wake inline when nothing else could run first, and
+ * a blocking fiber dispatches a wake at the queue front itself,
+ * switching straight to the woken fiber; runGuarded() does neither,
+ * which makes it the reference. Whole workloads -- the Section 5.1
+ * tester, the serving tier, a NUMA machine, and a machine with DMA
+ * devices -- must give identical digests, event counts, and clocks
+ * either way, and both fast paths must actually fire on serving
+ * traffic, so a change that quietly disables one fails here.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@ struct Outcome
     std::uint64_t dispatched = 0;
     std::uint64_t scheduled = 0;
     std::uint64_t elided = 0;
+    std::uint64_t handoffs = 0;
     Tick now = 0;
 };
 
@@ -104,6 +107,7 @@ drive(const hw::MachineConfig &config, apps::Workload &app, bool guarded)
     out.digest = xpr::runDigest(kernel);
     out.scheduled = machine.ctx().queue().scheduledCount();
     out.elided = machine.ctx().elidedWakes();
+    out.handoffs = machine.ctx().handoffs();
     out.now = machine.now();
     return out;
 }
@@ -141,7 +145,9 @@ expectRunMatchesReference(const hw::MachineConfig &config, Make make)
     EXPECT_EQ(fast.scheduled, reference.scheduled);
     EXPECT_EQ(fast.now, reference.now);
     EXPECT_GT(fast.elided, 0u);
+    EXPECT_GT(fast.handoffs, 0u);
     EXPECT_EQ(reference.elided, 0u);
+    EXPECT_EQ(reference.handoffs, 0u);
 }
 
 TEST(WakeElision, TesterMatchesGuardedReference)
@@ -190,6 +196,24 @@ TEST(WakeElision, FastPathCarriesServingTraffic)
                          static_cast<double>(
                              kernel.machine().ctx().queue().scheduledCount());
     EXPECT_GE(share, 0.20) << ctx.elidedWakes() << " elided wakes";
+}
+
+TEST(WakeElision, HandoffCarriesServingTraffic)
+{
+    // On the serving tier block() dispatches 84% of the events that
+    // are queued (not elided) itself; a floor of 50% leaves room for
+    // workload changes but not for a handoff that has stopped firing.
+    setLogQuiet(true);
+    vm::Kernel kernel(servingConfig());
+    apps::Serving serving(servingParams());
+    serving.execute(kernel);
+    sim::Context &ctx = kernel.machine().ctx();
+    const std::uint64_t queued =
+        ctx.queue().scheduledCount() - ctx.elidedWakes();
+    const double share = static_cast<double>(ctx.handoffs()) /
+                         static_cast<double>(queued);
+    EXPECT_GE(share, 0.50) << ctx.handoffs() << " of " << queued
+                           << " queued events handed off";
 }
 
 } // namespace

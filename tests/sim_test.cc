@@ -766,6 +766,7 @@ struct Observed
     std::uint64_t dispatched = 0;
     std::uint64_t scheduled = 0;
     std::uint64_t elided = 0;
+    std::uint64_t handoffs = 0;
     Tick now = 0;
 
     bool
@@ -812,6 +813,7 @@ interleave(bool guarded, const SchedulePerturber *perturber = nullptr)
     }
     out.scheduled = ctx.queue().scheduledCount();
     out.elided = ctx.elidedWakes();
+    out.handoffs = ctx.handoffs();
     out.now = ctx.now();
     return out;
 }
@@ -822,8 +824,11 @@ TEST(ContextElision, RunMatchesRunGuardedReference)
     const Observed reference = interleave(true);
     EXPECT_EQ(fast, reference);
     EXPECT_GT(fast.elided, 0u);
-    // runGuarded's guard must see every event: it never elides.
+    EXPECT_GT(fast.handoffs, 0u);
+    // runGuarded's guard must see every event: it never elides and
+    // never hands off.
     EXPECT_EQ(reference.elided, 0u);
+    EXPECT_EQ(reference.handoffs, 0u);
 }
 
 TEST(ContextElision, DirectiveOnElidedSequenceStillDelaysWake)
@@ -947,6 +952,221 @@ TEST(ContextElision, BlockUntilPublishesPendingWake)
     ctx.run();
     EXPECT_EQ(woke, 11u);
     EXPECT_EQ(ctx.now(), 16u);
+}
+
+// ---------------------------------------------------------------------
+// Direct handoff (Context::block).
+// ---------------------------------------------------------------------
+
+/** A program: spawns and schedules on a fresh Context, logging to a trace. */
+using Program = std::function<void(Context &, std::string &)>;
+
+/**
+ * Run @p program to @p until and then to the end, by run() or, when
+ * @p guarded, by runGuarded() with a never-true guard. After each of
+ * the two runs the trace gets its count, clock, queue size and live
+ * fibers; handoffs holds the first run's handoffs only.
+ */
+Observed
+runProgram(const Program &program, bool guarded, Tick until)
+{
+    Context ctx;
+    Observed out;
+    program(ctx, out.trace);
+    const auto drain = [&](Tick horizon) {
+        std::uint64_t dispatched = 0;
+        if (guarded) {
+            bool hit = true;
+            dispatched =
+                ctx.runGuarded(horizon, [] { return false; }, &hit);
+            EXPECT_FALSE(hit);
+        } else {
+            dispatched = ctx.run(horizon);
+        }
+        out.dispatched += dispatched;
+        out.trace += "| " + std::to_string(dispatched) + " events, now " +
+                     std::to_string(ctx.now()) + ", " +
+                     std::to_string(ctx.queue().size()) + " queued, " +
+                     std::to_string(ctx.liveFiberCount()) + " live ";
+    };
+    drain(until);
+    out.handoffs = ctx.handoffs();
+    drain(~Tick{0});
+    out.scheduled = ctx.queue().scheduledCount();
+    out.elided = ctx.elidedWakes();
+    out.now = ctx.now();
+    return out;
+}
+
+/**
+ * Run @p program both ways and expect the same trace, counts and
+ * clock; returns run()'s side.
+ */
+Observed
+expectHandoffMatchesReference(const Program &program,
+                              Tick until = ~Tick{0})
+{
+    const Observed fast = runProgram(program, false, until);
+    const Observed reference = runProgram(program, true, until);
+    EXPECT_EQ(fast, reference) << "run():        " << fast.trace
+                               << "\nrunGuarded(): " << reference.trace;
+    EXPECT_EQ(reference.handoffs, 0u);
+    return fast;
+}
+
+std::string
+at(const Context &ctx, char tag)
+{
+    return tag + std::to_string(ctx.now()) + ' ';
+}
+
+TEST(ContextHandoff, StaleWakeOfFinishedFiberIsDropped)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId quick =
+                ctx.spawn("quick", [&] { trace += at(ctx, 'q'); });
+            ctx.spawn("a", [&ctx, &trace, quick] {
+                ctx.sleep(5);
+                // The stale wake leads; the own wake follows it.
+                ctx.scheduleWake(quick, ctx.now() + 1);
+                ctx.scheduleWake(ctx.currentFiber(), ctx.now() + 2);
+                ctx.block();
+                trace += at(ctx, 'a');
+            });
+        });
+    // Both taken in block(): the stale wake dropped, the own one
+    // returned to.
+    EXPECT_EQ(fast.handoffs, 2u);
+    EXPECT_NE(fast.trace.find("a7 "), std::string::npos) << fast.trace;
+}
+
+TEST(ContextHandoff, FirstWakeOfNeverStartedFiberGoesThroughScheduler)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            ctx.spawn("a", [&] {
+                ctx.spawn("late", [&] { trace += at(ctx, 'L'); }, 3);
+                ctx.scheduleWake(ctx.currentFiber(), ctx.now() + 5);
+                ctx.block();
+                trace += at(ctx, 'A');
+            });
+        });
+    // Only resume() can enter the late fiber's fresh stack.
+    EXPECT_EQ(fast.handoffs, 0u);
+    EXPECT_EQ(fast.trace.substr(0, 6), "L3 A5 ");
+}
+
+TEST(ContextHandoff, OwnWakeAtFrontReturnsAtOnce)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            ctx.spawn("a", [&] {
+                for (int i = 0; i < 3; ++i) {
+                    ctx.scheduleWake(ctx.currentFiber(), ctx.now() + 4);
+                    ctx.block();
+                    trace += at(ctx, 'a');
+                }
+            });
+        });
+    EXPECT_EQ(fast.handoffs, 3u);
+    EXPECT_EQ(fast.trace.substr(0, 9), "a4 a8 a12");
+}
+
+TEST(ContextHandoff, CallbackBetweenWakesRunsOnSchedulerStack)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId b = ctx.spawn("b", [&] {
+                ctx.block();
+                trace += at(ctx, 'B');
+                ctx.block();
+                trace += at(ctx, 'b');
+            });
+            ctx.spawn("a", [&ctx, &trace, b] {
+                ctx.scheduleCall(ctx.now() + 1, [&] {
+                    trace += Fiber::current() == nullptr ? "c " : "C! ";
+                });
+                ctx.scheduleWake(b, ctx.now() + 2);
+                // The callback leads: a yields to the scheduler, which
+                // runs it and resumes b; b hands off to a at 3.
+                ctx.sleep(3);
+                trace += at(ctx, 'A');
+                ctx.scheduleWake(b, ctx.now());
+            });
+        });
+    EXPECT_EQ(fast.handoffs, 1u);
+    EXPECT_EQ(fast.trace.substr(0, 12), "c B2 A3 b3 |");
+}
+
+TEST(ContextHandoff, RequestStopFromFiberEndsRunBeforeHandoff)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId b = ctx.spawn("b", [&] {
+                ctx.block();
+                trace += at(ctx, 'b');
+            });
+            ctx.spawn("a", [&ctx, &trace, b] {
+                ctx.scheduleWake(b, ctx.now() + 1);
+                ctx.requestStop();
+                ctx.sleep(5);
+                trace += at(ctx, 'a');
+            });
+        });
+    // The stopped run ends at 0 with both wakes pending; the second
+    // run drains them (b's through the scheduler, a's too).
+    EXPECT_EQ(fast.handoffs, 0u);
+    EXPECT_EQ(fast.trace.substr(0, 36),
+              "| 2 events, now 0, 2 queued, 2 live ");
+}
+
+TEST(ContextHandoff, NeverHandsOffPastUntil)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId b = ctx.spawn("b", [&] {
+                ctx.block();
+                trace += at(ctx, 'b');
+                ctx.block();
+                trace += at(ctx, 'B');
+            });
+            ctx.spawn("a", [&ctx, &trace, b] {
+                ctx.scheduleWake(b, ctx.now() + 10);
+                ctx.sleep(20);
+                trace += at(ctx, 'a');
+                ctx.scheduleWake(b, ctx.now());
+            });
+        },
+        15);
+    // a hands off to b at 10; b's block finds a's wake at 20 past the
+    // horizon and yields, ending the first run at 10.
+    EXPECT_EQ(fast.handoffs, 1u);
+    EXPECT_EQ(fast.trace.substr(0, 41),
+              "b10 | 3 events, now 10, 1 queued, 2 live ");
+}
+
+TEST(ContextHandoff, FiberFinishingAfterHandoffIsReaped)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId b = ctx.spawn("b", [&] {
+                ctx.block();
+                trace += at(ctx, 'b');
+            });
+            ctx.spawn("a", [&ctx, &trace, b] {
+                ctx.scheduleWake(b, ctx.now() + 1);
+                ctx.sleep(2);
+                // b finished after the handoff reached it and went
+                // back through the scheduler, which must reap it, not
+                // the fiber it had resumed (this one).
+                trace += at(ctx, 'a') + ctx.fiberName(b) + ' ';
+            });
+        });
+    EXPECT_EQ(fast.handoffs, 1u);
+    EXPECT_EQ(fast.trace,
+              "b1 a2 <gone> | 4 events, now 2, 0 queued, 0 live "
+              "| 0 events, now 2, 0 queued, 0 live ");
 }
 
 } // namespace

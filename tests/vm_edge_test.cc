@@ -1,15 +1,21 @@
 /**
  * @file
  * Edge-case tests: object lifetimes across COW chains, map-level unit
- * behaviour, deep shadow chains from repeated forks, and combinations
- * of the optional machine features.
+ * behaviour (the first-fit hint checked against a plain scan), deep
+ * shadow chains from repeated forks, and combinations of the optional
+ * machine features.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+
 #include "apps/camelot.hh"
 #include "apps/mach_build.hh"
 #include "apps/consistency_tester.hh"
+#include "base/rng.hh"
 #include "pmap/shootdown.hh"
 #include "vm/kernel.hh"
 
@@ -321,6 +327,122 @@ TEST(VmMapUnit, ClipAndApplySkipsHoles)
     map.clipAndApply(0x10000, 0x100000,
                      [&](vm::VmMapEntry &) { ++visited; });
     EXPECT_EQ(visited, 2u);
+}
+
+/** findSpaceIn() as a plain first-fit scan from the bottom of the map. */
+VAddr
+linearFindSpace(const vm::VmMap &map, VAddr lo, VAddr hi,
+                std::uint32_t size)
+{
+    VAddr candidate = lo;
+    for (const auto &[start, entry] : map.entries()) {
+        if (entry.end <= candidate)
+            continue;
+        if (start >= hi)
+            break;
+        if (start >= candidate && start - candidate >= size)
+            return candidate;
+        candidate = std::max(candidate, entry.end);
+    }
+    return candidate < hi && hi - candidate >= size ? candidate : 0;
+}
+
+/** True when no entry of @p map overlaps [start, end). */
+bool
+unmapped(const vm::VmMap &map, VAddr start, VAddr end)
+{
+    const auto &entries = map.entries();
+    const auto next = entries.lower_bound(start);
+    if (next != entries.end() && next->first < end)
+        return false;
+    return next == entries.begin() || std::prev(next)->second.end <= start;
+}
+
+TEST(VmMapUnit, FindSpaceMatchesLinearScan)
+{
+    // Seeded random insert/erase/clip/simplify sequences; after every
+    // step the hint must be the lowest unmapped address, and the
+    // hinted first fit must equal the plain scan over the whole map,
+    // over each of four kmemAlloc-style pool slices, and over a
+    // random window.
+    constexpr VAddr kLo = 0x10000;
+    constexpr unsigned kPages = 256;
+    constexpr VAddr kHi = kLo + kPages * kPageSize;
+    constexpr unsigned kSlices = 4;
+    constexpr VAddr kSpan = (kHi - kLo) / kSlices;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed, "test.vm_map.first_free");
+        vm::VmMap map("diff", kLo, kHi);
+        const auto page = [&](std::uint64_t n) {
+            return kLo + static_cast<VAddr>(n) * kPageSize;
+        };
+        for (unsigned step = 0; step < 600; ++step) {
+            const auto &entries = map.entries();
+            const std::uint64_t op = rng.below(10);
+            if (op < 4) {
+                // At the first fit, as vmAllocate(anywhere) places, or
+                // anywhere free. Offsets follow addresses, so simplify
+                // merges neighbours as well as clipped pieces.
+                const auto size =
+                    static_cast<std::uint32_t>(rng.range(1, 8) * kPageSize);
+                const VAddr at = rng.below(2) == 0 ? map.findSpace(size)
+                                                   : page(rng.below(kPages));
+                if (at != 0 && at + size <= kHi &&
+                    unmapped(map, at, at + size)) {
+                    vm::VmMapEntry entry;
+                    entry.start = at;
+                    entry.end = at + size;
+                    entry.offset = (at - kLo) >> kPageShift;
+                    map.insert(entry);
+                }
+            } else if (op < 7) {
+                if (!entries.empty())
+                    map.erase(std::next(entries.begin(),
+                                        static_cast<std::ptrdiff_t>(
+                                            rng.below(entries.size())))
+                                  ->first);
+            } else if (op < 9) {
+                const VAddr a = page(rng.below(kPages));
+                const VAddr b = std::min(kHi, a + static_cast<VAddr>(
+                                                      rng.range(1, 16)) *
+                                                      kPageSize);
+                map.clipAndApply(a, b, [](vm::VmMapEntry &) {});
+            } else {
+                const VAddr a = page(rng.below(kPages));
+                map.simplify(a, std::min(kHi, a + 32 * kPageSize));
+            }
+
+            // The hint is exact, not merely safe: the lowest
+            // unmapped address.
+            VAddr hole = kLo;
+            for (auto it = entries.find(kLo); it != entries.end() &&
+                                              it->first == hole;
+                 ++it)
+                hole = it->second.end;
+            ASSERT_EQ(map.firstFree(), hole)
+                << "seed " << seed << " step " << step;
+
+            const VAddr w_lo = page(rng.below(kPages));
+            const VAddr w_hi = std::min(
+                kHi, w_lo + static_cast<VAddr>(rng.range(1, 64)) * kPageSize);
+            for (const std::uint32_t pages : {1u, 2u, 5u, 17u}) {
+                const std::uint32_t size = pages * kPageSize;
+                ASSERT_EQ(map.findSpace(size),
+                          linearFindSpace(map, kLo, kHi, size))
+                    << "seed " << seed << " step " << step;
+                for (unsigned k = 0; k < kSlices; ++k) {
+                    const VAddr lo = kLo + k * kSpan;
+                    ASSERT_EQ(map.findSpaceIn(lo, lo + kSpan, size),
+                              linearFindSpace(map, lo, lo + kSpan, size))
+                        << "seed " << seed << " step " << step
+                        << " slice " << k;
+                }
+                ASSERT_EQ(map.findSpaceIn(w_lo, w_hi, size),
+                          linearFindSpace(map, w_lo, w_hi, size))
+                    << "seed " << seed << " step " << step << " window";
+            }
+        }
+    }
 }
 
 TEST(FeatureCombo, AsidTagsFullWorkload)

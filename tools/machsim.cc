@@ -827,12 +827,25 @@ reportCampaign(const chk::ExploreResult &res, const chk::Corpus *corpus,
                 "coverage-novel)\n",
                 res.trials, res.duplicate_probes_skipped,
                 res.coverage_novel);
-    if (corpus != nullptr)
+    // A campaign whose corpus could not be written fails: the entries
+    // it reports are not on disk for a later resume or replay.
+    bool unpersisted = false;
+    if (corpus != nullptr) {
         std::printf("corpus: %zu bucket(s), %zu entr(ies)%s%s\n",
                     corpus->buckets(scenario_name),
                     corpus->entries().size(),
                     corpus->dir().empty() ? "" : " in ",
                     corpus->dir().c_str());
+        unpersisted = corpus->unpersistedEntries() != 0 ||
+                      corpus->unpersistedTried() != 0;
+        if (unpersisted)
+            std::fprintf(stderr,
+                         "machsim: corpus NOT persisted: %zu entr(ies) "
+                         "and %zu tried schedule(s) could not be written "
+                         "to %s\n",
+                         corpus->unpersistedEntries(),
+                         corpus->unpersistedTried(), corpus->dir().c_str());
+    }
     if (res.baseline_failed) {
         std::printf("baseline FAILED: %s\n",
                     res.baseline.note.c_str());
@@ -840,7 +853,7 @@ reportCampaign(const chk::ExploreResult &res, const chk::Corpus *corpus,
     }
     if (res.failures == 0) {
         std::printf("no failing schedule found\n");
-        return 0;
+        return unpersisted ? 1 : 0;
     }
     std::printf("failures: %u\nfirst failing schedule: %s\n"
                 "minimized: %s\n",
