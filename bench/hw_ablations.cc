@@ -46,19 +46,20 @@ struct Option
 const Option kOptions[] = {
     {"baseline", [](hw::MachineConfig &) {}},
     {"multicast-ipi",
-     [](hw::MachineConfig &c) { c.multicast_ipi = true; }},
+     [](hw::MachineConfig &c) { c.ipi_send = hw::IpiSend::Multicast; }},
     {"broadcast-ipi",
-     [](hw::MachineConfig &c) { c.broadcast_ipi = true; }},
+     [](hw::MachineConfig &c) { c.ipi_send = hw::IpiSend::Broadcast; }},
     {"software-reload",
      [](hw::MachineConfig &c) { c.tlb_software_reload = true; }},
     {"no-refmod-writeback",
-     [](hw::MachineConfig &c) { c.tlb_no_refmod_writeback = true; }},
+     [](hw::MachineConfig &c) { c.tlb_refmod = hw::TlbRefmod::None; }},
     {"interlocked-refmod",
-     [](hw::MachineConfig &c) { c.tlb_interlocked_refmod = true; }},
+     [](hw::MachineConfig &c) {
+         c.tlb_refmod = hw::TlbRefmod::Interlocked;
+     }},
     {"remote-invalidate",
      [](hw::MachineConfig &c) {
-         c.tlb_remote_invalidate = true;
-         c.tlb_no_refmod_writeback = true;
+         c.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
      }},
     {"high-priority-ipi",
      [](hw::MachineConfig &c) { c.high_priority_ipi = true; }},

@@ -43,7 +43,8 @@ Probe
 run(unsigned k, unsigned seed_index, bool broadcast)
 {
     hw::MachineConfig config;
-    config.broadcast_ipi = broadcast;
+    config.ipi_send =
+        broadcast ? hw::IpiSend::Broadcast : hw::IpiSend::Directed;
     config.seed = 0xc0550 + k * 131 + seed_index;
     vm::Kernel kernel(config);
     apps::ConsistencyTester tester(

@@ -74,7 +74,7 @@ struct StrategyResult
 };
 
 StrategyResult
-measure(hw::ConsistencyStrategy strategy)
+measure(hw::ShootdownPolicy technique)
 {
     StrategyResult out;
 
@@ -82,9 +82,7 @@ measure(hw::ConsistencyStrategy strategy)
     // reprotect, 8 processors involved.
     {
         hw::MachineConfig config;
-        config.consistency_strategy = strategy;
-        if (strategy == hw::ConsistencyStrategy::DelayedFlush)
-            config.tlb_no_refmod_writeback = true;
+        config.setShootdownPolicy(technique);
         config.seed = 0x57a7e6;
         vm::Kernel kernel(config);
         apps::ConsistencyTester tester(
@@ -100,9 +98,7 @@ measure(hw::ConsistencyStrategy strategy)
     // extra TLB misses (refill traffic) on top of the flush cost.
     {
         hw::MachineConfig config;
-        config.consistency_strategy = strategy;
-        if (strategy == hw::ConsistencyStrategy::DelayedFlush)
-            config.tlb_no_refmod_writeback = true;
+        config.setShootdownPolicy(technique);
         config.seed = 0x57a7e6;
         vm::Kernel kernel(config);
         apps::Agora app(apps::Agora::Params{});
@@ -126,9 +122,9 @@ runStrategyPart()
     StrategyResult shoot;
     StrategyResult delayed;
     runFarmed(
-        {[&] { shoot = measure(hw::ConsistencyStrategy::Shootdown); },
+        {[&] { shoot = measure(hw::ShootdownPolicy::Baseline); },
          [&] {
-             delayed = measure(hw::ConsistencyStrategy::DelayedFlush);
+             delayed = measure(hw::ShootdownPolicy::DelayedFlush);
          }});
 
     std::printf("Section 3: shootdown vs timer-driven delayed "

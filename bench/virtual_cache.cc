@@ -48,7 +48,7 @@ measure(bool virtual_cache, unsigned k)
     // Both designs are software-managed (no ref/mod writeback), so
     // the only difference measured is the invalidation mechanism
     // itself: per-entry invalidates vs exhaustive directory search.
-    config.tlb_no_refmod_writeback = true;
+    config.tlb_refmod = hw::TlbRefmod::None;
     if (virtual_cache) {
         config.virtual_cache = true;
         config.tlb_entries = 512; // Cache-directory scale.

@@ -34,7 +34,8 @@ main(int argc, char **argv)
         fatal("children must be between 1 and 15 on a 16-CPU machine");
 
     hw::MachineConfig config;
-    config.shootdown_enabled = shootdown;
+    if (!shootdown)
+        config.setShootdownPolicy(hw::ShootdownPolicy::Off);
     vm::Kernel kernel(config);
 
     std::printf("TLB consistency tester: %u child threads, shootdown "

@@ -50,11 +50,11 @@ main()
     runOption("baseline (Multimax)", {});
 
     hw::MachineConfig multicast;
-    multicast.multicast_ipi = true;
+    multicast.ipi_send = hw::IpiSend::Multicast;
     runOption("multicast IPI", multicast);
 
     hw::MachineConfig broadcast;
-    broadcast.broadcast_ipi = true;
+    broadcast.ipi_send = hw::IpiSend::Broadcast;
     runOption("broadcast IPI", broadcast);
 
     hw::MachineConfig swreload;
@@ -62,12 +62,11 @@ main()
     runOption("software-reload TLB", swreload);
 
     hw::MachineConfig nowb;
-    nowb.tlb_no_refmod_writeback = true;
+    nowb.tlb_refmod = hw::TlbRefmod::None;
     runOption("no ref/mod writeback", nowb);
 
     hw::MachineConfig remote;
-    remote.tlb_remote_invalidate = true;
-    remote.tlb_no_refmod_writeback = true;
+    remote.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
     runOption("remote invalidation", remote);
 
     hw::MachineConfig hipri;

@@ -14,8 +14,7 @@ Oracle::Oracle(vm::Kernel &kernel) : kernel_(kernel)
 {
     kernel_.pmaps().setPostOpHook([this](pmap::Pmap &) {
         const hw::MachineConfig &cfg = kernel_.machine().cfg();
-        if (cfg.consistency_strategy !=
-            hw::ConsistencyStrategy::Shootdown) {
+        if (cfg.shootdown_policy == hw::ShootdownPolicy::DelayedFlush) {
             // DelayedFlush holds stale entries until the next timer
             // flush by design; only finalCheck() is meaningful.
             return;

@@ -21,7 +21,7 @@
  *    PmapSystem::auditTlbConsistency() itself: their stale entries are
  *    exactly what the queued invalidation is about to remove, and the
  *    protocol guarantees they are not being used to translate.
- *  - Under ConsistencyStrategy::DelayedFlush stale entries persist by
+ *  - Under ShootdownPolicy::DelayedFlush stale entries persist by
  *    design until the next timer flush, so the per-op audit is
  *    meaningless and the oracle only checks at finalCheck() time,
  *    after the machine has drained.

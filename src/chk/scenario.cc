@@ -144,8 +144,8 @@ stormDriver(unsigned children, unsigned rounds, Tick warmup,
         stop = true;
         for (kern::Thread *t : kids)
             drv.join(*t);
-        if (kernel.machine().cfg().consistency_strategy ==
-                hw::ConsistencyStrategy::Shootdown &&
+        if (kernel.machine().cfg().shootdown_policy !=
+                hw::ShootdownPolicy::DelayedFlush &&
             kernel.pmaps().shoot().initiated == 0)
             state->failCoverage("storm: no shootdown ran");
         if (extra)
@@ -885,12 +885,12 @@ builtinScenarios()
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.multicast_ipi = true;
+        c.ipi_send = hw::IpiSend::Multicast;
         out.push_back(storm("hw-multicast", "multicast IPI", c));
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.broadcast_ipi = true;
+        c.ipi_send = hw::IpiSend::Broadcast;
         out.push_back(storm("hw-broadcast", "broadcast IPI", c));
     }
     {
@@ -901,20 +901,19 @@ builtinScenarios()
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.tlb_no_refmod_writeback = true;
+        c.tlb_refmod = hw::TlbRefmod::None;
         out.push_back(storm("hw-no-writeback",
                             "TLB without ref/mod writeback", c));
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.tlb_interlocked_refmod = true;
+        c.tlb_refmod = hw::TlbRefmod::Interlocked;
         out.push_back(storm("hw-interlocked-refmod",
                             "interlocked ref/mod updates", c));
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.tlb_remote_invalidate = true;
-        c.tlb_no_refmod_writeback = true;
+        c.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
         out.push_back(storm("hw-remote-invalidate",
                             "remote TLB entry invalidation", c));
     }
@@ -927,7 +926,7 @@ builtinScenarios()
     {
         hw::MachineConfig c = smallConfig();
         c.virtual_cache = true;
-        c.tlb_no_refmod_writeback = true;
+        c.tlb_refmod = hw::TlbRefmod::None;
         out.push_back(storm("hw-virtual-cache",
                             "virtually addressed cache flushes", c));
     }
@@ -940,8 +939,7 @@ builtinScenarios()
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-        c.tlb_no_refmod_writeback = true;
+        c.setShootdownPolicy(hw::ShootdownPolicy::DelayedFlush);
         out.push_back(storm("delayed-flush",
                             "technique 2: timer-based delayed flush",
                             c, 1200 * kMsec));

@@ -309,8 +309,8 @@ vmgenScenario(const VmGenOptions &opt)
                 kernel.pmaps().shoot().device_commands == 0)
                 state->failCoverage("vmgen: device path not exercised");
         }
-        if (kernel.machine().cfg().consistency_strategy ==
-                hw::ConsistencyStrategy::Shootdown &&
+        if (kernel.machine().cfg().shootdown_policy !=
+                hw::ShootdownPolicy::DelayedFlush &&
             kernel.pmaps().shoot().initiated == 0)
             state->failCoverage("vmgen: no shootdown ran");
     };

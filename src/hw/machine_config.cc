@@ -30,6 +30,10 @@ MachineConfig::setShootdownPolicy(ShootdownPolicy policy)
         tlb_asid_tags = true;
     if (policy == ShootdownPolicy::ReuseElide)
         tlb_software_reload = true;
+    if ((policy == ShootdownPolicy::DelayedFlush ||
+         policy == ShootdownPolicy::RemoteInvalidate) &&
+        tlb_refmod == TlbRefmod::Writeback)
+        tlb_refmod = TlbRefmod::None;
 }
 
 void
@@ -56,49 +60,33 @@ MachineConfig::validate() const
               "or at least 1 ms",
               static_cast<unsigned long long>(timer_period));
     }
-    if (multicast_ipi && broadcast_ipi)
-        fatal("MachineConfig: multicast and broadcast IPI are exclusive");
     if (kernel_pools == 0 || kernel_pools > ncpus ||
         ncpus % kernel_pools != 0) {
         fatal("MachineConfig: kernel_pools (%u) must evenly divide "
               "ncpus (%u)",
               kernel_pools, ncpus);
     }
-    if (consistency_strategy == ConsistencyStrategy::DelayedFlush) {
-        if (!tlb_no_refmod_writeback && !tlb_interlocked_refmod) {
-            fatal("MachineConfig: the delayed-flush technique leaves "
-                  "remote TLBs live during pmap updates, so it "
-                  "requires tlb_no_refmod_writeback (cf. the MIPS "
-                  "systems of Thompson et al.)");
-        }
-        if (timer_period == 0)
-            fatal("MachineConfig: delayed-flush needs timer "
-                  "interrupts to drive the buffer flushes");
+    if ((shootdown_policy == ShootdownPolicy::DelayedFlush ||
+         shootdown_policy == ShootdownPolicy::RemoteInvalidate) &&
+        tlb_refmod == TlbRefmod::Writeback) {
+        // Both leave remote TLBs live during the pmap update, so a
+        // blind ref/mod writeback could corrupt it. Section 9: remote
+        // invalidation "can eliminate shootdown interrupts entirely
+        // if the reference/modify bit writeback problem is
+        // successfully addressed"; delayed flush was used on MIPS
+        // systems, whose TLBs write nothing back (Thompson et al.).
+        fatal("MachineConfig: %s leaves remote TLBs live during pmap "
+              "updates, so it requires tlb_refmod None or Interlocked "
+              "(see Section 9)",
+              shootdownPolicyName(shootdown_policy));
     }
-    if (tlb_remote_invalidate && !tlb_no_refmod_writeback &&
-        !tlb_interlocked_refmod) {
-        // Section 9: remote invalidation "can eliminate shootdown
-        // interrupts entirely if the reference/modify bit writeback
-        // problem is successfully addressed" -- without that, a
-        // responder's TLB can still corrupt an in-flight pmap update.
-        fatal("MachineConfig: tlb_remote_invalidate requires "
-              "tlb_no_refmod_writeback or tlb_interlocked_refmod "
-              "(see Section 9)");
-    }
-    if (virtual_cache && !tlb_no_refmod_writeback) {
+    if (shootdown_policy == ShootdownPolicy::DelayedFlush &&
+        timer_period == 0)
+        fatal("MachineConfig: delayed-flush needs timer interrupts to "
+              "drive the buffer flushes");
+    if (virtual_cache && tlb_refmod != TlbRefmod::None) {
         fatal("MachineConfig: the virtual-cache model is software "
-              "managed; set tlb_no_refmod_writeback");
-    }
-    if (tlb_interlocked_refmod && tlb_no_refmod_writeback)
-        fatal("MachineConfig: interlocked ref/mod updates and no "
-              "writeback at all are mutually exclusive TLB designs");
-    if (shootdown_policy != ShootdownPolicy::Baseline) {
-        if (consistency_strategy == ConsistencyStrategy::DelayedFlush)
-            fatal("MachineConfig: shootdown-avoidance policies layer "
-                  "over the shootdown strategy, not delayed-flush");
-        if (tlb_remote_invalidate)
-            fatal("MachineConfig: tlb_remote_invalidate bypasses the "
-                  "responder protocol the avoidance policies hook");
+              "managed; set tlb_refmod None");
     }
     if (shootdown_policy == ShootdownPolicy::LazyAsid &&
         !tlb_asid_tags) {
@@ -107,10 +95,10 @@ MachineConfig::validate() const
               "survives; set tlb_asid_tags");
     }
     if (shootdown_policy == ShootdownPolicy::ReuseElide) {
-        if (tlb_no_refmod_writeback) {
+        if (tlb_refmod == TlbRefmod::None) {
             fatal("MachineConfig: the reuse-elide policy proves pages "
                   "uncached via the reference bit every TLB fill sets; "
-                  "tlb_no_refmod_writeback breaks that proof");
+                  "tlb_refmod None breaks that proof");
         }
         if (!tlb_software_reload) {
             fatal("MachineConfig: the reuse-elide proof is only "
@@ -122,10 +110,10 @@ MachineConfig::validate() const
         }
     }
     if (shootdown_policy == ShootdownPolicy::RangeFlush &&
-        range_flush_crossover < tlb_flush_threshold)
-        fatal("MachineConfig: range_flush_crossover (%u) must be >= "
-              "tlb_flush_threshold (%u)",
-              range_flush_crossover, tlb_flush_threshold);
+        kRangeFlushCrossover < tlb_flush_threshold)
+        fatal("MachineConfig: range-flush escalates past %u pages, so "
+              "tlb_flush_threshold (%u) must be at most that",
+              kRangeFlushCrossover, tlb_flush_threshold);
     if (numa_nodes == 0 || numa_nodes > 8)
         fatal("MachineConfig: numa_nodes (%u) out of range [1,8]",
               numa_nodes);
@@ -199,6 +187,12 @@ shootdownPolicyName(ShootdownPolicy policy)
         return "range-flush";
       case ShootdownPolicy::ReuseElide:
         return "reuse-elide";
+      case ShootdownPolicy::Off:
+        return "off";
+      case ShootdownPolicy::DelayedFlush:
+        return "delayed-flush";
+      case ShootdownPolicy::RemoteInvalidate:
+        return "remote-invalidate";
     }
     panic("shootdownPolicyName: bad policy %u",
           static_cast<unsigned>(policy));
@@ -210,7 +204,8 @@ parseShootdownPolicy(const std::string &name, ShootdownPolicy *out)
     static constexpr ShootdownPolicy kAll[] = {
         ShootdownPolicy::Baseline, ShootdownPolicy::LazyAsid,
         ShootdownPolicy::Batched, ShootdownPolicy::RangeFlush,
-        ShootdownPolicy::ReuseElide};
+        ShootdownPolicy::ReuseElide, ShootdownPolicy::Off,
+        ShootdownPolicy::DelayedFlush, ShootdownPolicy::RemoteInvalidate};
     for (const ShootdownPolicy policy : kAll) {
         if (name == shootdownPolicyName(policy)) {
             *out = policy;

@@ -115,6 +115,12 @@ inline constexpr Tick kPageCopyCost = 1800 * kUsec;
 
 /** Cost of gathering and storing one xpr event record. */
 inline constexpr Tick kXprRecordCost = 4 * kUsec;
+/**
+ * Responder events are recorded on CPUs [0, kXprResponderCpus) only,
+ * to avoid lock contention in the instrumentation: the paper sampled
+ * 5 of its 16 processors.
+ */
+inline constexpr unsigned kXprResponderCpus = 5;
 
 // Section 9 hardware-support options.
 
@@ -139,6 +145,13 @@ inline constexpr Tick kVcSearchCostPerLine = 600;
  * action flag is still up and the pass is live or pending).
  */
 inline constexpr Tick kIpiCoalesceWindow = 400 * kUsec;
+/**
+ * RangeFlush policy: more pages than this in one invalidation and the
+ * responder flushes the whole target space instead of walking the
+ * range. validate() rejects RangeFlush with a tlb_flush_threshold
+ * above it.
+ */
+inline constexpr unsigned kRangeFlushCrossover = 16;
 
 // DMA devices and IOMMU.
 
@@ -185,32 +198,13 @@ enum Spl : std::uint8_t
 };
 
 /**
- * How TLB consistency is maintained (Section 3's candidate
- * techniques).
- */
-enum class ConsistencyStrategy : std::uint8_t
-{
-    /** Technique 1: the Mach shootdown algorithm (the paper's choice). */
-    Shootdown,
-    /**
-     * Technique 2: delay use of changed mappings until every buffer
-     * has been flushed by code executed in response to timer
-     * interrupts. Correct, but "the additional buffer flushes ... can
-     * be expensive on some architectures", and every mapping change
-     * waits out a timer period. Requires a TLB without ref/mod
-     * writeback (as on the MIPS systems where this technique was
-     * actually used), since nothing stalls remote processors during
-     * the update.
-     */
-    DelayedFlush,
-};
-
-/**
- * Shootdown-avoidance policy layered over the Figure-1 algorithm
- * (docs/ALGORITHM.md, "Beyond 1989"). Baseline is the paper's eager
- * protocol; every other policy elides or defers work the 1989
- * algorithm would have done, and every one of them must keep the
- * stale-translation oracle clean across the full scenario library.
+ * How TLB consistency is maintained (docs/ALGORITHM.md). Baseline is
+ * the paper's eager Figure-1 protocol. The four avoidance policies
+ * after it elide or defer work the 1989 algorithm would have done,
+ * and every one of them must keep the stale-translation oracle clean
+ * across the full scenario library. The last three replace the
+ * algorithm outright: nothing (the negative control), Section 3's
+ * timer-driven delayed flush, or Section 9's remote invalidation.
  */
 enum class ShootdownPolicy : std::uint8_t
 {
@@ -236,7 +230,7 @@ enum class ShootdownPolicy : std::uint8_t
     Batched,
     /**
      * Range invalidation vs full-space flush: between the per-entry
-     * threshold (tlb_flush_threshold) and range_flush_crossover pages
+     * threshold (tlb_flush_threshold) and kRangeFlushCrossover pages
      * the responder invalidates the exact range; beyond the crossover
      * it flushes only the target space's entries instead of the whole
      * buffer, preserving other spaces' working sets under ASID tags.
@@ -247,10 +241,68 @@ enum class ShootdownPolicy : std::uint8_t
      * entirely when every affected PTE is provably cached in no TLB --
      * valid but never referenced since its last fill, which this
      * simulator's fill path makes sound because every TLB fill sets
-     * the reference bit at the fill instant. Requires ref/mod
-     * writeback (not tlb_no_refmod_writeback).
+     * the reference bit at the fill instant. Requires a TLB that
+     * maintains ref/mod bits (tlb_refmod not None) and software
+     * reload.
      */
     ReuseElide,
+    /**
+     * No consistency actions: the Section 5.1 tester then detects
+     * genuine inconsistencies. Exists only so tests can prove the
+     * algorithm is load-bearing.
+     */
+    Off,
+    /**
+     * Section 3's technique 2: delay use of changed mappings until
+     * every buffer has been flushed by code executed in response to
+     * timer interrupts. Correct, but "the additional buffer flushes
+     * ... can be expensive", and every mapping change waits out a
+     * timer period. Requires timer interrupts and a tlb_refmod other
+     * than Writeback (as on the MIPS systems that used it), since
+     * nothing stalls remote processors during the update.
+     */
+    DelayedFlush,
+    /**
+     * Section 9's remote invalidation (MC88200 style): the initiator
+     * shoots the entries out of remote TLBs itself, with no interrupts
+     * and no responders. Requires a tlb_refmod other than Writeback.
+     */
+    RemoteInvalidate,
+};
+
+/** How an initiator interrupts its targets (Section 9). */
+enum class IpiSend : std::uint8_t
+{
+    /** One directed IPI per target (the Multimax). */
+    Directed,
+    /** One multicast IPI to a set of CPUs at fixed cost. */
+    Multicast,
+    /** Broadcast IPI to all other CPUs at fixed cost (over-interrupts). */
+    Broadcast,
+};
+
+/** What the TLB does with reference/modify bits (Sections 3 and 9). */
+enum class TlbRefmod : std::uint8_t
+{
+    /** Blind writeback of the entry's PTE image (the Section 3 hazard). */
+    Writeback,
+    /**
+     * MMU access to the reference/modify bits is an interlocked
+     * read-modify-write that checks mapping validity (MC88200 style;
+     * the 80386 attempts this): instead of blindly rewriting the PTE
+     * from the TLB's image, the hardware reads the current PTE, faults
+     * if it no longer maps validly, and otherwise ORs in ref/mod.
+     * This eliminates the page-table corruption hazard, so shootdown
+     * interrupts can be postponed until after the pmap change
+     * (Section 9, third TLB redesign bullet).
+     */
+    Interlocked,
+    /**
+     * The TLB never writes reference/modify bits back to memory (RP3
+     * style): page faults detect modifications instead, so in-progress
+     * pmap updates cannot be corrupted and responders need not stall.
+     */
+    None,
 };
 
 /**
@@ -391,8 +443,6 @@ struct MachineConfig
 
     /** Record shootdown events into the xpr buffer. */
     bool xpr_enabled = true;
-    /** Number of CPUs on which responder events are recorded. */
-    unsigned xpr_responder_cpus = 5;
     /** Capacity of the circular event buffer. */
     std::size_t xpr_capacity = 1u << 16;
 
@@ -404,17 +454,8 @@ struct MachineConfig
      */
     bool high_priority_ipi = false;
 
-    /** Send one multicast IPI to a set of CPUs at fixed cost. */
-    bool multicast_ipi = false;
-
-    /** Broadcast IPI to all other CPUs at fixed cost (over-interrupts). */
-    bool broadcast_ipi = false;
-
-    /**
-     * TLB supports remote invalidation of entries by other processors
-     * (MC88200 style): no responder involvement at all.
-     */
-    bool tlb_remote_invalidate = false;
+    /** How shootdown IPIs are sent (see the enum). */
+    IpiSend ipi_send = IpiSend::Directed;
 
     /**
      * Software-reloaded TLB (MIPS style): reload checks whether the pmap
@@ -423,24 +464,8 @@ struct MachineConfig
      */
     bool tlb_software_reload = false;
 
-    /**
-     * TLB never writes reference/modify bits back to memory (RP3 style):
-     * page faults detect modifications instead, so in-progress pmap
-     * updates cannot be corrupted and responders need not stall.
-     */
-    bool tlb_no_refmod_writeback = false;
-
-    /**
-     * MMU access to the reference/modify bits is an interlocked
-     * read-modify-write that checks mapping validity (MC88200 style;
-     * the 80386 attempts this): instead of blindly rewriting the PTE
-     * from the TLB's image, the hardware reads the current PTE, faults
-     * if it no longer maps validly, and otherwise ORs in ref/mod.
-     * This eliminates the page-table corruption hazard, so shootdown
-     * interrupts can be postponed until after the pmap change
-     * (Section 9, third TLB redesign bullet).
-     */
-    bool tlb_interlocked_refmod = false;
+    /** What the TLB does with reference/modify bits (see the enum). */
+    TlbRefmod tlb_refmod = TlbRefmod::Writeback;
 
     /**
      * Tag TLB entries with an address-space identifier and do not flush
@@ -459,16 +484,12 @@ struct MachineConfig
      * behaves like a large translation buffer (size tlb_entries, which
      * callers should raise to cache scale), but every consistency
      * action pays the directory-search cost below instead of a cheap
-     * entry invalidate. Requires tlb_no_refmod_writeback (VMP's cache
-     * is software-managed).
+     * entry invalidate. Requires tlb_refmod None (VMP's cache is
+     * software-managed).
      */
     bool virtual_cache = false;
 
     // ---- Policy toggles ----------------------------------------------
-
-    /** TLB consistency technique (Section 3). */
-    ConsistencyStrategy consistency_strategy =
-        ConsistencyStrategy::Shootdown;
 
     /**
      * Section 8 restructuring for large machines: divide both the
@@ -484,32 +505,18 @@ struct MachineConfig
     unsigned kernel_pools = 1;
 
     /**
-     * Shootdown-avoidance policy layered over Figure 1 (see the enum).
+     * TLB consistency technique (see the enum); set it with
+     * setShootdownPolicy(), which also applies its prerequisite.
      * Baseline leaves every code path, counter, and digest input
      * bit-identical to the pre-policy simulator.
      */
     ShootdownPolicy shootdown_policy = ShootdownPolicy::Baseline;
 
     /**
-     * RangeFlush policy: more pages than this in one invalidation and
-     * the responder flushes the whole target space instead of walking
-     * the range. Must be >= tlb_flush_threshold under RangeFlush; no
-     * other policy reads it.
-     */
-    unsigned range_flush_crossover = 16;
-
-    /**
      * Lazy evaluation (Table 1): skip the shootdown when none of the
      * affected pages are mapped in the physical map.
      */
     bool lazy_evaluation = true;
-
-    /**
-     * Master switch for TLB consistency actions. Disabling it makes the
-     * Section 5.1 tester detect genuine inconsistencies; exists only so
-     * tests can prove the algorithm is load-bearing.
-     */
-    bool shootdown_enabled = true;
 
     /** Per-CPU consistency-action queue depth (overflow => full flush). */
     unsigned action_queue_size = 8;
@@ -603,9 +610,11 @@ struct MachineConfig
 
     /**
      * Select @p policy together with its TLB prerequisite: lazy-asid
-     * needs tlb_asid_tags, reuse-elide needs tlb_software_reload.
-     * validate() still rejects a config that sets the field by hand
-     * without the prerequisite.
+     * needs tlb_asid_tags, reuse-elide needs tlb_software_reload, and
+     * delayed-flush and remote-invalidate need a TLB that does not
+     * blindly write ref/mod bits back (a Writeback tlb_refmod becomes
+     * None). validate() still rejects a config that sets the field by
+     * hand without the prerequisite.
      */
     void setShootdownPolicy(ShootdownPolicy policy);
 

@@ -164,7 +164,8 @@ Tlb::lookup(SpaceId space, Vpn vpn, Prot want, PAddr pte_addr)
     const bool write = protAllows(want, ProtWrite);
     entry->ref = true;
     if (write && !entry->mod) {
-        if (config_->tlb_interlocked_refmod && pte_addr != 0) {
+        if (config_->tlb_refmod == TlbRefmod::Interlocked &&
+            pte_addr != 0) {
             // MC88200-style interlocked update: re-read the PTE, check
             // that the mapping is still valid (and still writable --
             // "the read data must be checked in all cases for mapping
@@ -186,7 +187,8 @@ Tlb::lookup(SpaceId space, Vpn vpn, Prot want, PAddr pte_addr)
             result.did_writeback = true;
         } else {
             entry->mod = true;
-            if (!config_->tlb_no_refmod_writeback && pte_addr != 0) {
+            if (config_->tlb_refmod == TlbRefmod::Writeback &&
+                pte_addr != 0) {
                 mem_->write32(pte_addr,
                               pte::make(entry->pfn, entry->prot,
                                         entry->ref, entry->mod));

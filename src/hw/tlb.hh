@@ -13,10 +13,11 @@
  *      the modify bit, which can clobber a concurrent pmap update --
  *      so flushing cannot simply be postponed until after the change.
  *
- * Feature flags on MachineConfig select the Section 9 alternatives:
- * software reload, no-writeback (RP3), interlocked writeback implied by
- * no_refmod_writeback handling, remote invalidation (MC88200), and
- * address-space tags (MIPS R2000).
+ * MachineConfig selects the Section 9 alternatives: software reload,
+ * a tlb_refmod that never writes ref/mod bits back (None, RP3) or
+ * interlocks the update (Interlocked, MC88200), remote invalidation
+ * (shootdown_policy RemoteInvalidate, MC88200), and address-space tags
+ * (MIPS R2000).
  *
  * Entries are tagged with the owning pmap's identity. Without ASID tags
  * the TLB is flushed on every address-space switch (as on the Multimax);
@@ -102,7 +103,8 @@ class Tlb
      * Probe for (space, vpn) wanting @p want access. On a write hit with
      * the modify bit clear, baseline hardware performs the asynchronous
      * ref/mod writeback to the PTE at @p pte_addr (clobbering whatever is
-     * there -- the Section 3 hazard) unless tlb_no_refmod_writeback.
+     * there -- the Section 3 hazard); an Interlocked tlb_refmod
+     * rechecks the PTE first, and None writes nothing.
      */
     TlbLookup lookup(SpaceId space, Vpn vpn, Prot want, PAddr pte_addr);
 

@@ -1,7 +1,5 @@
 #include "kern/machine.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "kern/sched.hh"
 #include "obs/recorder.hh"
@@ -14,9 +12,6 @@ Machine::Machine(const hw::MachineConfig &config)
     : config_((config.validate(), config)), topo_(&config_),
       rng_(config.seed)
 {
-    // Responder sampling can never cover more processors than exist.
-    config_.xpr_responder_cpus =
-        std::min(config_.xpr_responder_cpus, config_.ncpus);
     mem_ = std::make_unique<hw::PhysMem>(config_.phys_frames,
                                          topo_.nodes());
     buses_.reserve(topo_.nodes());
@@ -53,8 +48,8 @@ Machine::Machine(const hw::MachineConfig &config)
         Tick service = hw::kTimerServiceCost;
         if (rng_.chance(0.03))
             service += Tick(rng_.exponential(2500.0) * kUsec);
-        if (config_.consistency_strategy ==
-            hw::ConsistencyStrategy::DelayedFlush) {
+        if (config_.shootdown_policy ==
+            hw::ShootdownPolicy::DelayedFlush) {
             // Technique 2: the periodic tick flushes the whole TLB so
             // that pending mapping changes eventually become safe.
             cpu.tlb().flushAll();

@@ -215,7 +215,7 @@ class Machine
   private:
     void timerTick(CpuId id);
 
-    hw::MachineConfig config_;
+    const hw::MachineConfig config_;
     numa::Topology topo_;
     sim::Context ctx_;
     Rng rng_;

@@ -207,8 +207,8 @@ Sched::idleLoop(Thread &self)
         obs::Recorder &rec = machine_->recorder();
         if (rec.enabled())
             rec.begin(rec.cpuTrack(cpu.id()), obs::kIdle);
-        if (machine_->cfg().consistency_strategy ==
-            hw::ConsistencyStrategy::DelayedFlush) {
+        if (machine_->cfg().shootdown_policy ==
+            hw::ShootdownPolicy::DelayedFlush) {
             // Under technique 2 idle processors take no timer ticks,
             // so they flush on entry to (and exit from) the idle loop
             // instead; a parked TLB is then always clean.
@@ -217,8 +217,8 @@ Sched::idleLoop(Thread &self)
         while (runq_[cpu.id()].empty())
             cpu.idleWait();
 
-        if (machine_->cfg().consistency_strategy ==
-            hw::ConsistencyStrategy::DelayedFlush) {
+        if (machine_->cfg().shootdown_policy ==
+            hw::ShootdownPolicy::DelayedFlush) {
             cpu.tlb().flushAll();
         }
         // Leaving idle: execute queued consistency actions *before*

@@ -72,20 +72,23 @@ counter(std::string &out, const char *name, std::uint64_t value,
 } // namespace
 
 std::string
-statsJson(vm::Kernel &kernel, const StatsMeta &meta)
+statsJson(vm::Kernel &kernel, const std::string &app)
 {
     kern::Machine &machine = kernel.machine();
+    const hw::MachineConfig &cfg = machine.cfg();
     const xpr::MachineStats stats = xpr::MachineStats::capture(kernel);
     const Metrics &metrics = machine.recorder().metrics();
 
     std::string out = "{\n";
     out += "  \"schema\": \"machsim-stats-v1\",\n";
-    out += "  \"app\": " + jsonString(meta.app) + ",\n";
-    out += "  \"seed\": " + std::to_string(meta.seed) + ",\n";
+    out += "  \"app\": " + jsonString(app) + ",\n";
+    out += "  \"seed\": " + std::to_string(cfg.seed) + ",\n";
     out += "  \"ncpus\": " + std::to_string(machine.ncpus()) + ",\n";
     out += "  \"numa_nodes\": " + std::to_string(machine.numaNodes()) +
            ",\n";
-    out += "  \"policy\": " + jsonString(meta.policy) + ",\n";
+    out += "  \"policy\": " +
+           jsonString(hw::shootdownPolicyName(cfg.shootdown_policy)) +
+           ",\n";
     out += "  \"virtual_runtime_us\": " +
            std::to_string(stats.now_usec) + ",\n";
     out += "  \"digest\": " + jsonString(hex64(xpr::runDigest(kernel))) +
@@ -190,12 +193,12 @@ statsJson(vm::Kernel &kernel, const StatsMeta &meta)
 
 bool
 writeStatsJson(const std::string &path, vm::Kernel &kernel,
-               const StatsMeta &meta)
+               const std::string &app)
 {
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     if (!file)
         return false;
-    file << statsJson(kernel, meta);
+    file << statsJson(kernel, app);
     return static_cast<bool>(file);
 }
 

@@ -15,7 +15,6 @@
 #ifndef MACH_OBS_STATS_JSON_HH
 #define MACH_OBS_STATS_JSON_HH
 
-#include <cstdint>
 #include <string>
 
 namespace mach::vm
@@ -26,24 +25,18 @@ class Kernel;
 namespace mach::obs
 {
 
-/** Run identity echoed into the document (the caller knows the CLI). */
-struct StatsMeta
-{
-    std::string app;
-    std::uint64_t seed = 0;
-    std::string policy;
-};
-
 /**
  * Render the machine's current state -- recorder histograms,
  * xpr::MachineStats counters, per-CPU TLB counters, run digest -- as a
- * deterministic JSON document. Call after the run completes.
+ * deterministic JSON document, headed by @p app (the workload's name)
+ * and the machine's seed and shootdown policy. Call after the run
+ * completes.
  */
-std::string statsJson(vm::Kernel &kernel, const StatsMeta &meta);
+std::string statsJson(vm::Kernel &kernel, const std::string &app);
 
 /** statsJson() to a file; returns false if the file cannot be opened. */
 bool writeStatsJson(const std::string &path, vm::Kernel &kernel,
-                    const StatsMeta &meta);
+                    const std::string &app);
 
 } // namespace mach::obs
 

@@ -136,7 +136,8 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     lock_.rawLock(cpu);
     cpu.advanceNoPoll(hw::kPmapOpBaseCost);
 
-    bool need_consistency = reduces && cfg.shootdown_enabled;
+    bool need_consistency =
+        reduces && cfg.shootdown_policy != hw::ShootdownPolicy::Off;
     unsigned mapped = 0;
     if (need_consistency) {
         need_consistency = mayBeCached(cpu, start, end, &mapped);
@@ -152,8 +153,7 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     }
 
     const bool delayed =
-        cfg.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush;
+        cfg.shootdown_policy == hw::ShootdownPolicy::DelayedFlush;
 
     // On baseline (and software-reload) hardware the consistency
     // actions precede the change; on remote-invalidate or postponed-
@@ -611,7 +611,7 @@ Cpu::access(VAddr va, Prot want)
                 const bool writing = protAllows(want, ProtWrite);
                 // Hardware maintains the referenced (and, for a write,
                 // modified) bit in the PTE as part of the reload.
-                if (!cfg.tlb_no_refmod_writeback) {
+                if (cfg.tlb_refmod != hw::TlbRefmod::None) {
                     std::uint32_t updated = walk.pte | hw::pte::kRef;
                     if (writing)
                         updated |= hw::pte::kMod;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/logging.hh"
 #include "hw/bus.hh"
 #include "kern/cpu.hh"
 #include "kern/machine.hh"
@@ -161,7 +160,7 @@ class BatchedPolicy : public ShootdownPolicy
  * Range invalidation with a full-space-flush crossover. The baseline
  * escalates anything beyond tlb_flush_threshold to a whole-TLB flush,
  * evicting every bystander space; this policy models hardware with a
- * ranged invalidate: up to range_flush_crossover pages it invalidates
+ * ranged invalidate: up to kRangeFlushCrossover pages it invalidates
  * exactly [start, end) (same per-page cost as the baseline's
  * per-entry loop), and beyond that it flushes only the victim space.
  * The win is not a cheaper instant -- it is every unrelated entry
@@ -182,7 +181,7 @@ class RangeFlushPolicy : public ShootdownPolicy
         const unsigned npages = end - start;
         if (npages <= cfg.tlb_flush_threshold)
             return false; // Identical to the baseline per-entry loop.
-        if (npages <= cfg.range_flush_crossover) {
+        if (npages <= hw::kRangeFlushCrossover) {
             cpu.tlb().invalidateRange(space, start, end);
             cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
             ++range_invalidates;
@@ -245,8 +244,6 @@ std::unique_ptr<ShootdownPolicy>
 makeShootdownPolicy(ShootdownController &shoot, kern::Machine &machine)
 {
     switch (machine.cfg().shootdown_policy) {
-      case hw::ShootdownPolicy::Baseline:
-        return std::make_unique<BaselinePolicy>(shoot, machine);
       case hw::ShootdownPolicy::LazyAsid:
         return std::make_unique<LazyAsidPolicy>(shoot, machine);
       case hw::ShootdownPolicy::Batched:
@@ -255,9 +252,9 @@ makeShootdownPolicy(ShootdownController &shoot, kern::Machine &machine)
         return std::make_unique<RangeFlushPolicy>(shoot, machine);
       case hw::ShootdownPolicy::ReuseElide:
         return std::make_unique<ReuseElidePolicy>(shoot, machine);
+      default: // Baseline, and the techniques that replace it.
+        return std::make_unique<BaselinePolicy>(shoot, machine);
     }
-    panic("makeShootdownPolicy: bad policy %u",
-          static_cast<unsigned>(machine.cfg().shootdown_policy));
 }
 
 } // namespace mach::pmap

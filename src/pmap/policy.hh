@@ -34,7 +34,9 @@
  * Each hook defaults to "do what 1989 did", and the Baseline policy
  * overrides nothing, so configurations that never select a policy are
  * bit-identical to the pre-policy simulator (the pinned runDigest
- * goldens enforce this).
+ * goldens enforce this). The three techniques that replace the
+ * algorithm (Off, DelayedFlush, RemoteInvalidate) avoid nothing either
+ * and run the Baseline object.
  */
 
 #ifndef MACH_PMAP_POLICY_HH

@@ -45,10 +45,9 @@ bool
 ShootdownController::invalidateAfterChange() const
 {
     const hw::MachineConfig &cfg = machine_.cfg();
-    const bool writeback_safe =
-        cfg.tlb_no_refmod_writeback || cfg.tlb_interlocked_refmod;
-    return cfg.tlb_remote_invalidate ||
-           (writeback_safe && !cfg.tlb_software_reload);
+    return cfg.shootdown_policy == hw::ShootdownPolicy::RemoteInvalidate ||
+           (cfg.tlb_refmod != hw::TlbRefmod::Writeback &&
+            !cfg.tlb_software_reload);
 }
 
 bool
@@ -60,8 +59,8 @@ ShootdownController::responderMustStall() const
     const hw::MachineConfig &cfg = machine_.cfg();
     if (cfg.planted_bug == hw::PlantedBug::SkipResponderStall)
         return false; // Planted bug for the checker's golden test.
-    return !(cfg.tlb_software_reload || cfg.tlb_no_refmod_writeback ||
-             cfg.tlb_interlocked_refmod);
+    return cfg.tlb_refmod == hw::TlbRefmod::Writeback &&
+           !cfg.tlb_software_reload;
 }
 
 void
@@ -160,7 +159,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     // ---- Section 9 option: TLBs supporting remote invalidation ------
     // The initiator shoots the entries directly out of the responders'
     // TLBs; no interrupts, no synchronization, no responder overhead.
-    if (cfg.tlb_remote_invalidate) {
+    if (cfg.shootdown_policy == hw::ShootdownPolicy::RemoteInvalidate) {
         unsigned shot = 0;
         for (CpuId id = 0; id < machine_.ncpus(); ++id) {
             if (!concerns(id))
@@ -270,7 +269,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
             obs::Probe ipi_probe(rec, obs::kShootIpi,
                                  rec.cpuTrack(self.id()), req,
                                  obs::Arg{"targets", send_list.size()});
-            if (cfg.multicast_ipi) {
+            if (cfg.ipi_send == hw::IpiSend::Multicast) {
                 // One bit-vector load triggers every target at fixed
                 // cost.
                 self.advanceNoPoll(hw::kMulticastSendCost);
@@ -278,7 +277,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                     intr.post(id, hw::Irq::Shootdown, machine_.now());
                     ++interrupts_sent;
                 }
-            } else if (cfg.broadcast_ipi) {
+            } else if (cfg.ipi_send == hw::IpiSend::Broadcast) {
                 // Interrupt everyone (including innocent bystanders,
                 // who pay a dispatch with nothing queued) at fixed
                 // cost.
@@ -550,7 +549,7 @@ ShootdownController::respond(kern::Cpu &cpu)
     st.servicing = false;
 
     if (had_work && cfg.xpr_enabled &&
-        cpu.id() < cfg.xpr_responder_cpus) {
+        cpu.id() < hw::kXprResponderCpus) {
         // Responder events are recorded on a few selected processors
         // only, to avoid lock contention in the instrumentation
         // (Section 6).

@@ -395,8 +395,7 @@ TEST(DmaDevice, DetachLeavesResponderSetForTheSpace)
 TEST(DmaDevice, RemoteInvalidationReachesTheIotlb)
 {
     hw::MachineConfig config = deviceConfig();
-    config.tlb_remote_invalidate = true;
-    config.tlb_no_refmod_writeback = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
     inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
         constexpr unsigned kPages = 8;
         vm::Task *task = kernel.createTask("dma-remote");
@@ -479,8 +478,7 @@ TEST(DmaDevice, RemoteInvalidationReachesTheIotlb)
 TEST(DmaDevice, RemoteInvalidationWaitsOutATransferInFlight)
 {
     hw::MachineConfig config = deviceConfig();
-    config.tlb_remote_invalidate = true;
-    config.tlb_no_refmod_writeback = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
     config.dev_transfer_cost = 2 * kMsec;
     inKernel(config, [](vm::Kernel &kernel, kern::Thread &drv) {
         vm::Task *task = kernel.createTask("dma-remote-wait");
@@ -527,30 +525,6 @@ constexpr hw::ShootdownPolicy kAvoidancePolicies[] = {
 };
 
 /**
- * Retarget @p config at @p policy, adding the TLB features the policy
- * needs (the strategy tier's adaptation rules; see
- * tests/policy_strategy_test.cc). Returns false when the combination
- * is architecturally incompatible.
- */
-bool
-adaptConfigToPolicy(hw::MachineConfig &config,
-                    hw::ShootdownPolicy policy)
-{
-    if (config.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush)
-        return false;
-    if (config.tlb_remote_invalidate)
-        return false;
-    if (policy == hw::ShootdownPolicy::ReuseElide &&
-        config.tlb_no_refmod_writeback)
-        return false;
-
-    config.setShootdownPolicy(policy);
-    config.validate();
-    return true;
-}
-
-/**
  * The device scenarios stay clean under every avoidance policy: the
  * healthy twin of the planted bug in particular must hold across the
  * full matrix (the strategy tier runs this too; the device lane is
@@ -567,8 +541,9 @@ TEST(DeviceScenarios, CleanAcrossPolicyMatrix)
         ASSERT_NE(base, nullptr) << name;
         for (hw::ShootdownPolicy policy : kAvoidancePolicies) {
             chk::Scenario scenario = *base;
-            if (!adaptConfigToPolicy(scenario.config, policy))
-                continue;
+            // Every device scenario runs the baseline on a TLB with
+            // ref/mod writeback, so every policy applies.
+            scenario.config.setShootdownPolicy(policy);
             const chk::TrialResult r =
                 explorer.runTrial(scenario, SchedulePerturber{});
             const std::string tag =

@@ -409,7 +409,7 @@ TEST_F(TlbFixture, InterlockedWritebackPreservesConcurrentChange)
     // MC88200-style interlocked ref/mod update: the hardware re-reads
     // the PTE and ORs the bits in, so a concurrent protection change
     // survives and a revoked mapping faults instead of resurrecting.
-    config.tlb_interlocked_refmod = true;
+    config.tlb_refmod = TlbRefmod::Interlocked;
     const Pfn leaf = mem.allocFrame();
     const PAddr pte_addr = leaf << kPageShift;
     mem.write32(pte_addr, pte::make(42, ProtReadWrite));
@@ -427,7 +427,7 @@ TEST_F(TlbFixture, InterlockedWritebackPreservesConcurrentChange)
 
 TEST_F(TlbFixture, InterlockedWritebackSetsBitsOnValidMapping)
 {
-    config.tlb_interlocked_refmod = true;
+    config.tlb_refmod = TlbRefmod::Interlocked;
     const Pfn leaf = mem.allocFrame();
     const PAddr pte_addr = leaf << kPageShift;
     mem.write32(pte_addr, pte::make(42, ProtReadWrite));
@@ -447,7 +447,7 @@ TEST_F(TlbFixture, InterlockedWritebackFaultsOnDowngrade)
     // The critical case from the paper's footnote: setting the modify
     // bit for a cached mapping whose PTE no longer permits writes must
     // fault, not OR bits into a read-only PTE.
-    config.tlb_interlocked_refmod = true;
+    config.tlb_refmod = TlbRefmod::Interlocked;
     const Pfn leaf = mem.allocFrame();
     const PAddr pte_addr = leaf << kPageShift;
     mem.write32(pte_addr, pte::make(42, ProtReadWrite));
@@ -461,7 +461,7 @@ TEST_F(TlbFixture, InterlockedWritebackFaultsOnDowngrade)
 
 TEST_F(TlbFixture, NoWritebackOptionSuppressesHazard)
 {
-    config.tlb_no_refmod_writeback = true;
+    config.tlb_refmod = TlbRefmod::None;
     const Pfn leaf = mem.allocFrame();
     const PAddr pte_addr = leaf << kPageShift;
     mem.write32(pte_addr, pte::make(42, ProtReadWrite));
@@ -822,7 +822,7 @@ TEST(TlbGolden, SeededSequenceDigestPerShape)
     MachineConfig no_l0;
     no_l0.tlb_l0_entries = 0;
     MachineConfig interlocked;
-    interlocked.tlb_interlocked_refmod = true;
+    interlocked.tlb_refmod = TlbRefmod::Interlocked;
     MachineConfig planted;
     planted.planted_bug = PlantedBug::SkipL0Invalidate;
 
@@ -976,16 +976,11 @@ TEST(MachineConfigTest, ValidateRejectsNonsense)
     EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
                 "ncpus");
 
-    MachineConfig both;
-    both.multicast_ipi = true;
-    both.broadcast_ipi = true;
-    EXPECT_EXIT(both.validate(), ::testing::ExitedWithCode(1),
-                "exclusive");
-
+    // Set by hand, remote invalidation lacks the TLB it needs.
     MachineConfig remote;
-    remote.tlb_remote_invalidate = true;
+    remote.shootdown_policy = ShootdownPolicy::RemoteInvalidate;
     EXPECT_EXIT(remote.validate(), ::testing::ExitedWithCode(1),
-                "no_refmod_writeback");
+                "tlb_refmod");
 
     // An empty xpr buffer panics in xpr::Buffer, and a timer period
     // near one tick's service time never drains its ticks (a hang).

@@ -1,8 +1,10 @@
 # Runs machsim once and checks its exit code and, optionally, that
-# stderr names a flag. Driven by CTest (tests/CMakeLists.txt):
+# stderr names a flag and that stdout holds a given text. Driven by
+# CTest (tests/CMakeLists.txt):
 #
 #   cmake -DMACHSIM=path/to/machsim "-DARGS=--lazy foo" -DEXPECT_RC=1 \
-#         -DEXPECT_STDERR=--lazy -P machsim_cli.cmake
+#         -DEXPECT_STDERR=--lazy [-DEXPECT_STDOUT=text] \
+#         -P machsim_cli.cmake
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${MACHSIM}" ${args}
@@ -21,5 +23,13 @@ if(NOT "${EXPECT_STDERR}" STREQUAL "")
         message(FATAL_ERROR
             "machsim ${ARGS}: stderr does not mention "
             "'${EXPECT_STDERR}'\nstderr:\n${err}")
+    endif()
+endif()
+if(NOT "${EXPECT_STDOUT}" STREQUAL "")
+    string(FIND "${out}" "${EXPECT_STDOUT}" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR
+            "machsim ${ARGS}: stdout does not hold "
+            "'${EXPECT_STDOUT}'\nstdout:\n${out}")
     endif()
 endif()

@@ -497,7 +497,7 @@ TEST(ObsTrace, FirstOracleViolationDumpsTheRingOnce)
     const std::string path = dir + "/flight.json";
 
     hw::MachineConfig config;
-    config.shootdown_enabled = false;
+    config.setShootdownPolicy(hw::ShootdownPolicy::Off);
     vm::Kernel kernel(config);
     obs::Recorder &rec = kernel.machine().recorder();
     rec.enableRing(obs::kFlightRingCapacity);

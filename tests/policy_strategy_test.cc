@@ -5,9 +5,9 @@
  * the same way CI exercises the baseline protocol.
  *
  * Each (scenario, policy) pair re-runs the scenario's unperturbed
- * baseline trial with the policy swapped in (plus whatever TLB
- * features the policy requires -- the same rules
- * MachineConfig::validate() enforces). The trial must finish within
+ * baseline trial with the policy swapped in through
+ * MachineConfig::setShootdownPolicy(), which adds the TLB feature the
+ * policy requires. The trial must finish within
  * its liveness bound, hold the scenario's safety predicate, and draw
  * zero oracle violations. Scenario-specific coverage is NOT asserted
  * here: coverage targets the path the scenario was written to stress
@@ -19,15 +19,27 @@
  * StormDigest) to every policy: any change to a policy's decision
  * points must either leave these bit-identical or consciously
  * re-capture them.
+ *
+ * A third walks the whole consistency design space -- technique x IPI
+ * send x ref/mod TLB -- on one small machine: every point is either
+ * rejected by validate() with a message or runs the Section 5.1
+ * tester consistently (inconsistently under Off, the negative
+ * control).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "apps/consistency_tester.hh"
 #include "apps/parthenon.hh"
 #include "base/perturb.hh"
 #include "chk/explorer.hh"
@@ -51,34 +63,40 @@ constexpr hw::ShootdownPolicy kAvoidancePolicies[] = {
 };
 
 /**
- * Retarget @p config at @p policy, adding the TLB features the policy
- * needs. Returns false when the combination is architecturally
- * incompatible -- the same conditions MachineConfig::validate()
- * rejects:
- *
- *  - the avoidance policies layer over the shootdown strategy, so
- *    delayed-flush configurations are out;
- *  - tlb_remote_invalidate bypasses the responder protocol the
- *    policies hook;
- *  - reuse-elide proves pages uncached via reference bits, which
- *    tlb_no_refmod_writeback machines never write back.
+ * Whether validate() accepts @p config. validate() exits on a reject,
+ * so a child process asks it.
  */
 bool
-adaptConfigToPolicy(hw::MachineConfig &config,
-                    hw::ShootdownPolicy policy)
+validateAccepts(const hw::MachineConfig &config)
 {
-    if (config.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush)
-        return false;
-    if (config.tlb_remote_invalidate)
-        return false;
-    if (policy == hw::ShootdownPolicy::ReuseElide &&
-        config.tlb_no_refmod_writeback)
-        return false;
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        std::freopen("/dev/null", "w", stderr);
+        config.validate();
+        std::_Exit(0);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
 
+/**
+ * Retarget @p config at @p policy through setShootdownPolicy().
+ * Returns false when the scenario's own technique replaces the
+ * algorithm the policies layer over (delayed-flush,
+ * remote-invalidate), or when validate() rejects the result.
+ */
+bool
+retarget(hw::MachineConfig &config, hw::ShootdownPolicy policy)
+{
+    const hw::ShootdownPolicy own = config.shootdown_policy;
+    if (own == hw::ShootdownPolicy::Off ||
+        own == hw::ShootdownPolicy::DelayedFlush ||
+        own == hw::ShootdownPolicy::RemoteInvalidate)
+        return false;
     config.setShootdownPolicy(policy);
-    config.validate();
-    return true;
+    return validateAccepts(config);
 }
 
 std::vector<std::string>
@@ -106,7 +124,7 @@ TEST_P(PolicyScenario, BaselineTrialStaysOracleClean)
 
     chk::Scenario scenario = *found;
     const hw::ShootdownPolicy policy = std::get<1>(GetParam());
-    if (!adaptConfigToPolicy(scenario.config, policy)) {
+    if (!retarget(scenario.config, policy)) {
         GTEST_SKIP() << "scenario hardware is incompatible with "
                      << hw::shootdownPolicyName(policy);
     }
@@ -149,8 +167,7 @@ parthenonPolicyDigest(hw::ShootdownPolicy policy)
     setLogQuiet(true);
     hw::MachineConfig config;
     config.seed = 0x9a27e70;
-    const bool ok = adaptConfigToPolicy(config, policy);
-    EXPECT_TRUE(ok); // The default config carries no conflicts.
+    config.setShootdownPolicy(policy);
     vm::Kernel kernel(config);
     apps::Parthenon::Params params;
     params.runs = 2;
@@ -199,6 +216,80 @@ TEST(PolicyDeterminism, ParthenonDigestsMatchGolden)
     EXPECT_EQ(parthenonPolicyDigest(hw::ShootdownPolicy::Batched),
               batched);
 }
+
+// ---------------------------------------------------------------------
+// The consistency design space.
+// ---------------------------------------------------------------------
+
+using DesignPoint =
+    std::tuple<hw::ShootdownPolicy, hw::IpiSend, hw::TlbRefmod>;
+
+/** "baseline_directed_writeback", ... */
+std::string
+designPointName(const ::testing::TestParamInfo<DesignPoint> &info)
+{
+    static constexpr const char *kSends[] = {"directed", "multicast",
+                                             "broadcast"};
+    static constexpr const char *kRefmods[] = {"writeback", "interlocked",
+                                               "none"};
+    std::string name = hw::shootdownPolicyName(std::get<0>(info.param));
+    name += '_';
+    name += kSends[static_cast<unsigned>(std::get<1>(info.param))];
+    name += '_';
+    name += kRefmods[static_cast<unsigned>(std::get<2>(info.param))];
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
+class ConsistencyDesignSpace
+    : public ::testing::TestWithParam<DesignPoint>
+{
+};
+
+TEST_P(ConsistencyDesignSpace, RejectedOrRunsClean)
+{
+    setLogQuiet(true);
+    const auto [policy, send, refmod] = GetParam();
+    hw::MachineConfig config;
+    config.ncpus = 4;
+    config.ipi_send = send;
+    config.tlb_refmod = refmod;
+    config.setShootdownPolicy(policy);
+    if (!validateAccepts(config)) {
+        EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                    "MachineConfig: ");
+        return;
+    }
+
+    vm::Kernel kernel(config);
+    apps::ConsistencyTester tester({.children = 3, .warmup = 20 * kMsec});
+    tester.execute(kernel);
+    ASSERT_EQ(tester.finalCounters().size(), 3u) << "did not finish";
+    if (policy == hw::ShootdownPolicy::Off) {
+        EXPECT_FALSE(tester.consistent());
+    } else {
+        EXPECT_TRUE(tester.consistent());
+        EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, ConsistencyDesignSpace,
+    ::testing::Combine(
+        ::testing::Values(hw::ShootdownPolicy::Baseline,
+                          hw::ShootdownPolicy::LazyAsid,
+                          hw::ShootdownPolicy::Batched,
+                          hw::ShootdownPolicy::RangeFlush,
+                          hw::ShootdownPolicy::ReuseElide,
+                          hw::ShootdownPolicy::Off,
+                          hw::ShootdownPolicy::DelayedFlush,
+                          hw::ShootdownPolicy::RemoteInvalidate),
+        ::testing::Values(hw::IpiSend::Directed, hw::IpiSend::Multicast,
+                          hw::IpiSend::Broadcast),
+        ::testing::Values(hw::TlbRefmod::Writeback,
+                          hw::TlbRefmod::Interlocked,
+                          hw::TlbRefmod::None)),
+    designPointName);
 
 } // namespace
 } // namespace mach

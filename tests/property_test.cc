@@ -296,28 +296,27 @@ TEST_P(HwOptionProperty, TesterStaysConsistent)
       case HwOption::Baseline:
         break;
       case HwOption::Multicast:
-        config.multicast_ipi = true;
+        config.ipi_send = hw::IpiSend::Multicast;
         break;
       case HwOption::Broadcast:
-        config.broadcast_ipi = true;
+        config.ipi_send = hw::IpiSend::Broadcast;
         break;
       case HwOption::SoftwareReload:
         config.tlb_software_reload = true;
         break;
       case HwOption::NoWriteback:
-        config.tlb_no_refmod_writeback = true;
+        config.tlb_refmod = hw::TlbRefmod::None;
         break;
       case HwOption::InterlockedRefmod:
-        config.tlb_interlocked_refmod = true;
+        config.tlb_refmod = hw::TlbRefmod::Interlocked;
         break;
       case HwOption::VirtualCache:
         config.virtual_cache = true;
-        config.tlb_no_refmod_writeback = true;
+        config.tlb_refmod = hw::TlbRefmod::None;
         config.tlb_entries = 512;
         break;
       case HwOption::RemoteInvalidate:
-        config.tlb_remote_invalidate = true;
-        config.tlb_no_refmod_writeback = true;
+        config.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
         break;
       case HwOption::HighPriorityIpi:
         config.high_priority_ipi = true;

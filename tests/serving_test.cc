@@ -147,17 +147,20 @@ TEST(ServingDeterminism, StatsRecordingIsTimingNeutral)
 
 TEST(ServingDeterminism, StatsJsonIsByteIdenticalAcrossRuns)
 {
-    const obs::StatsMeta meta{"serving", 0x5e12e, "baseline"};
     std::string docs[2];
     for (std::string &doc : docs) {
         vm::Kernel kernel(smallConfig());
         kernel.machine().recorder().enableStats();
         apps::Serving app(smallParams());
         app.execute(kernel);
-        doc = obs::statsJson(kernel, meta);
+        doc = obs::statsJson(kernel, "serving");
     }
     EXPECT_EQ(docs[0], docs[1]);
     EXPECT_NE(docs[0].find("\"schema\": \"machsim-stats-v1\""),
+              std::string::npos);
+    // The seed and policy come from the machine's own config.
+    EXPECT_NE(docs[0].find("\"seed\": 385326,"), std::string::npos);
+    EXPECT_NE(docs[0].find("\"policy\": \"baseline\","),
               std::string::npos);
     EXPECT_NE(docs[0].find("serve.request_us"), std::string::npos);
     EXPECT_NE(docs[0].find("\"p999\""), std::string::npos);

@@ -261,18 +261,20 @@ TEST(ShootProtocol, RemoteReadOfHotPageSeesLatestData)
 TEST(ShootProtocol, ResponderSamplingOnlyOnConfiguredCpus)
 {
     hw::MachineConfig config;
-    config.xpr_responder_cpus = 2; // Sample CPUs 0 and 1 only.
     setLogQuiet(true);
     vm::Kernel kernel(config);
-    // Children on CPUs 0..5; main on 6. Responders run on 0..5 but
-    // only 0 and 1 may record.
-    apps::ConsistencyTester tester({.children = 6, .warmup = 20 * kMsec});
+    // Children on CPUs 0..7; main on 8. Responders run on 0..7 but
+    // only the sampled CPUs 0..4 may record.
+    apps::ConsistencyTester tester({.children = 8, .warmup = 20 * kMsec});
     tester.execute(kernel);
-    kernel.machine().xpr().forEach([](const xpr::Event &event) {
+    unsigned sampled = 0;
+    kernel.machine().xpr().forEach([&](const xpr::Event &event) {
         if (event.kind == xpr::EventKind::ShootResponder) {
-            EXPECT_LT(event.cpu, 2u);
+            EXPECT_LT(event.cpu, hw::kXprResponderCpus);
+            ++sampled;
         }
     });
+    EXPECT_GT(sampled, 0u);
 }
 
 TEST(ShootProtocol, ResponderWithEmptyTlbIsStillSynchronized)

@@ -43,7 +43,7 @@ TEST(ShootdownTester, MaintainsConsistencyWith4Children)
 TEST(ShootdownTester, DetectsInconsistencyWhenShootdownDisabled)
 {
     hw::MachineConfig config = quietConfig();
-    config.shootdown_enabled = false;
+    config.setShootdownPolicy(hw::ShootdownPolicy::Off);
     vm::Kernel kernel(config);
     apps::ConsistencyTester tester({.children = 4, .warmup = 20 * kMsec});
     tester.execute(kernel);

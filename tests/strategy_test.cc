@@ -51,8 +51,7 @@ delayedConfig()
     setLogQuiet(true);
     hw::MachineConfig config;
     config.ncpus = 8;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-    config.tlb_no_refmod_writeback = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::DelayedFlush);
     return config;
 }
 
@@ -118,10 +117,12 @@ TEST(DelayedFlush, MappingChangeWaitsOutTheFlushes)
 
 TEST(DelayedFlush, RequiresNoWritebackTlb)
 {
+    // Set by hand, the technique keeps the writeback TLB it cannot run
+    // on.
     hw::MachineConfig config;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
+    config.shootdown_policy = hw::ShootdownPolicy::DelayedFlush;
     EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
-                "no_refmod_writeback");
+                "tlb_refmod");
 }
 
 TEST(RangeFlushCrossover, BaselineAcceptsThresholdAboveCrossover)
@@ -143,9 +144,8 @@ TEST(RangeFlushCrossover, RangeFlushRejectsCrossoverBelowThreshold)
     hw::MachineConfig config;
     config.shootdown_policy = hw::ShootdownPolicy::RangeFlush;
     config.tlb_flush_threshold = 64;
-    config.range_flush_crossover = 16;
     EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
-                "range_flush_crossover");
+                "tlb_flush_threshold");
 }
 
 TEST(PolicyPrerequisite, SetShootdownPolicyImpliesTheTlbFeature)
@@ -156,6 +156,15 @@ TEST(PolicyPrerequisite, SetShootdownPolicyImpliesTheTlbFeature)
     hw::MachineConfig elide;
     elide.setShootdownPolicy(hw::ShootdownPolicy::ReuseElide);
     EXPECT_TRUE(elide.tlb_software_reload);
+    // Delayed flush and remote invalidation need a TLB that does not
+    // write ref/mod bits back blindly; an interlocked one stays.
+    hw::MachineConfig delayed;
+    delayed.setShootdownPolicy(hw::ShootdownPolicy::DelayedFlush);
+    EXPECT_EQ(delayed.tlb_refmod, hw::TlbRefmod::None);
+    hw::MachineConfig remote;
+    remote.tlb_refmod = hw::TlbRefmod::Interlocked;
+    remote.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
+    EXPECT_EQ(remote.tlb_refmod, hw::TlbRefmod::Interlocked);
 
     // Setting the field by hand skips the prerequisite; validate()
     // still names it.

@@ -462,8 +462,7 @@ TEST(FeatureCombo, PoolsPlusRemoteInvalidate)
     hw::MachineConfig config;
     config.ncpus = 16;
     config.kernel_pools = 4;
-    config.tlb_remote_invalidate = true;
-    config.tlb_no_refmod_writeback = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::RemoteInvalidate);
     setLogQuiet(true);
     vm::Kernel kernel(config);
     apps::ConsistencyTester tester({.children = 6, .warmup = 15 * kMsec});
@@ -476,8 +475,7 @@ TEST(FeatureCombo, DelayedFlushWithPageout)
 {
     hw::MachineConfig config;
     config.ncpus = 4;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-    config.tlb_no_refmod_writeback = true;
+    config.setShootdownPolicy(hw::ShootdownPolicy::DelayedFlush);
     config.phys_frames = 128;
     config.pageout_low_frames = 80;
     config.pagein_latency = 2 * kMsec;

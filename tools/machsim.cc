@@ -10,7 +10,7 @@
  *   machsim --app camelot --ncpus 32 --transactions 300
  *   machsim --app mach-build --lazy off
  *   machsim --app agora --trace shoot,vm
- *   machsim --app parthenon --strategy delayed-flush
+ *   machsim --app parthenon --shootdown-policy delayed-flush
  *   machsim --app tester --pools 4 --ncpus 64
  *
  * Each flag is one row of kFlags: its name, its help, and a setter
@@ -200,49 +200,43 @@ constexpr Flag kFlags[] = {
              fatal("bad --lazy value '%s' (on | off)", v.str.c_str());
          c.machine.lazy_evaluation = v.str == "on";
      }},
-    {"--no-shootdown", nullptr, "disable the algorithm (negative test)",
-     [](Cli &c, const Value &) { c.machine.shootdown_enabled = false; }},
-    {"--strategy", "S", "shootdown | delayed-flush (Section 3)",
-     [](Cli &c, const Value &v) {
-         const bool delayed = v.str == "delayed-flush";
-         if (!delayed && v.str != "shootdown")
-             fatal("unknown --strategy '%s' (shootdown | delayed-flush)",
-                   v.str.c_str());
-         c.machine.consistency_strategy =
-             delayed ? hw::ConsistencyStrategy::DelayedFlush
-                     : hw::ConsistencyStrategy::Shootdown;
-         c.machine.tlb_no_refmod_writeback |= delayed;
-     }},
     {"--hipri-ipi", nullptr, "Section 9 high-priority sw interrupt",
      [](Cli &c, const Value &) { c.machine.high_priority_ipi = true; }},
-    {"--multicast", nullptr, "Section 9 multicast IPI",
-     [](Cli &c, const Value &) { c.machine.multicast_ipi = true; }},
-    {"--broadcast", nullptr, "Section 9 broadcast IPI",
-     [](Cli &c, const Value &) { c.machine.broadcast_ipi = true; }},
+    {"--ipi", "S", "Section 9 shootdown IPI: directed (default) | "
+     "multicast | broadcast",
+     [](Cli &c, const Value &v) {
+         // In hw::IpiSend order.
+         static constexpr const char *kSends[] = {"directed", "multicast",
+                                                  "broadcast"};
+         const auto it = std::find(std::begin(kSends), std::end(kSends),
+                                   v.str);
+         if (it == std::end(kSends))
+             fatal("unknown --ipi '%s' (directed | multicast | "
+                   "broadcast)",
+                   v.str.c_str());
+         c.machine.ipi_send =
+             static_cast<hw::IpiSend>(it - std::begin(kSends));
+     }},
     {"--software-reload", nullptr, "Section 9 software-reloaded TLB",
      [](Cli &c, const Value &) { c.machine.tlb_software_reload = true; }},
     {"--no-writeback", nullptr, "Section 9 TLB that never writes "
      "reference/modify bits back",
      [](Cli &c, const Value &) {
-         c.machine.tlb_no_refmod_writeback = true;
-     }},
-    {"--remote-invalidate", nullptr, "Section 9 remote TLB invalidation "
-     "(implies --no-writeback)",
-     [](Cli &c, const Value &) {
-         c.machine.tlb_remote_invalidate = true;
-         c.machine.tlb_no_refmod_writeback = true;
+         c.machine.tlb_refmod = hw::TlbRefmod::None;
      }},
     {"--asid-tags", nullptr, "Section 10 tagged-TLB extension",
      [](Cli &c, const Value &) { c.machine.tlb_asid_tags = true; }},
-    {"--shootdown-policy", "P", "avoidance policy layered over the "
-     "Figure 1 algorithm: baseline | lazy-asid (implies --asid-tags) | "
-     "batched | range-flush | reuse-elide (implies --software-reload); "
-     "see docs/ALGORITHM.md",
+    {"--shootdown-policy", "P", "consistency technique: baseline | "
+     "lazy-asid (implies --asid-tags) | batched | range-flush | "
+     "reuse-elide (implies --software-reload) | off (negative test) | "
+     "delayed-flush (Section 3) | remote-invalidate (Section 9); the "
+     "last two imply --no-writeback; see docs/ALGORITHM.md",
      [](Cli &c, const Value &v) {
          hw::ShootdownPolicy policy = hw::ShootdownPolicy::Baseline;
          if (!hw::parseShootdownPolicy(v.str, &policy))
              fatal("unknown --shootdown-policy '%s' (baseline | "
-                   "lazy-asid | batched | range-flush | reuse-elide)",
+                   "lazy-asid | batched | range-flush | reuse-elide | "
+                   "off | delayed-flush | remote-invalidate)",
                    v.str.c_str());
          c.machine.setShootdownPolicy(policy);
      }},
@@ -678,10 +672,7 @@ Run::finish(bool report)
         std::printf("\nlatency histograms (usec):\n%s",
                     rec.metrics().report().c_str());
     if (!stats_json.empty()) {
-        const obs::StatsMeta meta{
-            cli.app, seed,
-            hw::shootdownPolicyName(cli.machine.shootdown_policy)};
-        if (!obs::writeStatsJson(stats_json, kernel, meta))
+        if (!obs::writeStatsJson(stats_json, kernel, cli.app))
             warn("could not write stats JSON to %s", stats_json.c_str());
         else if (report)
             std::printf("\nstats: %s\n", stats_json.c_str());
@@ -689,7 +680,8 @@ Run::finish(bool report)
 
     bool ok = false;
     if (tester != nullptr) {
-        ok = tester->consistent() == cli.machine.shootdown_enabled;
+        ok = tester->consistent() == (cli.machine.shootdown_policy !=
+                                      hw::ShootdownPolicy::Off);
         if (report)
             std::printf("\ntester verdict: %s\n",
                         tester->consistent() ? "consistent"
