@@ -48,7 +48,7 @@ measureShootdowns(const std::string &label, unsigned nodes,
     hw::MachineConfig config;
     config.ncpus = nodes * 8;
     config.numa_nodes = nodes;
-    config.numa_remote_distance = distance;
+    config.numa_distance_spec = std::to_string(distance);
     config.seed = 0xab1a7e;
 
     vm::Kernel kernel(config);

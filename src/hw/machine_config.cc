@@ -1,6 +1,9 @@
 #include "hw/machine_config.hh"
 
+#include <vector>
+
 #include "base/logging.hh"
+#include "numa/topology.hh"
 
 namespace mach::hw
 {
@@ -84,6 +87,10 @@ MachineConfig::validate() const
         timer_period == 0)
         fatal("MachineConfig: delayed-flush needs timer interrupts to "
               "drive the buffer flushes");
+    if (shootdown_policy == ShootdownPolicy::DelayedFlush && devices > 0)
+        fatal("MachineConfig: delayed-flush waits out the processors' "
+              "timer-driven TLB flushes, and no timer flushes a device "
+              "IOTLB; set devices 0");
     if (virtual_cache && tlb_refmod != TlbRefmod::None) {
         fatal("MachineConfig: the virtual-cache model is software "
               "managed; set tlb_refmod None");
@@ -130,10 +137,12 @@ MachineConfig::validate() const
     if (numa_nodes > 1 && phys_frames / numa_nodes < 64)
         fatal("MachineConfig: need at least 64 physical frames per "
               "NUMA node");
-    if (numa_remote_distance < 10)
-        fatal("MachineConfig: numa_remote_distance (%u) must be >= "
-              "the local distance 10",
-              numa_remote_distance);
+    std::vector<unsigned> distance;
+    std::string why;
+    if (!numa::Topology::parseDistance(numa_distance_spec, numa_nodes,
+                                       &distance, &why))
+        fatal("MachineConfig: bad numa_distance_spec \"%s\": %s",
+              numa_distance_spec.c_str(), why.c_str());
     if (numa_pt_replicas && numa_nodes < 2)
         fatal("MachineConfig: per-node page-table replicas need "
               "numa_nodes > 1");

@@ -535,17 +535,14 @@ struct MachineConfig
     unsigned numa_nodes = 1;
 
     /**
-     * Uniform SLIT-style distance to every remote node (local distance
-     * is fixed at 10, as in ACPI). A remote memory access or IPI pays
-     * the local cost scaled by distance/10. Ignored when
-     * numa_distance_spec is set.
-     */
-    unsigned numa_remote_distance = 25;
-
-    /**
-     * Optional full distance matrix, rows separated by ';', entries by
-     * ','; e.g. "10,25;25,10". Must be numa_nodes x numa_nodes with a
-     * diagonal of 10 and symmetric off-diagonal entries >= 10.
+     * SLIT-style node distances (local distance is fixed at 10, as in
+     * ACPI); a remote memory access or IPI pays the local cost scaled
+     * by distance/10. Empty means a uniform remote distance of 25, a
+     * bare number ("40") a uniform remote distance, and anything else
+     * a full matrix, rows separated by ';', entries by ',' (e.g.
+     * "10,25;25,10"): numa_nodes x numa_nodes, symmetric, diagonal 10.
+     * Every remote distance lies in [10, 255]. validate() rejects a
+     * spec numa::Topology::parseDistance() does not accept.
      */
     std::string numa_distance_spec;
 

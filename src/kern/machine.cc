@@ -139,19 +139,20 @@ Machine::startTimers()
         // Stagger ticks so the CPUs' timers do not beat in lockstep.
         const Tick offset =
             config_.timer_period * (id + 1) / (ncpus() + 1);
-        ctx_.scheduleCall(now() + offset, [this, id] { timerTick(id); });
+        ctx_.scheduleCall(now() + offset, &Machine::timerTick, this, id);
     }
 }
 
 void
-Machine::timerTick(CpuId id)
+Machine::timerTick(void *machine, std::uint64_t id)
 {
-    Cpu &target = cpu(id);
+    Machine &m = *static_cast<Machine *>(machine);
+    const auto target = static_cast<CpuId>(id);
     // Tickless idle: parked processors take no scheduler interrupts.
-    if (!target.idle)
-        intr_->post(id, hw::Irq::Timer, now());
-    ctx_.scheduleCall(now() + config_.timer_period,
-                      [this, id] { timerTick(id); });
+    if (!m.cpu(target).idle)
+        m.intr_->post(target, hw::Irq::Timer, m.now());
+    m.ctx_.scheduleCall(m.now() + m.config_.timer_period,
+                        &Machine::timerTick, machine, id);
 }
 
 std::uint64_t

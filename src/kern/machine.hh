@@ -213,7 +213,8 @@ class Machine
                         Tick until = ~Tick{0});
 
   private:
-    void timerTick(CpuId id);
+    /** One CPU's timer tick (raw call: @p machine, token = CpuId). */
+    static void timerTick(void *machine, std::uint64_t id);
 
     const hw::MachineConfig config_;
     numa::Topology topo_;

@@ -9,6 +9,18 @@
 namespace mach::kern
 {
 
+namespace
+{
+
+/** A timed sleep's wakeup (raw call: @p sched, token = Thread *). */
+void
+wakeSleeper(void *sched, std::uint64_t thread)
+{
+    static_cast<Sched *>(sched)->wakeup(*reinterpret_cast<Thread *>(thread));
+}
+
+} // namespace
+
 Thread::Thread(Machine *machine, vm::Task *task, std::string name,
                Body body)
     : machine_(machine), task_(task), name_(std::move(name)),
@@ -51,10 +63,9 @@ Thread::sleep(Tick dt)
     if (dt == 0)
         dt = 1;
     Machine &m = *machine_;
-    Sched &sched = m.sched();
-    m.ctx().scheduleCall(m.now() + dt,
-                         [&sched, this] { sched.wakeup(*this); });
-    sched.blockCurrent(cpu());
+    m.ctx().scheduleCall(m.now() + dt, &wakeSleeper, &m.sched(),
+                         reinterpret_cast<std::uintptr_t>(this));
+    m.sched().blockCurrent(cpu());
 }
 
 void

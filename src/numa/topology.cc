@@ -12,19 +12,9 @@ Topology::Topology(const hw::MachineConfig *config)
     : nodes_(config->numa_nodes),
       cpus_per_node_(config->cpusPerNode())
 {
-    if (!config->numa_distance_spec.empty()) {
-        std::string error;
-        if (!parseDistance(config->numa_distance_spec, nodes_,
-                           &distance_, &error)) {
-            fatal("Topology: bad numa_distance_spec \"%s\": %s",
-                  config->numa_distance_spec.c_str(), error.c_str());
-        }
-        return;
-    }
-    distance_.assign(std::size_t{nodes_} * nodes_,
-                     config->numa_remote_distance);
-    for (unsigned n = 0; n < nodes_; ++n)
-        distance_[n * nodes_ + n] = kLocalDistance;
+    const bool ok = parseDistance(config->numa_distance_spec, nodes_,
+                                  &distance_, nullptr);
+    MACH_ASSERT(ok);
 }
 
 bool
@@ -36,6 +26,24 @@ Topology::parseDistance(const std::string &spec, unsigned nodes,
             *error = why;
         return false;
     };
+    const auto in_range = [](long v) {
+        return v >= static_cast<long>(kLocalDistance) && v <= 255;
+    };
+
+    if (spec.find_first_not_of("0123456789") == std::string::npos) {
+        // Empty or a bare number: one remote distance, 10 on the
+        // diagonal.
+        const long remote = spec.empty()
+                                ? long{kDefaultRemoteDistance}
+                                : std::strtol(spec.c_str(), nullptr, 10);
+        if (!in_range(remote))
+            return fail("distance out of range [10,255]");
+        out->assign(std::size_t{nodes} * nodes,
+                    static_cast<unsigned>(remote));
+        for (unsigned n = 0; n < nodes; ++n)
+            (*out)[n * nodes + n] = kLocalDistance;
+        return true;
+    }
 
     std::vector<unsigned> matrix;
     std::size_t pos = 0;
@@ -56,7 +64,7 @@ Topology::parseDistance(const std::string &spec, unsigned nodes,
             const long v = std::strtol(entry.c_str(), &end, 10);
             if (end == nullptr || *end != '\0')
                 return fail("non-numeric entry");
-            if (v < static_cast<long>(kLocalDistance) || v > 255)
+            if (!in_range(v))
                 return fail("entry out of range [10,255]");
             matrix.push_back(static_cast<unsigned>(v));
             ++cols;

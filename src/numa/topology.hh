@@ -31,8 +31,10 @@ class Topology
   public:
     /** Local (diagonal) SLIT distance, as in ACPI. */
     static constexpr unsigned kLocalDistance = 10;
+    /** Remote distance of an empty numa_distance_spec. */
+    static constexpr unsigned kDefaultRemoteDistance = 25;
 
-    /** Build from a validated config; fatal() on a bad distance spec. */
+    /** Build from a config whose numa_distance_spec validate() took. */
     explicit Topology(const hw::MachineConfig *config);
 
     unsigned nodes() const { return nodes_; }
@@ -61,11 +63,13 @@ class Topology
     }
 
     /**
-     * Parse a "10,25;25,10"-style matrix (rows ';'-separated, entries
-     * ','-separated) into @p out (row-major, nodes x nodes). Returns
-     * false with a message in @p error when the spec is not a
-     * symmetric nodes x nodes matrix with diagonal 10 and off-diagonal
-     * entries in [10, 255].
+     * Parse a numa_distance_spec into @p out (row-major, nodes x
+     * nodes). Empty is a uniform kDefaultRemoteDistance, a bare number
+     * a uniform remote distance, and anything else a "10,25;25,10"-
+     * style matrix (rows ';'-separated, entries ','-separated).
+     * Returns false with a message in @p error when a distance lies
+     * outside [10, 255] or the matrix is not a symmetric nodes x nodes
+     * one with diagonal 10.
      */
     static bool parseDistance(const std::string &spec, unsigned nodes,
                               std::vector<unsigned> *out,

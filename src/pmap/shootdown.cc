@@ -197,14 +197,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
             ++device_commands;
             ++shot;
         }
-        if (cfg.xpr_enabled) {
-            const Tick elapsed = machine_.now() - t_begin;
-            self.advanceNoPoll(hw::kXprRecordCost);
-            machine_.xpr().record({xpr::EventKind::ShootInitiator,
-                                   self.id(), machine_.now(),
-                                   pmap.isKernel(), mapped_pages, shot,
-                                   elapsed});
-        }
+        recordInitiator(self, pmap, mapped_pages, shot, t_begin);
         return;
     }
 
@@ -374,16 +367,21 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
         }
     }
 
+    recordInitiator(self, pmap, mapped_pages, sync_list.size(), t_begin);
+}
+
+void
+ShootdownController::recordInitiator(kern::Cpu &cpu, const Pmap &pmap,
+                                     unsigned mapped_pages,
+                                     std::size_t procs, Tick t_begin)
+{
+    if (!machine_.cfg().xpr_enabled)
+        return;
     const Tick elapsed = machine_.now() - t_begin;
-    if (cfg.xpr_enabled) {
-        self.advanceNoPoll(hw::kXprRecordCost);
-        machine_.xpr().record({xpr::EventKind::ShootInitiator, self.id(),
-                               machine_.now(), pmap.isKernel(),
-                               mapped_pages,
-                               static_cast<std::uint32_t>(
-                                   sync_list.size()),
-                               elapsed});
-    }
+    cpu.advanceNoPoll(hw::kXprRecordCost);
+    machine_.xpr().record({xpr::EventKind::ShootInitiator, cpu.id(),
+                           machine_.now(), pmap.isKernel(), mapped_pages,
+                           static_cast<std::uint32_t>(procs), elapsed});
 }
 
 void
@@ -615,7 +613,6 @@ ShootdownController::delayedFlushWait(kern::Thread &thread, Pmap &pmap,
                                       const FlushSnapshot &snapshot,
                                       unsigned mapped_pages)
 {
-    const hw::MachineConfig &cfg = machine_.cfg();
     const Tick t_begin = machine_.now();
     ++delayed_waits;
 
@@ -651,17 +648,8 @@ ShootdownController::delayedFlushWait(kern::Thread &thread, Pmap &pmap,
             .record(waited / kUsec);
     }
 
-    if (cfg.xpr_enabled) {
-        const Tick elapsed = machine_.now() - t_begin;
-        kern::Cpu &cpu = thread.cpu();
-        cpu.advanceNoPoll(hw::kXprRecordCost);
-        machine_.xpr().record({xpr::EventKind::ShootInitiator,
-                               cpu.id(), machine_.now(),
-                               pmap.isKernel(), mapped_pages,
-                               static_cast<std::uint32_t>(
-                                   snapshot.size()),
-                               elapsed});
-    }
+    recordInitiator(thread.cpu(), pmap, mapped_pages, snapshot.size(),
+                    t_begin);
 }
 
 void

@@ -252,6 +252,15 @@ class ShootdownController
     void chargeDeviceCommand(kern::Cpu &self, const dev::DmaDevice &dev,
                              Tick base);
 
+    /**
+     * With xpr on: @p cpu's initiator record for a shootdown of
+     * @p pmap begun at @p t_begin that shot at @p procs processors.
+     * Reads the clock, then charges the record cost, then records.
+     */
+    void recordInitiator(kern::Cpu &cpu, const Pmap &pmap,
+                         unsigned mapped_pages, std::size_t procs,
+                         Tick t_begin);
+
     PmapSystem &sys_;
     kern::Machine &machine_;
     std::vector<std::unique_ptr<CpuShootState>> state_;

@@ -67,8 +67,6 @@ Context::scheduleWake(FiberId id, Tick when)
 {
     MACH_ASSERT(id != 0);
     MACH_ASSERT(when >= now_);
-    // Wakes are the hot event kind (every sleep, nap, and IPI): use
-    // the queue's raw path so no closure is constructed or dispatched.
     return queue_.scheduleRaw(when, &Context::wakeTrampoline, this, id);
 }
 
@@ -80,10 +78,11 @@ Context::wakeTrampoline(void *ctx, std::uint64_t token)
 }
 
 EventId
-Context::scheduleCall(Tick when, std::function<void()> cb)
+Context::scheduleCall(Tick when, EventQueue::RawFn fn, void *ctx,
+                      std::uint64_t token)
 {
     MACH_ASSERT(when >= now_);
-    return queue_.schedule(when, std::move(cb));
+    return queue_.scheduleRaw(when, fn, ctx, token);
 }
 
 void

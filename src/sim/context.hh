@@ -62,8 +62,8 @@ class Context
      * returns at once, a finished fiber's is dropped and the next event
      * looked at, and any other fiber is switched to directly, without
      * the round trip through the scheduler. Every other case (a
-     * callback, a fiber's first wake, the horizon, a stop, an empty
-     * queue) yields to the scheduler. Outcomes are identical.
+     * scheduleCall() event, a fiber's first wake, the horizon, a stop,
+     * an empty queue) yields to the scheduler. Outcomes are identical.
      */
     void block();
 
@@ -74,8 +74,12 @@ class Context
      */
     EventId scheduleWake(FiberId id, Tick when);
 
-    /** Schedule a plain callback (runs in scheduler context; no block). */
-    EventId scheduleCall(Tick when, std::function<void()> cb);
+    /**
+     * Schedule @p fn(@p ctx, @p token) at absolute time @p when. It
+     * runs on the scheduler's stack and must not block.
+     */
+    EventId scheduleCall(Tick when, EventQueue::RawFn fn, void *ctx,
+                         std::uint64_t token);
 
     /** Cancel a pending wake or call. No-op if already fired. */
     void cancel(EventId id);

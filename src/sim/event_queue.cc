@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/logging.hh"
 
@@ -35,8 +34,6 @@ EventQueue::releaseNode(std::uint32_t slot)
 {
     Node &node = slab_[slot];
     node.seq = 0;
-    node.raw_fn = nullptr;
-    node.cb = nullptr; // Release closure resources eagerly.
     node.next_free = free_head_;
     free_head_ = slot;
 }
@@ -56,17 +53,6 @@ EventQueue::enqueue(Tick when, std::uint32_t slot)
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb)
-{
-    MACH_ASSERT(cb != nullptr);
-    if (perturber_ != nullptr)
-        when += perturber_->eventDelay(next_seq_);
-    const std::uint32_t slot = allocNode();
-    slab_[slot].cb = std::move(cb);
-    return enqueue(when, slot);
-}
-
-EventId
 EventQueue::scheduleRaw(Tick when, RawFn fn, void *ctx,
                         std::uint64_t token)
 {
@@ -75,9 +61,9 @@ EventQueue::scheduleRaw(Tick when, RawFn fn, void *ctx,
         when += perturber_->eventDelay(next_seq_);
     const std::uint32_t slot = allocNode();
     Node &node = slab_[slot];
-    node.raw_fn = fn;
-    node.raw_ctx = ctx;
-    node.raw_token = token;
+    node.fn = fn;
+    node.ctx = ctx;
+    node.token = token;
     return enqueue(when, slot);
 }
 
@@ -148,7 +134,7 @@ EventQueue::front() const
     MACH_ASSERT(live_ > 0);
     const Item &item = heap_.front();
     const Node &node = slab_[item.key & kSlotMask];
-    return {item.when, node.raw_fn, node.raw_ctx, node.raw_token};
+    return {item.when, node.fn, node.ctx, node.token};
 }
 
 EventQueue::Item
@@ -177,18 +163,13 @@ EventQueue::fireFront()
 {
     const Item front = unlinkFront();
     const auto slot = static_cast<std::uint32_t>(front.key & kSlotMask);
-    Node &node = slab_[slot];
-    if (node.raw_fn != nullptr) {
-        const RawFn fn = node.raw_fn;
-        void *ctx = node.raw_ctx;
-        const std::uint64_t token = node.raw_token;
-        releaseNode(slot);
-        fn(ctx, token);
-    } else {
-        Callback cb = std::move(node.cb);
-        releaseNode(slot);
-        cb();
-    }
+    const Node &node = slab_[slot];
+    const RawFn fn = node.fn;
+    void *ctx = node.ctx;
+    const std::uint64_t token = node.token;
+    // Free the slot first: the call may schedule into it.
+    releaseNode(slot);
+    fn(ctx, token);
     return front.when;
 }
 

@@ -15,9 +15,9 @@
  *     item behind, stale: an item whose key no longer matches its
  *     slot's is dropped when it reaches the front, and one bulk pass
  *     drops them all once they outnumber live events by more than 64;
- *   - fiber wakes -- the dominant event kind -- are stored as a raw
- *     (function pointer, context, token) triple, bypassing
- *     std::function entirely on the schedule *and* dispatch paths.
+ *   - every payload is one raw (function pointer, context, token)
+ *     call: fiber wakes, timer ticks, sleeps and I/O completions
+ *     alike, so no event carries or dispatches a closure.
  *
  * Keys are unique and sequence-ordered, so the heap pops in exact
  * (when, seq) order. tests/determinism_test.cc pins that contract with
@@ -29,7 +29,6 @@
 #define MACH_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "base/perturb.hh"
@@ -47,22 +46,18 @@ struct EventId
     bool valid() const { return seq != 0; }
 };
 
-/** Time-ordered queue of callbacks. */
+/** Time-ordered queue of raw calls. */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-    /** Allocation-free payload: fn(ctx, token) at fire time. */
+    /** The one payload kind: fn(ctx, token) at fire time. */
     using RawFn = void (*)(void *ctx, std::uint64_t token);
 
-    /** Schedule @p cb to fire at absolute time @p when. */
-    EventId schedule(Tick when, Callback cb);
-
     /**
-     * Schedule an allocation-free event: at fire time @p fn is invoked
-     * with (@p ctx, @p token). This is the fiber-wake fast path --
-     * sim::Context passes itself and the fiber id, so the sleep/wake
-     * cycle never touches std::function.
+     * Schedule @p fn to be invoked with (@p ctx, @p token) at absolute
+     * time @p when. sim::Context passes itself and the fiber id for a
+     * wake; kern passes the owning object and a thread pointer or CPU
+     * id.
      */
     EventId scheduleRaw(Tick when, RawFn fn, void *ctx,
                         std::uint64_t token);
@@ -82,7 +77,7 @@ class EventQueue
 
     /**
      * Remove and invoke the earliest event, returning its scheduled
-     * time. Dispatches raw events directly. Panics if empty.
+     * time. Panics if empty.
      */
     Tick fireFront();
 
@@ -90,7 +85,6 @@ class EventQueue
     struct Front
     {
         Tick when;
-        /** The raw payload; fn is null for a schedule() callback. */
         RawFn fn;
         void *ctx;
         std::uint64_t token;
@@ -110,8 +104,9 @@ class EventQueue
      * The self-wake fast path (Context::blockUntil). If an event
      * scheduled now for @p *when, after its perturbation delay, would
      * fire no later than @p until and strictly before every pending
-     * event, consume its sequence number as schedule() would, store the
-     * delayed time in @p *when and return true; else change nothing.
+     * event, consume its sequence number as scheduleRaw() would, store
+     * the delayed time in @p *when and return true; else change
+     * nothing.
      */
     bool claimNext(Tick *when, Tick until);
 
@@ -119,9 +114,9 @@ class EventQueue
     std::uint64_t scheduledCount() const { return next_seq_ - 1; }
 
     /**
-     * Install (or clear, with nullptr) a perturbation schedule. Each
-     * schedule/scheduleRaw consults it by insertion sequence and adds
-     * the directed extra delay to the event's firing time. Delays are
+     * Install (or clear, with nullptr) a perturbation schedule.
+     * scheduleRaw consults it by insertion sequence and adds the
+     * directed extra delay to the event's firing time. Delays are
      * strictly additive, so `when >= now` is preserved and the (time,
      * seq) order contract is untouched -- the perturbed run is just a
      * different, equally deterministic schedule. The perturber must
@@ -157,12 +152,12 @@ class EventQueue
     struct Node
     {
         std::uint64_t seq = 0; ///< Key of the pending event it holds.
-        RawFn raw_fn = nullptr;
-        void *raw_ctx = nullptr;
-        std::uint64_t raw_token = 0;
-        Callback cb;
+        RawFn fn = nullptr;
+        void *ctx = nullptr;
+        std::uint64_t token = 0;
         std::uint32_t next_free = kNil;
     };
+    static_assert(sizeof(Node) <= 40, "a slab node is five words");
 
     /** Heap item; stale once its slot no longer holds @p key. */
     struct Item
@@ -178,7 +173,7 @@ class EventQueue
     }
 
     std::uint32_t allocNode();
-    /** Clear the payload in @p slot and put the slot on the free list. */
+    /** Mark @p slot free and put it on the free list. */
     void releaseNode(std::uint32_t slot);
     EventId enqueue(Tick when, std::uint32_t slot);
     /** Remove the front item from the heap. */

@@ -43,10 +43,10 @@
 
 #include "base/types.hh"
 #include "dev/dma_device.hh"
+#include "kern/io_device.hh"
 #include "kern/machine.hh"
 #include "kern/sched.hh"
 #include "kern/thread.hh"
-#include "kern/timer.hh"
 #include "pmap/pmap.hh"
 #include "vm/pager.hh"
 #include "vm/task.hh"

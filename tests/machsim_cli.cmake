@@ -3,7 +3,7 @@
 # CTest (tests/CMakeLists.txt):
 #
 #   cmake -DMACHSIM=path/to/machsim "-DARGS=--lazy foo" -DEXPECT_RC=1 \
-#         -DEXPECT_STDERR=--lazy [-DEXPECT_STDOUT=text] \
+#         -DEXPECT_STDERR=--lazy [-DEXPECT_STDOUT=text|NO_STDOUT] \
 #         -P machsim_cli.cmake
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -25,7 +25,12 @@ if(NOT "${EXPECT_STDERR}" STREQUAL "")
             "'${EXPECT_STDERR}'\nstderr:\n${err}")
     endif()
 endif()
-if(NOT "${EXPECT_STDOUT}" STREQUAL "")
+if("${EXPECT_STDOUT}" STREQUAL "NO_STDOUT")
+    if(NOT "${out}" STREQUAL "")
+        message(FATAL_ERROR
+            "machsim ${ARGS}: printed to stdout\nstdout:\n${out}")
+    endif()
+elseif(NOT "${EXPECT_STDOUT}" STREQUAL "")
     string(FIND "${out}" "${EXPECT_STDOUT}" at)
     if(at EQUAL -1)
         message(FATAL_ERROR

@@ -62,7 +62,7 @@ TEST(NumaTopology, NodeOfCpuSplitsContiguousBlocks)
 TEST(NumaTopology, UniformDistanceAndRemoteCost)
 {
     hw::MachineConfig config = numaConfig(32, 4);
-    config.numa_remote_distance = 25;
+    config.numa_distance_spec = "25";
     const numa::Topology topo(&config);
     for (unsigned a = 0; a < 4; ++a)
         for (unsigned b = 0; b < 4; ++b)
@@ -108,6 +108,29 @@ TEST(NumaTopology, ParseDistanceRejectsBadMatrices)
     // Off-diagonal below local is nonsense.
     EXPECT_FALSE(
         numa::Topology::parseDistance("10,5;5,10", 2, &out, &error));
+}
+
+TEST(NumaTopology, UniformSpecsShareTheMatrixBound)
+{
+    // Empty is the default 25; a bare number is a uniform remote
+    // distance, held to the same [10, 255] as a matrix entry.
+    std::vector<unsigned> out;
+    std::string error;
+    EXPECT_TRUE(numa::Topology::parseDistance("", 2, &out, &error));
+    EXPECT_EQ(out, (std::vector<unsigned>{10, 25, 25, 10}));
+    EXPECT_TRUE(numa::Topology::parseDistance("255", 2, &out, &error));
+    EXPECT_EQ(out, (std::vector<unsigned>{10, 255, 255, 10}));
+    EXPECT_FALSE(numa::Topology::parseDistance("300", 2, &out, &error));
+    EXPECT_FALSE(numa::Topology::parseDistance("5", 2, &out, &error));
+
+    // validate() runs the same parser, so neither a ragged matrix nor
+    // an out-of-range uniform distance gets past it.
+    hw::MachineConfig ragged = numaConfig(32, 2);
+    ragged.numa_distance_spec = "10,25;25";
+    EXPECT_DEATH(ragged.validate(), "numa_distance_spec");
+    hw::MachineConfig far = numaConfig(32, 2);
+    far.numa_distance_spec = "300";
+    EXPECT_DEATH(far.validate(), "numa_distance_spec");
 }
 
 TEST(NumaTopology, ValidateRejectsBadShapes)

@@ -14,6 +14,8 @@
 #include "hw/bus.hh"
 #include "sim/event_queue.hh"
 
+#include "closure_events.hh"
+
 namespace
 {
 
@@ -103,11 +105,12 @@ TEST(Perturb, EventQueueAppliesDelayAndReorders)
     SchedulePerturber p;
     p.delayEvent(1, 50); // first scheduled event slips by 50 ticks
 
+    sim::test::ClosureEvents calls;
     sim::EventQueue q;
     q.setPerturber(&p);
     std::vector<int> order;
-    q.schedule(100, [&] { order.push_back(1); });
-    q.schedule(100, [&] { order.push_back(2); });
+    calls.at(q, 100, [&] { order.push_back(1); });
+    calls.at(q, 100, [&] { order.push_back(2); });
 
     EXPECT_EQ(q.fireFront(), 100u);
     EXPECT_EQ(q.fireFront(), 150u);
@@ -119,10 +122,11 @@ TEST(Perturb, EventQueueAppliesDelayAndReorders)
 /** Without a perturber the same program keeps insertion order. */
 TEST(Perturb, EventQueueUnperturbedKeepsInsertionOrder)
 {
+    sim::test::ClosureEvents calls;
     sim::EventQueue q;
     std::vector<int> order;
-    q.schedule(100, [&] { order.push_back(1); });
-    q.schedule(100, [&] { order.push_back(2); });
+    calls.at(q, 100, [&] { order.push_back(1); });
+    calls.at(q, 100, [&] { order.push_back(2); });
     q.fireFront();
     q.fireFront();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));

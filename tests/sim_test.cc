@@ -18,6 +18,7 @@
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 
+#include "closure_events.hh"
 #include "fiber_waves.hh"
 
 namespace mach::sim
@@ -25,13 +26,20 @@ namespace mach::sim
 namespace
 {
 
+/** A raw event that does nothing. */
+void
+noop(void *, std::uint64_t)
+{
+}
+
 TEST(EventQueue, FiresInTimeOrder)
 {
+    test::ClosureEvents calls;
     EventQueue q;
     std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
+    calls.at(q, 30, [&] { order.push_back(3); });
+    calls.at(q, 10, [&] { order.push_back(1); });
+    calls.at(q, 20, [&] { order.push_back(2); });
 
     while (!q.empty())
         q.fireFront();
@@ -40,10 +48,11 @@ TEST(EventQueue, FiresInTimeOrder)
 
 TEST(EventQueue, SameTickFiresInScheduleOrder)
 {
+    test::ClosureEvents calls;
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
+        calls.at(q, 5, [&order, i] { order.push_back(i); });
     while (!q.empty())
         q.fireFront();
     for (int i = 0; i < 10; ++i)
@@ -52,10 +61,11 @@ TEST(EventQueue, SameTickFiresInScheduleOrder)
 
 TEST(EventQueue, CancelRemovesEvent)
 {
+    test::ClosureEvents calls;
     EventQueue q;
     bool fired = false;
-    EventId id = q.schedule(10, [&] { fired = true; });
-    q.schedule(20, [] {});
+    EventId id = calls.at(q, 10, [&] { fired = true; });
+    calls.at(q, 20, [] {});
     q.cancel(id);
     EXPECT_EQ(q.size(), 1u);
     EXPECT_EQ(q.fireFront(), 20u);
@@ -64,8 +74,9 @@ TEST(EventQueue, CancelRemovesEvent)
 
 TEST(EventQueue, CancelAfterFireIsNoop)
 {
+    test::ClosureEvents calls;
     EventQueue q;
-    EventId id = q.schedule(10, [] {});
+    EventId id = calls.at(q, 10, [] {});
     q.fireFront();
     q.cancel(id); // Must not crash or disturb anything.
     EXPECT_TRUE(q.empty());
@@ -80,9 +91,10 @@ TEST(EventQueue, CancelDefaultIdIsNoop)
 
 TEST(EventQueue, NextTimeReportsEarliest)
 {
+    test::ClosureEvents calls;
     EventQueue q;
-    q.schedule(50, [] {});
-    q.schedule(40, [] {});
+    calls.at(q, 50, [] {});
+    calls.at(q, 40, [] {});
     EXPECT_EQ(q.nextTime(), 40u);
 }
 
@@ -158,13 +170,14 @@ TEST(Context, WakeOfFinishedFiberIsIgnored)
 
 TEST(Context, RunUntilBoundsTime)
 {
+    test::ClosureEvents calls;
     Context ctx;
     int ticks = 0;
     std::function<void()> tick = [&] {
         ++ticks;
-        ctx.scheduleCall(ctx.now() + 10, tick);
+        calls.at(ctx, ctx.now() + 10, tick);
     };
-    ctx.scheduleCall(0, tick);
+    calls.at(ctx, 0, tick);
     ctx.run(35);
     EXPECT_EQ(ticks, 4); // t = 0, 10, 20, 30.
     EXPECT_LE(ctx.now(), 35u);
@@ -172,14 +185,15 @@ TEST(Context, RunUntilBoundsTime)
 
 TEST(Context, RequestStopEndsRun)
 {
+    test::ClosureEvents calls;
     Context ctx;
     int events = 0;
-    ctx.scheduleCall(1, [&] { ++events; });
-    ctx.scheduleCall(2, [&] {
+    calls.at(ctx, 1, [&] { ++events; });
+    calls.at(ctx, 2, [&] {
         ++events;
         ctx.requestStop();
     });
-    ctx.scheduleCall(3, [&] { ++events; });
+    calls.at(ctx, 3, [&] { ++events; });
     ctx.run();
     EXPECT_EQ(events, 2);
     // A later run() drains the remainder.
@@ -266,10 +280,11 @@ TEST(Fiber, StacksAreRecycledAcrossContextsOnOneThread)
 
 TEST(EventQueue, ScheduledCountIsMonotonic)
 {
+    test::ClosureEvents calls;
     EventQueue q;
     EXPECT_EQ(q.scheduledCount(), 0u);
-    EventId a = q.schedule(1, [] {});
-    q.schedule(2, [] {});
+    EventId a = calls.at(q, 1, [] {});
+    calls.at(q, 2, [] {});
     EXPECT_EQ(q.scheduledCount(), 2u);
     q.cancel(a); // Cancellation does not un-count.
     EXPECT_EQ(q.scheduledCount(), 2u);
@@ -277,9 +292,10 @@ TEST(EventQueue, ScheduledCountIsMonotonic)
 
 TEST(Context, RunReturnsDispatchedCount)
 {
+    test::ClosureEvents calls;
     Context ctx;
     for (int i = 0; i < 5; ++i)
-        ctx.scheduleCall(i + 1, [] {});
+        calls.at(ctx, i + 1, [] {});
     EXPECT_EQ(ctx.run(3), 3u);
     EXPECT_EQ(ctx.run(), 2u);
 }
@@ -324,12 +340,13 @@ TEST(EventQueue, CancelThenFireSkipsTombstone)
     // Cancel the event at the front of the heap, and one behind it:
     // the front must move past each stale item to the live event
     // behind it, on the same tick and on a later one.
+    test::ClosureEvents calls;
     EventQueue q;
     std::vector<int> order;
-    EventId dead_same = q.schedule(10, [&] { order.push_back(-1); });
-    q.schedule(10, [&] { order.push_back(1); });
-    EventId dead_later = q.schedule(20, [&] { order.push_back(-2); });
-    q.schedule(30, [&] { order.push_back(2); });
+    EventId dead_same = calls.at(q, 10, [&] { order.push_back(-1); });
+    calls.at(q, 10, [&] { order.push_back(1); });
+    EventId dead_later = calls.at(q, 20, [&] { order.push_back(-2); });
+    calls.at(q, 30, [&] { order.push_back(2); });
     q.cancel(dead_same);
     q.cancel(dead_later);
 
@@ -344,11 +361,12 @@ TEST(EventQueue, InterleavedTicksKeepSequenceOrder)
 {
     // Alternate scheduling between two ticks; pops must still follow
     // global (when, seq) order.
+    test::ClosureEvents calls;
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i) {
         const Tick when = (i % 2 == 0) ? 100 : 200;
-        q.schedule(when, [&order, i] { order.push_back(i); });
+        calls.at(q, when, [&order, i] { order.push_back(i); });
     }
     while (!q.empty())
         q.fireFront();
@@ -361,11 +379,12 @@ TEST(EventQueue, FreeListBoundsSlabAcrossChurn)
     // must recycle slab nodes rather than grow the slab, and the bulk
     // cleanup must drop the stale heap items even though their tick
     // never reaches the front.
+    test::ClosureEvents calls;
     EventQueue q;
     bool fired = false;
-    q.schedule(1, [&] { fired = true; });
+    calls.at(q, 1, [&] { fired = true; });
     for (int i = 0; i < 1'000'000; ++i) {
-        EventId id = q.schedule(1'000'000 + i % 97, [] {});
+        EventId id = q.scheduleRaw(1'000'000 + i % 97, &noop, nullptr, 0);
         q.cancel(id);
     }
     EXPECT_EQ(q.size(), 1u);
@@ -385,13 +404,14 @@ TEST(EventQueue, SlabSlotReuseDoesNotConfuseCancel)
 {
     // A stale EventId whose slab slot has been recycled by a newer
     // event must not cancel the newer event.
+    test::ClosureEvents calls;
     EventQueue q;
-    EventId old_id = q.schedule(10, [] {});
+    EventId old_id = calls.at(q, 10, [] {});
     q.fireFront(); // Slot returns to the free list.
 
     bool fired = false;
-    q.schedule(20, [&] { fired = true; }); // Reuses the slot.
-    q.cancel(old_id);                      // Stale handle: must no-op.
+    calls.at(q, 20, [&] { fired = true; }); // Reuses the slot.
+    q.cancel(old_id);                       // Stale handle: must no-op.
     EXPECT_EQ(q.size(), 1u);
     q.fireFront();
     EXPECT_TRUE(fired);
@@ -413,6 +433,7 @@ TEST(EventQueue, AlternatingTicksFireInWhenSeqOrderEitherWayRound)
 {
     // Alternate between two ticks, starting with the earlier one and
     // then with the later one: pops must follow (when, seq) exactly.
+    test::ClosureEvents calls;
     const Tick a = 1000;
     const Tick b = 1001;
     for (const bool later_first : {false, true}) {
@@ -420,7 +441,7 @@ TEST(EventQueue, AlternatingTicksFireInWhenSeqOrderEitherWayRound)
         std::vector<int> tags;
         for (int i = 0; i < 8; ++i) {
             const Tick when = ((i % 2 == 0) != later_first) ? a : b;
-            q.schedule(when, [&tags, i] { tags.push_back(i); });
+            calls.at(q, when, [&tags, i] { tags.push_back(i); });
         }
         const auto fired = drain(q, tags);
         std::vector<std::pair<Tick, int>> want;
@@ -439,18 +460,19 @@ TEST(EventQueue, RunFiresEventScheduledForItsOwnTickAfterPendingOnes)
     // Two ticks scheduled interleaved and dispatched through run(),
     // with an event body appending to its own tick: the appended event
     // fires after the tick's pending events and before the next tick.
+    test::ClosureEvents calls;
     const Tick a = 500;
     const Tick b = 501;
     Context ctx;
     std::vector<int> order;
-    ctx.scheduleCall(a, [&] { order.push_back(0); });
-    ctx.scheduleCall(b, [&] { order.push_back(10); });
-    ctx.scheduleCall(a, [&] {
+    calls.at(ctx, a, [&] { order.push_back(0); });
+    calls.at(ctx, b, [&] { order.push_back(10); });
+    calls.at(ctx, a, [&] {
         order.push_back(1);
-        ctx.scheduleCall(a, [&] { order.push_back(3); });
+        calls.at(ctx, a, [&] { order.push_back(3); });
     });
-    ctx.scheduleCall(b, [&] { order.push_back(11); });
-    ctx.scheduleCall(a, [&] { order.push_back(2); });
+    calls.at(ctx, b, [&] { order.push_back(11); });
+    calls.at(ctx, a, [&] { order.push_back(2); });
     EXPECT_EQ(ctx.run(), 6u);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11}));
 }
@@ -460,6 +482,7 @@ TEST(EventQueue, BulkCancelLeavesSurvivorsInSequenceOrder)
     // Cancel most events on two ticks, scheduled in alternating runs
     // of 100 -- enough stale items to trigger the bulk cleanup -- and
     // the survivors still fire in (when, seq) order.
+    test::ClosureEvents calls;
     const Tick a = 77;
     const Tick b = 78;
     EventQueue q;
@@ -468,7 +491,7 @@ TEST(EventQueue, BulkCancelLeavesSurvivorsInSequenceOrder)
     for (int i = 0; i < 400; ++i) {
         const Tick when = (i / 100) % 2 == 0 ? a : b; // a, b, a, b runs
         ids.push_back(
-            q.schedule(when, [&tags, i] { tags.push_back(i); }));
+            calls.at(q, when, [&tags, i] { tags.push_back(i); }));
     }
     std::vector<std::pair<Tick, int>> want;
     for (int i = 0; i < 400; ++i) {
@@ -513,6 +536,10 @@ class ReferenceQueue
     /** Events scheduled so far; tags are 0 .. scheduled() - 1. */
     int scheduled() const { return static_cast<int>(ids_.size()); }
 
+    /**
+     * Schedule the next tag at @p when: with @p raw its own raw call,
+     * else a closure through the test adapter.
+     */
     std::string
     schedule(Tick when, bool raw)
     {
@@ -523,7 +550,7 @@ class ReferenceQueue
             raw ? queue_.scheduleRaw(when, &ReferenceQueue::fireRaw,
                                      &fired_,
                                      static_cast<std::uint64_t>(tag))
-                : queue_.schedule(when, [this, tag] { fired_ = tag; }));
+                : calls_.at(queue_, when, [this, tag] { fired_ = tag; }));
         keys_.push_back(key);
         state_.push_back(Live);
         ref_.emplace(key, tag);
@@ -631,6 +658,7 @@ class ReferenceQueue
     }
 
     const SchedulePerturber *perturber_;
+    test::ClosureEvents calls_;
     EventQueue queue_;
     std::map<std::pair<Tick, std::uint64_t>, int> ref_;
     std::vector<EventId> ids_;
@@ -785,6 +813,7 @@ struct Observed
 Observed
 interleave(bool guarded, const SchedulePerturber *perturber = nullptr)
 {
+    test::ClosureEvents calls;
     Context ctx;
     ctx.queue().setPerturber(perturber);
     Observed out;
@@ -800,9 +829,9 @@ interleave(bool guarded, const SchedulePerturber *perturber = nullptr)
     std::function<void()> tick = [&] {
         out.trace += "t" + std::to_string(ctx.now()) + ' ';
         if (ctx.now() < 30)
-            ctx.scheduleCall(ctx.now() + 9, tick);
+            calls.at(ctx, ctx.now() + 9, tick);
     };
-    ctx.scheduleCall(4, tick);
+    calls.at(ctx, 4, tick);
     if (guarded) {
         bool hit = true;
         out.dispatched =
@@ -862,6 +891,7 @@ TEST(ContextElision, DelayBehindAnotherEventIsNotElided)
 {
     // Sequence 3 is the fiber's sleep; pushing it past the call at 12
     // must let the call run first.
+    test::ClosureEvents calls;
     for (const Tick extra : {Tick{0}, Tick{5}}) {
         SchedulePerturber perturber;
         perturber.delayEvent(3, extra);
@@ -873,7 +903,7 @@ TEST(ContextElision, DelayBehindAnotherEventIsNotElided)
             ctx.sleep(10);
             trace += "A" + std::to_string(ctx.now());
         });
-        ctx.scheduleCall(12, [&] { trace += "b12"; });
+        calls.at(ctx, 12, [&] { trace += "b12"; });
         ctx.run();
         EXPECT_EQ(trace, extra == 0 ? "A10b12" : "b12A15");
         EXPECT_EQ(ctx.elidedWakes(), extra == 0 ? 1u : 0u);
@@ -1075,16 +1105,17 @@ TEST(ContextHandoff, OwnWakeAtFrontReturnsAtOnce)
 
 TEST(ContextHandoff, CallbackBetweenWakesRunsOnSchedulerStack)
 {
+    test::ClosureEvents calls;
     const Observed fast = expectHandoffMatchesReference(
-        [](Context &ctx, std::string &trace) {
+        [&calls](Context &ctx, std::string &trace) {
             const FiberId b = ctx.spawn("b", [&] {
                 ctx.block();
                 trace += at(ctx, 'B');
                 ctx.block();
                 trace += at(ctx, 'b');
             });
-            ctx.spawn("a", [&ctx, &trace, b] {
-                ctx.scheduleCall(ctx.now() + 1, [&] {
+            ctx.spawn("a", [&calls, &ctx, &trace, b] {
+                calls.at(ctx, ctx.now() + 1, [&] {
                     trace += Fiber::current() == nullptr ? "c " : "C! ";
                 });
                 ctx.scheduleWake(b, ctx.now() + 2);

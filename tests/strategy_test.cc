@@ -125,6 +125,17 @@ TEST(DelayedFlush, RequiresNoWritebackTlb)
                 "tlb_refmod");
 }
 
+TEST(DelayedFlush, RejectsDevices)
+{
+    // The wait covers the processors' timer-driven flushes only; no
+    // timer or idle edge ever flushes a device IOTLB.
+    hw::MachineConfig config;
+    config.setShootdownPolicy(hw::ShootdownPolicy::DelayedFlush);
+    config.devices = 2;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "MachineConfig: delayed-flush .* device IOTLB");
+}
+
 TEST(RangeFlushCrossover, BaselineAcceptsThresholdAboveCrossover)
 {
     // Only RangeFlush reads the crossover, so a per-entry threshold

@@ -399,15 +399,7 @@ constexpr Flag kFlags[] = {
      [](Cli &c, const Value &v) { c.cpus_per_node = v.u32(); }},
     {"--distance", "D", "uniform remote SLIT distance (e.g. 25; local "
      "is 10) or a full ;-separated matrix like \"10,25;25,10\"",
-     [](Cli &c, const Value &v) {
-         // A bare number is a uniform remote distance; anything else
-         // is a full matrix handed to the topology parser.
-         if (!v.str.empty() &&
-             v.str.find_first_not_of("0123456789") == std::string::npos)
-             c.machine.numa_remote_distance = v.u32();
-         else
-             c.machine.numa_distance_spec = v.str;
-     }},
+     [](Cli &c, const Value &v) { c.machine.numa_distance_spec = v.str; }},
     {"--placement", "P", "first-touch | interleave | migrate",
      [](Cli &c, const Value &v) {
          if (v.str == "first-touch")
@@ -979,6 +971,13 @@ main(int argc, char **argv)
     // Reject a bad machine before any output: a batch builds its
     // machines on farm workers, after printing its header.
     cli.machine.validate();
+    if (cli.app == "tester" &&
+        (cli.tester.children == 0 ||
+         cli.tester.children >= cli.machine.ncpus))
+        fatal("--children (%u) must be at least 1 and below the CPU "
+              "count (%u): the tester pins each child and its main "
+              "thread to a CPU of its own",
+              cli.tester.children, cli.machine.ncpus);
     if (cli.repeat != 0)
         return runBatch(cli);
 
