@@ -10,8 +10,8 @@
  * architectures". Both strategies run the Section 5.1 tester (latency)
  * and Agora (machine-wide TLB effectiveness).
  *
- * Part 2 is the policy x application matrix for the pluggable
- * avoidance policies (--shootdown-policy, src/pmap/policy.hh): every
+ * Part 2 is the policy x application matrix for the avoidance
+ * policies (--shootdown-policy, src/pmap/shootdown.hh): every
  * policy runs the four Section 5.2 applications, a multiprogramming
  * mix, and the same mix on a 2-node NUMA shape, reporting total IPIs
  * (and the saving vs the Figure 1 baseline), per-operation initiator

@@ -8,7 +8,6 @@
 #include "dev/dma_device.hh"
 #include "kern/cpu.hh"
 #include "kern/thread.hh"
-#include "pmap/policy.hh"
 #include "pmap/shootdown.hh"
 #include "vm/kernel.hh"
 #include "vm/task.hh"
@@ -502,7 +501,7 @@ lazyAsidDriver(vm::Kernel &kernel, kern::Thread &drv,
         state->failPredicate("vmProtect(cover) failed");
     stop_filler = true;
     drv.join(*filler);
-    if (kernel.pmaps().shoot().policy().flushes_deferred == 0)
+    if (kernel.pmaps().shoot().flushes_deferred == 0)
         state->failCoverage("asid: no deferred flush");
 }
 

@@ -1,5 +1,6 @@
 #include "chk/vmgen.hh"
 
+#include <charconv>
 #include <map>
 #include <vector>
 
@@ -323,41 +324,28 @@ parseVmgenName(const std::string &name, VmGenOptions *out)
     const std::string prefix = "vmgen-";
     if (name.compare(0, prefix.size(), prefix) != 0)
         return false;
-    std::string rest = name.substr(prefix.size());
-    bool devices = false;
-    if (!rest.empty() && rest.back() == 'd') {
-        devices = true;
-        rest.pop_back();
-    }
-    if (rest.empty())
-        return false;
-    std::size_t i = 0;
-    std::uint64_t seed = 0;
-    while (i < rest.size() && rest[i] >= '0' && rest[i] <= '9') {
-        seed = seed * 10 + static_cast<std::uint64_t>(rest[i] - '0');
-        ++i;
-    }
-    if (i == 0)
-        return false;
+    const char *p = name.data() + prefix.size();
+    const char *end = name.data() + name.size();
     VmGenOptions o;
-    o.seed = seed;
-    if (i != rest.size()) {
-        if (rest[i] != 'x')
-            return false;
-        ++i;
-        std::uint64_t nodes = 0;
-        std::size_t start = i;
-        while (i < rest.size() && rest[i] >= '0' && rest[i] <= '9') {
-            nodes = nodes * 10 +
-                    static_cast<std::uint64_t>(rest[i] - '0');
-            ++i;
-        }
-        if (i == start || i != rest.size() || nodes < 2)
-            return false;
-        o.numa_nodes = static_cast<unsigned>(nodes);
-        o.ncpus = 2 * o.numa_nodes;
+    if (p != end && end[-1] == 'd') {
+        o.devices = true;
+        --end;
     }
-    o.devices = devices;
+    // from_chars fails on overflow, so a number out of range is an
+    // unknown name rather than a wrapped alias of a smaller one.
+    auto [q, ec] = std::from_chars(p, end, o.seed);
+    if (ec != std::errc())
+        return false;
+    if (q != end) {
+        if (*q != 'x')
+            return false;
+        unsigned nodes = 0;
+        auto [r, node_ec] = std::from_chars(q + 1, end, nodes);
+        if (node_ec != std::errc() || r != end || nodes < 2)
+            return false;
+        o.numa_nodes = nodes;
+        o.ncpus = 2 * nodes;
+    }
     *out = o;
     return true;
 }

@@ -112,8 +112,8 @@ Cpu::wakeSleeper()
     machine_->ctx().cancel(sleep_event_);
     machine_->ctx().scheduleWake(
         sleeping_fiber_, machine_->now() + hw::kIpiLatency);
-    // Leave sleeping_fiber_ set; the sleeper clears it on resume. A
-    // second wake before then is absorbed by the predicate loops.
+    // Clear it now, so a second kick before the sleeper runs finds no
+    // sleeper and schedules nothing.
     sleeping_fiber_ = 0;
 }
 

@@ -7,7 +7,6 @@
 #include "dev/dma_device.hh"
 #include "kern/sched.hh"
 #include "obs/probe.hh"
-#include "pmap/policy.hh"
 #include "pmap/shootdown.hh"
 #include "xpr/xpr.hh"
 
@@ -68,9 +67,9 @@ void
 Pmap::activate(kern::Cpu &cpu)
 {
     // Context-load hook: runs before the space becomes current, so a
-    // lazily deferred flush (LazyAsid policy) is applied while the
-    // space's residue is still unreachable.
-    sys_->shoot().policy().onContextLoad(cpu, *this);
+    // lazily deferred flush (LazyAsid) is applied while the space's
+    // residue is still unreachable.
+    sys_->shoot().onContextLoad(cpu, *this);
     in_use_.set(cpu.id());
     cpu.cur_pmap = this;
 }
@@ -145,8 +144,8 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
             ++shootdowns_avoided_lazy;
     }
     if (need_consistency &&
-        sys_->shoot().policy().reuseElideCheck(cpu, *this, start, end)) {
-        // ReuseElide policy: no page of the range has been referenced
+        sys_->shoot().reuseElideCheck(cpu, *this, start, end)) {
+        // ReuseElide: no page of the range has been referenced
         // since its last consistency-clean instant, so no TLB anywhere
         // caches it and the change needs no consistency actions.
         need_consistency = false;

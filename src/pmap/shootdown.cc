@@ -1,5 +1,7 @@
 #include "pmap/shootdown.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "dev/dma_device.hh"
 #include "hw/bus.hh"
@@ -8,7 +10,6 @@
 #include "kern/sched.hh"
 #include "obs/probe.hh"
 #include "pmap/pmap.hh"
-#include "pmap/policy.hh"
 #include "xpr/xpr.hh"
 
 namespace mach::pmap
@@ -21,15 +22,12 @@ ShootdownController::ShootdownController(PmapSystem &sys)
     state_.reserve(machine_.ncpus());
     for (CpuId id = 0; id < machine_.ncpus(); ++id)
         state_.push_back(std::make_unique<CpuShootState>());
-    policy_ = makeShootdownPolicy(*this, machine_);
 
     machine_.setIrqHandler(hw::Irq::Shootdown,
                            [this](kern::Cpu &cpu) { respond(cpu); });
     machine_.sched().setIdleExitHook(
         [this](kern::Cpu &cpu) { idleExit(cpu); });
 }
-
-ShootdownController::~ShootdownController() = default;
 
 void
 ShootdownController::registerResponder(dev::DmaDevice *device)
@@ -67,8 +65,6 @@ void
 ShootdownController::invalidateLocal(kern::Cpu &cpu, hw::SpaceId space,
                                      Vpn start, Vpn end)
 {
-    if (policy_->invalidate(cpu, space, start, end))
-        return;
     const hw::MachineConfig &cfg = machine_.cfg();
     const unsigned npages = end - start;
     if (cfg.virtual_cache) {
@@ -78,15 +74,51 @@ ShootdownController::invalidateLocal(kern::Cpu &cpu, hw::SpaceId space,
         cpu.advanceNoPoll(hw::kVcSearchCostPerLine * cfg.tlb_entries);
         return;
     }
-    if (npages > cfg.tlb_flush_threshold) {
+    if (npages <= cfg.tlb_flush_threshold) {
+        cpu.tlb().invalidateRange(space, start, end);
+        cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
+    } else if (cfg.shootdown_policy == hw::ShootdownPolicy::RangeFlush) {
+        // RangeFlush models hardware with a ranged invalidate: up to
+        // the crossover it invalidates exactly [start, end) at the
+        // per-entry loop's per-page cost, and beyond it flushes only
+        // the victim space. The win is not a cheaper instant -- it is
+        // every bystander space's entries that survive and save a
+        // reload later.
+        if (npages <= hw::kRangeFlushCrossover) {
+            cpu.tlb().invalidateRange(space, start, end);
+            cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
+            ++range_invalidates;
+        } else {
+            cpu.tlb().flushSpace(space);
+            cpu.advanceNoPoll(hw::kTlbFlushCost);
+            ++full_space_flushes;
+        }
+    } else {
         // Beyond the threshold a full buffer flush is cheaper than
         // individual invalidates (Section 4, omitted detail 1).
         cpu.tlb().flushAll();
         cpu.advanceNoPoll(hw::kTlbFlushCost);
-    } else {
-        cpu.tlb().invalidateRange(space, start, end);
-        cpu.advanceNoPoll(hw::kTlbInvalidateCost * npages);
     }
+}
+
+bool
+ShootdownController::mergeQueued(std::vector<ShootAction> &queue,
+                                 Pmap &pmap, Vpn start, Vpn end)
+{
+    if (machine_.cfg().shootdown_policy != hw::ShootdownPolicy::Batched)
+        return false;
+    for (ShootAction &action : queue) {
+        if (action.pmap != &pmap)
+            continue;
+        // Fold overlapping or adjacent ranges; disjoint ranges of the
+        // same pmap also merge (the responder invalidates a superset,
+        // which is always conservative).
+        action.start = std::min(action.start, start);
+        action.end = std::max(action.end, end);
+        ++actions_merged;
+        return true;
+    }
+    return false;
 }
 
 void
@@ -96,8 +128,8 @@ ShootdownController::queueAction(kern::Cpu &self, CpuId target,
     const hw::MachineConfig &cfg = machine_.cfg();
     CpuShootState &st = *state_[target];
     st.action_lock.rawLock(self);
-    if (policy_->mergeQueued(st.queue, pmap, start, end)) {
-        // Coalesced into an already-queued range (Batched policy).
+    if (mergeQueued(st.queue, pmap, start, end)) {
+        // Coalesced into an already-queued range (Batched).
         st.action_needed = true;
         self.memAccess(2);
         st.action_lock.rawUnlock(self);
@@ -120,6 +152,33 @@ ShootdownController::queueAction(kern::Cpu &self, CpuId target,
     st.action_needed = true;
     self.memAccess(2);
     st.action_lock.rawUnlock(self);
+}
+
+bool
+ShootdownController::deferTarget(kern::Cpu &self, CpuId target,
+                                 Pmap &pmap)
+{
+    // LazyAsid: with address-space tags, the entries of a space that is
+    // not current on some processor are mere residue -- that processor
+    // cannot translate through them until the space is context-loaded
+    // again. So instead of interrupting it, mark the residue dead (a
+    // deferred flush, the software equivalent of bumping the space's
+    // ASID generation) and clear the in-use bit; onContextLoad settles
+    // the debt before the space can translate there again.
+    if (machine_.cfg().shootdown_policy != hw::ShootdownPolicy::LazyAsid)
+        return false;
+    if (pmap.isKernel())
+        return false; // The kernel space is current everywhere.
+    kern::Cpu &cpu = machine_.cpu(target);
+    if (cpu.cur_pmap == &pmap)
+        return false; // Live translations: must interrupt.
+    cpu.tlb().deferFlush(pmap.space());
+    pmap.clearInUse(target);
+    self.memAccess(1);
+    ++flushes_deferred;
+    if (!cpu.idle && !machine_.intr().pending(target, hw::Irq::Shootdown))
+        ++ipis_elided;
+    return true;
 }
 
 void
@@ -207,9 +266,9 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
     for (CpuId id = 0; id < machine_.ncpus(); ++id) {
         if (!concerns(id))
             continue;
-        if (policy_->deferTarget(self, id, pmap, start, end)) {
-            // The policy proved this target can settle up later (lazy
-            // ASID): no queued action, no IPI, no synchronization.
+        if (deferTarget(self, id, pmap)) {
+            // LazyAsid proved this target can settle up later: no
+            // queued action, no IPI, no synchronization.
             continue;
         }
         queueAction(self, id, pmap, start, end);
@@ -305,7 +364,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                         forward_pending_[node].set(id);
                 }
                 for (CpuId id : local_targets) {
-                    if (!policy_->elideIpi(self, id))
+                    if (!elideIpi(id))
                         postIpi(self, id);
                 }
                 for (const CpuId delegate : delegates) {
@@ -318,7 +377,7 @@ ShootdownController::shoot(kern::Cpu &self, Pmap &pmap, Vpn start,
                 // Baseline: iterate down the list one directed IPI at
                 // a time.
                 for (CpuId id : send_list) {
-                    if (!policy_->elideIpi(self, id))
+                    if (!elideIpi(id))
                         postIpi(self, id);
                 }
             }
@@ -452,7 +511,7 @@ ShootdownController::drainForwards(kern::Cpu &cpu)
             intr.pending(id, hw::Irq::Shootdown)) {
             return;
         }
-        if (policy_->elideIpi(cpu, id))
+        if (elideIpi(id))
             return;
         postIpi(cpu, id);
         ++forwarded_ipis;
@@ -472,6 +531,27 @@ ShootdownController::postIpi(kern::Cpu &from, CpuId target)
     from.advanceNoPoll(send);
     machine_.intr().post(target, hw::Irq::Shootdown, machine_.now());
     ++interrupts_sent;
+}
+
+bool
+ShootdownController::elideIpi(CpuId target)
+{
+    // Batched: a target already inside its respond/idle-drain service
+    // loop is guaranteed to re-check the action-needed flag just set
+    // (CpuShootState::servicing brackets the loop with no simulated
+    // time between the flag and the checks), so the IPI would only buy
+    // a redundant second dispatch. A target servicing for longer than
+    // the coalescing window (e.g. parked on a long stall) gets the IPI
+    // anyway, so coalescing delays a wakeup by at most the window.
+    if (machine_.cfg().shootdown_policy != hw::ShootdownPolicy::Batched)
+        return false;
+    const CpuShootState &st = *state_[target];
+    if (!st.servicing)
+        return false;
+    if (machine_.now() - st.service_entered > hw::kIpiCoalesceWindow)
+        return false;
+    ++ipis_elided;
+    return true;
 }
 
 void
@@ -679,6 +759,85 @@ ShootdownController::purgePmap(Pmap *pmap)
         if (purged)
             st->overflow = true; // Escalate to a conservative full flush.
     }
+}
+
+void
+ShootdownController::onContextLoad(kern::Cpu &cpu, Pmap &pmap)
+{
+    // LazyAsid's safety: translations only ever come from the current
+    // space, so deferred residue is unreachable until Pmap::activate
+    // runs this; and it stalls while the pmap is mid-update, so the
+    // flush cannot land between a defer decision and the pmap change
+    // it covers (the reload walk would re-cache pre-change PTEs).
+    if (machine_.cfg().shootdown_policy != hw::ShootdownPolicy::LazyAsid)
+        return;
+    if (pmap.isKernel())
+        return;
+    hw::Tlb &tlb = cpu.tlb();
+    if (!tlb.hasDeferredFlush(pmap.space()))
+        return;
+    if (machine_.cfg().planted_bug == hw::PlantedBug::SkipAsidGenCheck) {
+        // PLANTED BUG (PlantedBug::SkipAsidGenCheck): load the space
+        // without applying the deferred flush -- the "skipped
+        // generation bump". The stale residue becomes reachable the
+        // instant the space is current; the checker's oracle and the
+        // broken-asid scenario exist to catch this.
+        return;
+    }
+    if (pmap.locked()) {
+        // The space is mid-update: flushing now would let the reload
+        // walk re-cache pre-change PTEs. Stall like a responder --
+        // leaving the active set keeps a concurrent initiator's
+        // rendezvous deadlock-free.
+        const bool was_active = cpu.active;
+        cpu.active = false;
+        hw::Bus::User bus_user(cpu.bus());
+        while (pmap.locked())
+            cpu.spinOnce();
+        cpu.active = was_active;
+    }
+    if (tlb.consumeDeferredFlush(pmap.space())) {
+        ++deferred_flushes_applied;
+        cpu.advanceNoPoll(hw::kTlbFlushCost);
+    }
+}
+
+bool
+ShootdownController::reuseElideCheck(kern::Cpu &self, Pmap &pmap,
+                                     Vpn start, Vpn end)
+{
+    // ReuseElide (arXiv 2409.10946): every TLB fill sets the PTE's
+    // reference bit at the fill instant, so a valid PTE whose bit is
+    // still clear has no translation cached in any TLB (or L0 slot) on
+    // the machine -- and invalid PTEs are never cached at all. A range
+    // that passes needs no consistency actions: its pages were made
+    // valid without a TLB fill (vmWire) and no processor has touched
+    // them since.
+    //
+    // Race-freedom: the caller holds the pmap lock, and with software
+    // reload (required by validate()) a TLB miss stalls on a locked
+    // pmap before walking, so no fill of this space can land between
+    // the scan and the completed change. NUMA replicas are covered
+    // because readPte OR-merges the per-node reference bits.
+    if (machine_.cfg().shootdown_policy != hw::ShootdownPolicy::ReuseElide)
+        return false;
+    // Bound the scan: past this many pages the check costs more than
+    // the shootdown it might save.
+    constexpr unsigned kScanCap = 64;
+    const unsigned npages = end - start;
+    if (npages == 0 || npages > kScanCap)
+        return false;
+    self.advanceNoPoll(hw::kLazyCheckCostPerPage * npages);
+    // One host instant for the whole scan: fills of this space are
+    // stalled on the pmap lock we hold, so the verdict stays true
+    // until the operation completes.
+    for (Vpn vpn = start; vpn < end; ++vpn) {
+        const std::uint32_t pte = pmap.table().readPte(vpn);
+        if (hw::pte::valid(pte) && hw::pte::referenced(pte))
+            return false;
+    }
+    ++reuse_elisions;
+    return true;
 }
 
 } // namespace mach::pmap

@@ -35,6 +35,28 @@
  * invalidation, software reload / no-writeback TLBs, high-priority
  * software interrupt) alter the corresponding steps and are selected by
  * MachineConfig flags.
+ *
+ * Beyond 1989, four avoidance techniques attack the algorithm's costs
+ * (one queued action and one IPI per user of the pmap, and a
+ * synchronous rendezvous). MachineConfig::shootdown_policy selects at
+ * most one; each is one branch at the decision point it changes, and
+ * under every other technique that point does what 1989 did:
+ *
+ *  - LazyAsid: on a TLB with address-space tags, a processor that is
+ *    not running the victim space gets neither an action nor an IPI;
+ *    its entries for the space are marked dead (deferTarget) and
+ *    flushed when the space is next context-loaded there
+ *    (onContextLoad).
+ *  - Batched: a request merges into an action already queued for the
+ *    same pmap (mergeQueued), and no IPI goes to a processor already
+ *    inside its service loop (elideIpi), bounded by a coalescing
+ *    window.
+ *  - RangeFlush: beyond the per-entry threshold invalidateLocal
+ *    invalidates exactly the range, or past a crossover flushes only
+ *    the victim space -- never the whole TLB.
+ *  - ReuseElide (arXiv 2409.10946): a range whose valid PTEs all have
+ *    a clear reference bit is cached in no TLB, so its change needs no
+ *    consistency actions at all (reuseElideCheck).
  */
 
 #ifndef MACH_PMAP_SHOOTDOWN_HH
@@ -66,7 +88,6 @@ namespace mach::pmap
 
 class Pmap;
 class PmapSystem;
-class ShootdownPolicy;
 
 /** One queued TLB consistency action. */
 struct ShootAction
@@ -106,7 +127,6 @@ class ShootdownController
 {
   public:
     explicit ShootdownController(PmapSystem &sys);
-    ~ShootdownController();
 
     /**
      * Phases 1-2, run by the initiator while holding @p pmap's lock at
@@ -160,9 +180,29 @@ class ShootdownController
 
     /**
      * Apply the per-entry-vs-full-flush invalidation policy to one
-     * CPU's own TLB, consuming that CPU's time.
+     * CPU's own TLB, consuming that CPU's time. Under RangeFlush a
+     * range beyond the threshold is invalidated exactly, or past
+     * hw::kRangeFlushCrossover its space alone is flushed.
      */
     void invalidateLocal(kern::Cpu &cpu, hw::SpaceId space, Vpn start,
+                         Vpn end);
+
+    /**
+     * Context-load hook, run by Pmap::activate before @p pmap becomes
+     * current on @p cpu. Under LazyAsid it applies the space's
+     * deferred flush there, stalling first while the pmap is
+     * mid-update; under any other technique it does nothing.
+     */
+    void onContextLoad(kern::Cpu &cpu, Pmap &pmap);
+
+    /**
+     * ReuseElide initiator pre-check, run by Pmap::updateMappings with
+     * @p pmap locked once lazy evaluation found consistency actions
+     * needed. True when no TLB anywhere can cache [start, end), so the
+     * whole consistency step -- local invalidation and shootdown --
+     * may be skipped. Always false under any other technique.
+     */
+    bool reuseElideCheck(kern::Cpu &self, Pmap &pmap, Vpn start,
                          Vpn end);
 
     CpuShootState &stateFor(CpuId id) { return *state_[id]; }
@@ -181,10 +221,6 @@ class ShootdownController
     {
         return responders_;
     }
-
-    /** The avoidance policy selected by MachineConfig. */
-    ShootdownPolicy &policy() { return *policy_; }
-    const ShootdownPolicy &policy() const { return *policy_; }
 
     /** True when this configuration requires responders to stall. */
     bool responderMustStall() const;
@@ -229,6 +265,25 @@ class ShootdownController
     /** Device commands that crossed the NUMA interconnect. */
     std::uint64_t cross_node_device_commands = 0;
 
+    // Avoidance counters: host-side, and deliberately not part of
+    // runDigest (like cross_node_ipis), so Baseline digests stay the
+    // pre-avoidance goldens.
+
+    /** Directed IPIs skipped (target already servicing / deferred). */
+    std::uint64_t ipis_elided = 0;
+    /** LazyAsid: flushes pushed to the target's next context load. */
+    std::uint64_t flushes_deferred = 0;
+    /** LazyAsid: deferred flushes actually applied at context load. */
+    std::uint64_t deferred_flushes_applied = 0;
+    /** Batched: actions folded into an already-queued range. */
+    std::uint64_t actions_merged = 0;
+    /** RangeFlush: ranged invalidations above the per-entry threshold. */
+    std::uint64_t range_invalidates = 0;
+    /** RangeFlush: single-space flushes beyond the crossover. */
+    std::uint64_t full_space_flushes = 0;
+    /** ReuseElide: consistency actions skipped by the ref-bit proof. */
+    std::uint64_t reuse_elisions = 0;
+
   private:
     /** Queue an action on @p target's queue (initiator side). */
     void queueAction(kern::Cpu &self, CpuId target, Pmap &pmap,
@@ -236,6 +291,30 @@ class ShootdownController
 
     /** Process a processor's queued actions (phase 4 / idle exit). */
     void drainActions(kern::Cpu &cpu);
+
+    /**
+     * LazyAsid phase-1 decision for one prospective target: true when
+     * its flush of @p pmap was deferred to its next context load of
+     * the space, so it needs neither a queued action, an IPI, nor
+     * synchronization. Always false under any other technique.
+     */
+    bool deferTarget(kern::Cpu &self, CpuId target, Pmap &pmap);
+
+    /**
+     * Batched range merge, called with the target's action lock held:
+     * true when [start, end) was folded into an action already queued
+     * for @p pmap. Always false under any other technique.
+     */
+    bool mergeQueued(std::vector<ShootAction> &queue, Pmap &pmap,
+                     Vpn start, Vpn end);
+
+    /**
+     * Batched IPI elision, asked per directed IPI after the action is
+     * queued: true when @p target is inside its service loop (for at
+     * most hw::kIpiCoalesceWindow) and will re-check the action-needed
+     * flag it already sees. Always false under any other technique.
+     */
+    bool elideIpi(CpuId target);
 
     /**
      * Post one directed shootdown IPI from @p from to @p target,
@@ -264,7 +343,6 @@ class ShootdownController
     PmapSystem &sys_;
     kern::Machine &machine_;
     std::vector<std::unique_ptr<CpuShootState>> state_;
-    std::unique_ptr<ShootdownPolicy> policy_;
     std::vector<dev::DmaDevice *> responders_;
     /**
      * Per-node sets of send-list members awaiting a locally forwarded

@@ -6,7 +6,6 @@
 #include "base/fnv.hh"
 #include "base/logging.hh"
 #include "hw/tlb.hh"
-#include "pmap/policy.hh"
 #include "pmap/shootdown.hh"
 #include "vm/kernel.hh"
 #include "xpr/xpr.hh"
@@ -61,14 +60,13 @@ MachineStats::capture(vm::Kernel &kernel)
     stats.idle_drains = shoot.idle_drains;
     stats.queue_overflows = shoot.queue_overflows;
     stats.remote_invalidates = shoot.remote_invalidates;
-    const pmap::ShootdownPolicy &policy = shoot.policy();
-    stats.ipis_elided = policy.ipis_elided;
-    stats.flushes_deferred = policy.flushes_deferred;
-    stats.deferred_flushes_applied = policy.deferred_flushes_applied;
-    stats.actions_merged = policy.actions_merged;
-    stats.range_invalidates = policy.range_invalidates;
-    stats.full_space_flushes = policy.full_space_flushes;
-    stats.reuse_elisions = policy.reuse_elisions;
+    stats.ipis_elided = shoot.ipis_elided;
+    stats.flushes_deferred = shoot.flushes_deferred;
+    stats.deferred_flushes_applied = shoot.deferred_flushes_applied;
+    stats.actions_merged = shoot.actions_merged;
+    stats.range_invalidates = shoot.range_invalidates;
+    stats.full_space_flushes = shoot.full_space_flushes;
+    stats.reuse_elisions = shoot.reuse_elisions;
     stats.cross_node_ipis = shoot.cross_node_ipis;
     stats.forwarded_ipis = shoot.forwarded_ipis;
     stats.remote_faults = kernel.remote_faults;

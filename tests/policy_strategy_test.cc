@@ -20,7 +20,12 @@
  * points must either leave these bit-identical or consciously
  * re-capture them.
  *
- * A third walks the whole consistency design space -- technique x IPI
+ * A third pins each avoidance technique's own traffic: runDigest and
+ * the seven avoidance counters of runs that reach every decision
+ * point, so a technique whose branch stops firing fails here even
+ * when its digest happens to match the baseline's.
+ *
+ * A fourth walks the whole consistency design space -- technique x IPI
  * send x ref/mod TLB -- on one small machine: every point is either
  * rejected by validate() with a message or runs the Section 5.1
  * tester consistently (inconsistently under Off, the negative
@@ -35,17 +40,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "apps/camelot.hh"
 #include "apps/consistency_tester.hh"
 #include "apps/parthenon.hh"
+#include "apps/serving.hh"
 #include "base/perturb.hh"
 #include "chk/explorer.hh"
 #include "chk/scenario.hh"
 #include "hw/machine_config.hh"
-#include "pmap/policy.hh"
 #include "vm/kernel.hh"
 #include "xpr/machine_stats.hh"
 
@@ -203,10 +210,10 @@ TEST(PolicyDeterminism, ParthenonDigestsMatchGolden)
 
     // Parthenon's lazy evaluation leaves so few kernel shootdowns
     // that batching and range selection never diverge from the
-    // baseline protocol here -- the digests coincide by design (the
-    // strategy_comparison bench is where those policies move the
-    // needle). LazyAsid and ReuseElide change fill/flush behaviour
-    // on every context switch and reuse, so they genuinely diverge.
+    // baseline protocol here -- the digests coincide by design
+    // (PolicyCounters below pins runs where they diverge). LazyAsid
+    // and ReuseElide change fill/flush behaviour on every context
+    // switch and reuse, so they genuinely diverge.
     EXPECT_NE(lazy, base);
     EXPECT_NE(reuse, base);
 
@@ -215,6 +222,212 @@ TEST(PolicyDeterminism, ParthenonDigestsMatchGolden)
               lazy);
     EXPECT_EQ(parthenonPolicyDigest(hw::ShootdownPolicy::Batched),
               batched);
+}
+
+// ---------------------------------------------------------------------
+// Per-technique avoidance traffic.
+// ---------------------------------------------------------------------
+
+/** A run's runDigest and its seven avoidance counters. */
+struct Avoidance
+{
+    std::uint64_t digest = 0;
+    std::uint64_t ipis_elided = 0;
+    std::uint64_t flushes_deferred = 0;
+    std::uint64_t deferred_flushes_applied = 0;
+    std::uint64_t actions_merged = 0;
+    std::uint64_t range_invalidates = 0;
+    std::uint64_t full_space_flushes = 0;
+    std::uint64_t reuse_elisions = 0;
+
+    bool operator==(const Avoidance &) const = default;
+};
+
+void
+PrintTo(const Avoidance &a, std::ostream *os)
+{
+    *os << std::hex << "{digest 0x" << a.digest << std::dec
+        << ", ipis_elided " << a.ipis_elided << ", flushes_deferred "
+        << a.flushes_deferred << ", deferred_flushes_applied "
+        << a.deferred_flushes_applied << ", actions_merged "
+        << a.actions_merged << ", range_invalidates "
+        << a.range_invalidates << ", full_space_flushes "
+        << a.full_space_flushes << ", reuse_elisions "
+        << a.reuse_elisions << "}";
+}
+
+Avoidance
+avoidanceOf(vm::Kernel &kernel)
+{
+    const xpr::MachineStats s = xpr::MachineStats::capture(kernel);
+    return {xpr::runDigest(kernel),
+            s.ipis_elided,
+            s.flushes_deferred,
+            s.deferred_flushes_applied,
+            s.actions_merged,
+            s.range_invalidates,
+            s.full_space_flushes,
+            s.reuse_elisions};
+}
+
+/**
+ * `machsim --app serving --tenants 4 --mmap-pages 32 --seed 0x9a27e70
+ * --shootdown-policy P`: tenant churn context-switches spaces (LazyAsid),
+ * concurrent munmaps queue actions for the same pmap (Batched), and
+ * 32-page unmaps cross both RangeFlush thresholds.
+ */
+Avoidance
+servingAvoidance(hw::ShootdownPolicy policy)
+{
+    setLogQuiet(true);
+    hw::MachineConfig config;
+    config.seed = 0x9a27e70;
+    config.setShootdownPolicy(policy);
+    vm::Kernel kernel(config);
+    apps::Serving::Params params;
+    params.tenants = 4;
+    params.mmap_pages = 32;
+    params.seed = config.seed;
+    apps::Serving(params).execute(kernel);
+    return avoidanceOf(kernel);
+}
+
+/**
+ * A task that frees wired, never-touched buffers while a sibling keeps
+ * the space current on another processor: vmWire faults the pages in
+ * without a TLB fill, so their reference bits stay clear -- the range
+ * ReuseElide proves uncached. Under every other technique each free
+ * shoots the sibling.
+ */
+class WiredBufferFrees : public apps::Workload
+{
+  public:
+    std::string name() const override { return "wired-buffer-frees"; }
+
+    void
+    run(vm::Kernel &kernel, kern::Thread &driver) override
+    {
+        constexpr unsigned kBufPages = 16;
+        vm::Task *task = kernel.createTask("wired");
+        bool stop = false;
+        kern::Thread *sibling = kernel.spawnThread(
+            task, "wired.1", [&](kern::Thread &self) {
+                VAddr ws = 0;
+                ASSERT_TRUE(kernel.vmAllocate(self, *task, &ws,
+                                              kPageSize, true));
+                for (std::uint32_t i = 0; !stop; ++i) {
+                    ASSERT_TRUE(self.store32(ws, i));
+                    self.compute(100 * kUsec);
+                }
+            });
+        kern::Thread *mapper = kernel.spawnThread(
+            task, "wired.0", [&](kern::Thread &self) {
+                for (unsigned round = 0; round < 4; ++round) {
+                    VAddr buf = 0;
+                    ASSERT_TRUE(kernel.vmAllocate(
+                        self, *task, &buf, kBufPages * kPageSize, true));
+                    ASSERT_TRUE(kernel.vmWire(
+                        self, *task, buf, kBufPages * kPageSize, true));
+                    self.compute(300 * kUsec);
+                    ASSERT_TRUE(kernel.vmWire(
+                        self, *task, buf, kBufPages * kPageSize, false));
+                    ASSERT_TRUE(kernel.vmDeallocate(
+                        self, *task, buf, kBufPages * kPageSize));
+                }
+            });
+        driver.join(*mapper);
+        stop = true;
+        driver.join(*sibling);
+        kernel.destroyTask(driver, task);
+    }
+};
+
+Avoidance
+wiredBufferAvoidance(hw::ShootdownPolicy policy)
+{
+    setLogQuiet(true);
+    hw::MachineConfig config;
+    config.ncpus = 4;
+    config.seed = 0x9a27e70;
+    config.setShootdownPolicy(policy);
+    vm::Kernel kernel(config);
+    WiredBufferFrees().execute(kernel);
+    EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
+    return avoidanceOf(kernel);
+}
+
+TEST(PolicyCounters, ServingMatchesGolden)
+{
+    // The counters stay out of runDigest, so they are pinned beside
+    // it.
+    const Avoidance base = servingAvoidance(hw::ShootdownPolicy::Baseline);
+    const Avoidance lazy = servingAvoidance(hw::ShootdownPolicy::LazyAsid);
+    const Avoidance batched =
+        servingAvoidance(hw::ShootdownPolicy::Batched);
+    const Avoidance range =
+        servingAvoidance(hw::ShootdownPolicy::RangeFlush);
+    const Avoidance reuse =
+        servingAvoidance(hw::ShootdownPolicy::ReuseElide);
+
+    EXPECT_EQ(base, (Avoidance{0x3591ab8c82fd3f73, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(lazy,
+              (Avoidance{0x4df4c84ae71858c0, 67, 117, 85, 0, 0, 0, 0}));
+    EXPECT_EQ(batched,
+              (Avoidance{0xa8d0be56c2a4faa0, 0, 0, 0, 43, 0, 0, 0}));
+    EXPECT_EQ(range, (Avoidance{0xd80d4f25ab8cd223, 0, 0, 0, 0, 1, 42, 0}));
+    // Serving writes every page of each mmap burst before unmapping
+    // it, so ReuseElide never finds an untouched range here; its
+    // digest differs only through the software-reload TLB it requires.
+    EXPECT_EQ(reuse, (Avoidance{0xaeae858ec2ddc9a2, 0, 0, 0, 0, 0, 0, 0}));
+
+    // What any recapture must keep: the baseline avoids nothing, and
+    // each technique's own branches fire.
+    EXPECT_EQ(base, Avoidance{base.digest});
+    EXPECT_GT(lazy.ipis_elided, 0u);
+    EXPECT_GT(lazy.flushes_deferred, 0u);
+    EXPECT_GT(lazy.deferred_flushes_applied, 0u);
+    EXPECT_GT(batched.actions_merged, 0u);
+    EXPECT_GT(range.range_invalidates, 0u);
+    EXPECT_GT(range.full_space_flushes, 0u);
+}
+
+/** Camelot at 300 transactions on the default machine. */
+Avoidance
+camelotAvoidance(hw::ShootdownPolicy policy)
+{
+    setLogQuiet(true);
+    hw::MachineConfig config;
+    config.setShootdownPolicy(policy);
+    vm::Kernel kernel(config);
+    apps::Camelot({.transactions = 300}).execute(kernel);
+    return avoidanceOf(kernel);
+}
+
+TEST(PolicyCounters, CamelotBatchedElidesIpis)
+{
+    // Camelot's responders are often mid-pass when the next initiator
+    // posts, so Batched folds those IPIs into the running pass; under
+    // Baseline no branch may elide one.
+    const Avoidance base = camelotAvoidance(hw::ShootdownPolicy::Baseline);
+    const Avoidance batched =
+        camelotAvoidance(hw::ShootdownPolicy::Batched);
+    EXPECT_EQ(base, (Avoidance{0xfdb97e606eb869a5, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(batched,
+              (Avoidance{0x499916e733b91e46, 108, 0, 0, 3378, 0, 0, 0}));
+    EXPECT_EQ(base, Avoidance{base.digest});
+    EXPECT_GT(batched.ipis_elided, 0u);
+}
+
+TEST(PolicyCounters, WiredBufferFreesAreReuseElided)
+{
+    const Avoidance base =
+        wiredBufferAvoidance(hw::ShootdownPolicy::Baseline);
+    const Avoidance reuse =
+        wiredBufferAvoidance(hw::ShootdownPolicy::ReuseElide);
+    EXPECT_EQ(base, (Avoidance{0x3aed7759e75cd6dd, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(reuse, (Avoidance{0xe83504a11ce53081, 0, 0, 0, 0, 0, 0, 4}));
+    EXPECT_EQ(base, Avoidance{base.digest});
+    EXPECT_GT(reuse.reuse_elisions, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/agora.hh"
@@ -872,6 +873,9 @@ runCheckerScenario(const Cli &cli)
     if (!chk::resolveScenario(cli.scenario, &scenario))
         fatal("unknown --scenario '%s' (try --scenario list)",
               cli.scenario.c_str());
+    // A generated name can ask for a machine validate() rejects
+    // (vmgen-5x9); say so before the header.
+    scenario.config.validate();
 
     const farm::FarmOptions farm{farmJobs(cli)};
     const auto log = [](const std::string &msg) {
@@ -978,6 +982,20 @@ main(int argc, char **argv)
               "count (%u): the tester pins each child and its main "
               "thread to a CPU of its own",
               cli.tester.children, cli.machine.ncpus);
+    if (cli.app == "serving") {
+        // Each needs at least one: a live tenant for the driver to
+        // reap, and pages to touch in each region.
+        const std::pair<const char *, unsigned> sizes[] = {
+            {"--tenant-concurrency", cli.serving.concurrency},
+            {"--ws-pages", cli.serving.ws_pages},
+            {"--binary-pages", cli.serving.binary_pages},
+            {"--mmap-pages", cli.serving.mmap_pages},
+        };
+        for (const auto &[flag, value] : sizes) {
+            if (value == 0)
+                fatal("%s must be at least 1 for --app serving", flag);
+        }
+    }
     if (cli.repeat != 0)
         return runBatch(cli);
 
