@@ -1,7 +1,9 @@
 #include "apps/serving.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -60,6 +62,39 @@ sampleZipf(const std::vector<double> &cdf, Rng &rng)
 }
 
 } // namespace
+
+std::uint64_t
+Serving::framesNeeded(const Params &params, const hw::MachineConfig &cfg)
+{
+    // A region of n pages spans at most n / 1024 + 2 leaf tables.
+    const auto leaves = [](std::uint64_t pages) {
+        return pages / (kPageSize / sizeof(std::uint32_t)) + 2;
+    };
+    const std::uint64_t table_copies =
+        cfg.numa_pt_replicas && cfg.numa_nodes > 1 ? cfg.numa_nodes : 1;
+    const std::uint64_t siblings =
+        std::max(params.threads_per_tenant, 1u) - 1;
+    // Every space maps the binary and the image under its own root.
+    const std::uint64_t shared_tables =
+        1 + leaves(params.binary_pages) + leaves(kImagePages);
+    const std::uint64_t tenant_pages =
+        std::uint64_t{params.ws_pages} + kColdPages + params.mmap_pages +
+        siblings * kSiblingPages + kImagePages + 1;
+    const std::uint64_t tenant_tables =
+        shared_tables + leaves(std::uint64_t{params.ws_pages} + kColdPages) +
+        leaves(params.mmap_pages) + siblings * leaves(kSiblingPages);
+    const std::uint64_t live = std::min(params.tenants, params.concurrency);
+    // The exec server, and the kernel's tables over the log buffers.
+    const std::uint64_t fixed =
+        std::uint64_t{params.binary_pages} + kImagePages +
+        table_copies * (shared_tables + 1 + leaves(live));
+    const std::uint64_t per_tenant =
+        tenant_pages + table_copies * tenant_tables;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    if (live > (kMax - fixed) / per_tenant)
+        return kMax;
+    return fixed + live * per_tenant;
+}
 
 void
 Serving::sibling(vm::Kernel &kernel, kern::Thread &self,

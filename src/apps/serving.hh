@@ -75,6 +75,23 @@ class Serving : public Workload
 
     explicit Serving(Params params) : params_(params) {}
 
+    /**
+     * Page frames a run of @p params can hold at once on a machine of
+     * @p cfg, saturating at UINT64_MAX. Serving never pages out, so
+     * the binary and the exec image stay resident alongside, per live
+     * tenant, its working set, cold arena, one mmap burst, its
+     * siblings' pages, a copy of each image page and a kernel log
+     * buffer, plus every space's page tables (one copy per node with
+     * page-table replicas). A shape that needs more than the machine
+     * has would run out of frames part way through. Not counted: the
+     * exec server's image copies left in its shadow chain by earlier
+     * forks (the VM never collapses a chain), about 1.4 frames per
+     * tenant forked; 8 per tenant, their bound, would reject shapes
+     * that run.
+     */
+    static std::uint64_t framesNeeded(const Params &params,
+                                      const hw::MachineConfig &cfg);
+
     std::string name() const override { return "serving"; }
 
     void run(vm::Kernel &kernel, kern::Thread &driver) override;

@@ -32,32 +32,46 @@ Context::currentFiber() const
     return current_id_;
 }
 
+bool
+Context::frontIsTakeable() const
+{
+    if (!eliding_ || stop_requested_ || queue_.empty())
+        return false;
+    const EventQueue::Front front = queue_.front();
+    if (front.when > until_ || front.fn != &Context::wakeTrampoline ||
+        front.ctx != this)
+        return false;
+    // Only resume() can enter a fiber's fresh stack.
+    const Fiber *next = fiber(front.token);
+    return next == nullptr || next->started();
+}
+
+bool
+Context::takeWake(Tick when, FiberId id)
+{
+    MACH_ASSERT(when >= now_);
+    now_ = when;
+    ++handoffs_;
+    if (id == current_id_)
+        return true;
+    Fiber *next = fiber(id);
+    if (next == nullptr)
+        return false; // Fiber finished before a stale wake fired.
+    current_id_ = id;
+    Fiber::switchTo(*next);
+    return true;
+}
+
 void
 Context::block()
 {
-    Fiber *self = Fiber::current();
-    MACH_ASSERT(self != nullptr);
+    MACH_ASSERT(Fiber::current() != nullptr);
     // Take the front wake as dispatch() would, but from this fiber.
-    while (eliding_ && !stop_requested_ && !queue_.empty()) {
+    while (frontIsTakeable()) {
         const EventQueue::Front front = queue_.front();
-        if (front.when > until_ || front.fn != &Context::wakeTrampoline ||
-            front.ctx != this)
-            break;
-        const FiberId id = front.token;
-        Fiber *next = fiber(id);
-        // Only resume() can enter a fiber's fresh stack.
-        if (next != nullptr && !next->started())
-            break;
-        MACH_ASSERT(front.when >= now_);
-        now_ = queue_.popFront();
-        ++handoffs_;
-        if (next == self)
+        queue_.popFront();
+        if (takeWake(front.when, front.token))
             return;
-        if (next == nullptr)
-            continue; // Fiber finished before a stale wake fired.
-        current_id_ = id;
-        Fiber::switchTo(*next);
-        return;
     }
     Fiber::yieldToScheduler();
 }
@@ -103,9 +117,21 @@ Context::blockUntil(Tick when, EventId *pending)
             *pending = {};
         return;
     }
-    const EventId id = scheduleWake(self, when);
-    if (pending != nullptr)
-        *pending = id;
+    if (frontIsTakeable()) {
+        // claimNext() declined the wake, so it orders after the front:
+        // queue it and take the front in one heap operation.
+        const EventQueue::Exchange taken = queue_.scheduleAndPopFront(
+            when, &Context::wakeTrampoline, this, self);
+        if (pending != nullptr)
+            *pending = taken.id;
+        if (takeWake(taken.front.when, taken.front.token))
+            return;
+        // A finished fiber's wake: block() looks at the next front.
+    } else {
+        const EventId id = scheduleWake(self, when);
+        if (pending != nullptr)
+            *pending = id;
+    }
     block();
 }
 

@@ -96,7 +96,9 @@ class Context
      * sequence number, advances now(), counts as dispatched, and
      * leaves an invalid id in @p pending. Outcomes are identical. A
      * wake that is not elided is queued, and block() may still hand
-     * off to whatever leads the queue.
+     * off to whatever leads the queue; when it would, the wake is
+     * queued and the front taken in one heap operation
+     * (EventQueue::scheduleAndPopFront).
      */
     void blockUntil(Tick when, EventId *pending = nullptr);
 
@@ -157,6 +159,20 @@ class Context
         return id - 1 < fibers_.size() ? fibers_[id - 1].get() : nullptr;
     }
     void resumeFiber(FiberId id);
+    /**
+     * Whether block() may take the front event itself: inside run()
+     * with no stop requested, the queue not empty, and the front a
+     * wake within the horizon of a fiber that has started (or has
+     * since finished).
+     */
+    bool frontIsTakeable() const;
+    /**
+     * Dispatch a taken wake of fiber @p id due at @p when: advance
+     * now() and count it, then return to the caller if it is this
+     * fiber's own, or switch to the woken fiber and return once this
+     * one runs again. False, without a switch, if @p id has finished.
+     */
+    bool takeWake(Tick when, FiberId id);
     /**
      * run() and runGuarded(): a null @p stop_after allows elision and
      * handoff.

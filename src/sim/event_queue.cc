@@ -40,31 +40,32 @@ EventQueue::releaseNode(std::uint32_t slot)
 
 // ---- Scheduling ---------------------------------------------------------
 
-EventId
-EventQueue::enqueue(Tick when, std::uint32_t slot)
+EventQueue::Item
+EventQueue::newItem(Tick when, RawFn fn, void *ctx, std::uint64_t token)
 {
+    MACH_ASSERT(fn != nullptr);
+    if (perturber_ != nullptr)
+        when += perturber_->eventDelay(next_seq_);
+    const std::uint32_t slot = allocNode();
     MACH_ASSERT(slot <= kSlotMask);
     const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
-    slab_[slot].seq = key;
-    heap_.push_back({when, key});
-    std::push_heap(heap_.begin(), heap_.end(), kLater);
-    ++live_;
-    return EventId{key};
+    Node &node = slab_[slot];
+    node.seq = key;
+    node.fn = fn;
+    node.ctx = ctx;
+    node.token = token;
+    return {when, key};
 }
 
 EventId
 EventQueue::scheduleRaw(Tick when, RawFn fn, void *ctx,
                         std::uint64_t token)
 {
-    MACH_ASSERT(fn != nullptr);
-    if (perturber_ != nullptr)
-        when += perturber_->eventDelay(next_seq_);
-    const std::uint32_t slot = allocNode();
-    Node &node = slab_[slot];
-    node.fn = fn;
-    node.ctx = ctx;
-    node.token = token;
-    return enqueue(when, slot);
+    const Item item = newItem(when, fn, ctx, token);
+    heap_.push_back(item);
+    std::push_heap(heap_.begin(), heap_.end(), kLater);
+    ++live_;
+    return EventId{item.key};
 }
 
 bool
@@ -148,6 +149,45 @@ EventQueue::unlinkFront()
     // payload runs and may schedule or cancel.
     sweepFront();
     return front;
+}
+
+void
+EventQueue::replaceRoot(const Item &item)
+{
+    MACH_ASSERT(kLater(item, heap_.front()));
+    // Move the earlier child up until the item leads both children:
+    // a wake due soon stops near the root, above the stale items and
+    // far-off naps that a pop's hole would sink through.
+    const std::size_t size = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+        if (child + 1 < size && kLater(heap_[child], heap_[child + 1]))
+            ++child;
+        if (kLater(heap_[child], item))
+            break;
+        heap_[hole] = heap_[child];
+        hole = child;
+    }
+    heap_[hole] = item;
+}
+
+EventQueue::Exchange
+EventQueue::scheduleAndPopFront(Tick when, RawFn fn, void *ctx,
+                                std::uint64_t token)
+{
+    MACH_ASSERT(live_ > 0);
+    // The new node comes off the free list before the front's goes
+    // back on it, as with scheduleRaw() then popFront().
+    const Item item = newItem(when, fn, ctx, token);
+    const Item front = heap_.front();
+    replaceRoot(item);
+    sweepFront();
+    const auto slot = static_cast<std::uint32_t>(front.key & kSlotMask);
+    const Node &node = slab_[slot];
+    const Exchange out{{front.when, node.fn, node.ctx, node.token},
+                       EventId{item.key}};
+    releaseNode(slot);
+    return out;
 }
 
 Tick

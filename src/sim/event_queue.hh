@@ -17,7 +17,11 @@
  *     drops them all once they outnumber live events by more than 64;
  *   - every payload is one raw (function pointer, context, token)
  *     call: fiber wakes, timer ticks, sleeps and I/O completions
- *     alike, so no event carries or dispatches a closure.
+ *     alike, so no event carries or dispatches a closure;
+ *   - a fiber that queues its own wake and takes the front in its
+ *     place (Context::blockUntil's handoff) does both in one sift
+ *     from the root, scheduleAndPopFront(), instead of a push and a
+ *     pop.
  *
  * Keys are unique and sequence-ordered, so the heap pops in exact
  * (when, seq) order. tests/determinism_test.cc pins that contract with
@@ -100,6 +104,28 @@ class EventQueue
      */
     Tick popFront();
 
+    /** What scheduleAndPopFront() removed and what it scheduled. */
+    struct Exchange
+    {
+        Front front;
+        EventId id;
+    };
+
+    /**
+     * scheduleRaw(@p when, @p fn, @p ctx, @p token) then popFront(),
+     * as one heap operation: the new item takes the root and sifts
+     * down once, where a push would climb the heap and a pop sink
+     * through it. The new event, after its perturbation delay, must
+     * order after the front (Context::blockUntil passes a wake that
+     * claimNext() declined). Everything else is as the two calls
+     * leave it: one sequence number consumed, the new node allocated
+     * before the front's is freed, the stale items behind the front
+     * swept. Returns the front as front() showed it and the new
+     * event's id. Panics if empty.
+     */
+    Exchange scheduleAndPopFront(Tick when, RawFn fn, void *ctx,
+                                 std::uint64_t token);
+
     /**
      * The self-wake fast path (Context::blockUntil). If an event
      * scheduled now for @p *when, after its perturbation delay, would
@@ -175,9 +201,19 @@ class EventQueue
     std::uint32_t allocNode();
     /** Mark @p slot free and put it on the free list. */
     void releaseNode(std::uint32_t slot);
-    EventId enqueue(Tick when, std::uint32_t slot);
+    /**
+     * scheduleRaw() and scheduleAndPopFront(): apply the perturbation
+     * delay, take a sequence number and a slab node for the payload,
+     * and return the heap item, not yet in the heap.
+     */
+    Item newItem(Tick when, RawFn fn, void *ctx, std::uint64_t token);
     /** Remove the front item from the heap. */
     void popItem();
+    /**
+     * Put @p item at the root in place of the front item and sift it
+     * down to its rank; it must order after the front.
+     */
+    void replaceRoot(const Item &item);
     /**
      * fireFront() and popFront(): pop the live front item and sweep
      * the stale ones behind it; its slot still holds the payload.

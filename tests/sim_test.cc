@@ -605,6 +605,43 @@ class ReferenceQueue
         return agree("nextTime");
     }
 
+    /**
+     * scheduleAndPopFront(@p offset past the front): the reference
+     * inserts the next tag's key and erases its first. The payload
+     * returned for the front is run here, to read its tag.
+     */
+    std::string
+    scheduleAndPopFront(Tick offset)
+    {
+        if (ref_.empty())
+            return "";
+        const auto [front_key, front_tag] = *ref_.begin();
+        const int tag = scheduled();
+        ++seq_;
+        const Tick when = front_key.first + offset;
+        const std::pair<Tick, std::uint64_t> key{when + delay(seq_), seq_};
+        const EventQueue::Exchange got = queue_.scheduleAndPopFront(
+            when, &ReferenceQueue::fireRaw, &fired_,
+            static_cast<std::uint64_t>(tag));
+        ids_.push_back(got.id);
+        keys_.push_back(key);
+        state_.push_back(Live);
+        ref_.emplace(key, tag);
+        ref_.erase(front_key);
+        state_[front_tag] = Fired;
+        fired_ = -1;
+        got.front.fn(got.front.ctx, got.front.token);
+        now_ = got.front.when;
+        ++exchanges;
+        if (got.front.when != front_key.first || fired_ != front_tag) {
+            return "popped tag " + std::to_string(fired_) + " at " +
+                   std::to_string(got.front.when) + ", want tag " +
+                   std::to_string(front_tag) + " at " +
+                   std::to_string(front_key.first);
+        }
+        return agree("scheduleAndPopFront");
+    }
+
     /** claimNext(@p when, @p until); a claimed wake advances now(). */
     std::string
     claimNext(Tick when, Tick until)
@@ -628,6 +665,8 @@ class ReferenceQueue
     std::uint64_t cancels[kCancelKinds] = {};
     /** claimNext() calls that declined [0] and claimed [1]. */
     std::uint64_t claims[2] = {};
+    /** scheduleAndPopFront() calls on a non-empty queue. */
+    std::uint64_t exchanges = 0;
 
   private:
     static void
@@ -672,7 +711,8 @@ class ReferenceQueue
 /**
  * 120k seeded operations: schedule/scheduleRaw at now() plus a mix of
  * same-tick, near and far offsets; cancels of live, fired, cancelled
- * and default ids; fireFront, nextTime and claimNext with a finite
+ * and default ids; fireFront, nextTime, scheduleAndPopFront at the
+ * front's tick plus such an offset, and claimNext with a finite
  * horizon. Phases of 1000 operations steer the queue toward 4 to 256
  * pending events. Every 20k operations a cancel-heavy burst schedules
  * 2000 far-future events and cancels 95% of them, so cancelled events
@@ -727,8 +767,10 @@ runAgainstReference(const SchedulePerturber *perturber)
             diff = q.cancel(rng.below(16) == 0 || n == 0
                                 ? -1
                                 : std::max(0, n - 1 - back));
-        } else if (pick < 90) {
+        } else if (pick < 86) {
             diff = q.fireFront();
+        } else if (pick < 92) {
+            diff = q.scheduleAndPopFront(offset());
         } else if (pick < 95) {
             diff = q.nextTime();
         } else {
@@ -743,6 +785,7 @@ runAgainstReference(const SchedulePerturber *perturber)
         EXPECT_GT(count, 0u);
     EXPECT_GT(q.claims[0], 0u);
     EXPECT_GT(q.claims[1], 0u);
+    EXPECT_GT(q.exchanges, 0u);
 }
 
 TEST(EventQueueOrder, MatchesReferenceUnperturbed)
@@ -796,6 +839,9 @@ struct Observed
     std::uint64_t elided = 0;
     std::uint64_t handoffs = 0;
     Tick now = 0;
+    /** Slab slots ever allocated, and those on the free list, at the end. */
+    std::size_t slab = 0;
+    std::size_t free_nodes = 0;
 
     bool
     operator==(const Observed &o) const
@@ -1025,12 +1071,16 @@ runProgram(const Program &program, bool guarded, Tick until)
     out.scheduled = ctx.queue().scheduledCount();
     out.elided = ctx.elidedWakes();
     out.now = ctx.now();
+    out.slab = ctx.queue().slabSize();
+    out.free_nodes = ctx.queue().freeNodeCount();
     return out;
 }
 
 /**
  * Run @p program both ways and expect the same trace, counts and
- * clock; returns run()'s side.
+ * clock; returns run()'s side. An elided wake never takes a slab
+ * node, so when run() elided nothing the slab must match too: a
+ * handoff allocates and frees nodes in the scheduler's order.
  */
 Observed
 expectHandoffMatchesReference(const Program &program,
@@ -1041,6 +1091,10 @@ expectHandoffMatchesReference(const Program &program,
     EXPECT_EQ(fast, reference) << "run():        " << fast.trace
                                << "\nrunGuarded(): " << reference.trace;
     EXPECT_EQ(reference.handoffs, 0u);
+    if (fast.elided == 0) {
+        EXPECT_EQ(fast.slab, reference.slab);
+        EXPECT_EQ(fast.free_nodes, reference.free_nodes);
+    }
     return fast;
 }
 
@@ -1198,6 +1252,100 @@ TEST(ContextHandoff, FiberFinishingAfterHandoffIsReaped)
     EXPECT_EQ(fast.trace,
               "b1 a2 <gone> | 4 events, now 2, 0 queued, 0 live "
               "| 0 events, now 2, 0 queued, 0 live ");
+}
+
+// A declined wake (blockUntil's claimNext() said no) is queued and
+// the front taken in one heap operation when block() would take it.
+
+TEST(ContextHandoff, DeclinedWakeDropsFinishedFibersWakeThenTakesOwn)
+{
+    // a's sleep is sequence 4; the directive moves it from 3 to 7.
+    SchedulePerturber perturber;
+    perturber.delayEvent(4, 4);
+    const Observed fast = expectHandoffMatchesReference(
+        [&perturber](Context &ctx, std::string &trace) {
+            ctx.queue().setPerturber(&perturber);
+            const FiberId quick =
+                ctx.spawn("quick", [&] { trace += at(ctx, 'q'); });
+            ctx.spawn("a", [&ctx, &trace, quick] {
+                ctx.scheduleWake(quick, ctx.now() + 1);
+                // quick's stale wake leads: the sleep is declined and
+                // queued as the stale wake comes off, and block() then
+                // takes a's own wake.
+                ctx.sleep(3);
+                trace += at(ctx, 'a');
+            });
+        });
+    EXPECT_EQ(fast.elided, 0u);
+    EXPECT_EQ(fast.handoffs, 2u);
+    EXPECT_EQ(fast.trace, "q0 a7 | 4 events, now 7, 0 queued, 0 live "
+                          "| 0 events, now 7, 0 queued, 0 live ");
+}
+
+TEST(ContextHandoff, DeclinedWakeBehindOwnWakeReturnsAtOnce)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            ctx.spawn("a", [&] {
+                ctx.scheduleWake(ctx.currentFiber(), ctx.now() + 2);
+                // a's own wake at 2 leads: a runs on at 2, its wake at
+                // 5 queued. The free list is empty here, so the new
+                // node must grow the slab before the front's is freed.
+                ctx.sleep(5);
+                trace += at(ctx, 'a');
+                ctx.block();
+                trace += at(ctx, 'A');
+            });
+        });
+    EXPECT_EQ(fast.elided, 0u);
+    EXPECT_EQ(fast.handoffs, 2u);
+    EXPECT_EQ(fast.slab, 2u);
+    EXPECT_EQ(fast.trace.substr(0, 6), "a2 A5 ");
+}
+
+TEST(ContextHandoff, StaleItemLeftAtRootIsSwept)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            const FiberId b = ctx.spawn("b", [&] {
+                ctx.block();
+                trace += at(ctx, 'b');
+                ctx.block();
+                trace += at(ctx, 'B');
+            });
+            ctx.spawn("a", [&ctx, &trace, b] {
+                ctx.scheduleWake(b, ctx.now() + 1);
+                const EventId nap =
+                    ctx.scheduleWake(ctx.currentFiber(), ctx.now() + 2);
+                ctx.cancel(nap);
+                // b's wake comes off and a's wake at 5 sinks below the
+                // cancelled nap at 2, which must not stay the front:
+                // its freed slot now holds a's wake.
+                ctx.sleep(5);
+                trace += at(ctx, 'a');
+                ctx.scheduleWake(b, ctx.now());
+            });
+        });
+    EXPECT_EQ(fast.elided, 0u);
+    EXPECT_EQ(fast.handoffs, 2u);
+    EXPECT_EQ(fast.trace.substr(0, 9), "b1 a5 B5 ");
+}
+
+TEST(ContextHandoff, DeclinedWakePastUntilOnEmptyQueueYields)
+{
+    const Observed fast = expectHandoffMatchesReference(
+        [](Context &ctx, std::string &trace) {
+            ctx.spawn("a", [&] {
+                // Nothing else is queued and the wake lies past the
+                // horizon: there is no front to take.
+                ctx.sleep(100);
+                trace += at(ctx, 'a');
+            });
+        },
+        50);
+    EXPECT_EQ(fast.handoffs, 0u);
+    EXPECT_EQ(fast.trace, "| 1 events, now 0, 1 queued, 1 live a100 "
+                          "| 1 events, now 100, 0 queued, 0 live ");
 }
 
 } // namespace

@@ -995,6 +995,16 @@ main(int argc, char **argv)
             if (value == 0)
                 fatal("%s must be at least 1 for --app serving", flag);
         }
+        // Frame 0 is reserved.
+        const std::uint64_t frames =
+            apps::Serving::framesNeeded(cli.serving, cli.machine);
+        if (frames >= cli.machine.phys_frames)
+            fatal("--app serving needs up to %llu page frames at once for "
+                  "--tenant-concurrency live tenants of --ws-pages, "
+                  "--mmap-pages and --tenant-threads each plus "
+                  "--binary-pages; the machine has %u to allocate",
+                  static_cast<unsigned long long>(frames),
+                  cli.machine.phys_frames - 1);
     }
     if (cli.repeat != 0)
         return runBatch(cli);
