@@ -2,6 +2,7 @@
 
 #include "base/logging.hh"
 #include "dev/dma_device.hh"
+#include "pmap/shootdown.hh"
 #include "vm/task.hh"
 
 namespace mach::apps
@@ -105,11 +106,7 @@ Workload::execute(vm::Kernel &kernel)
     WorkloadResult result;
     result.virtual_runtime = machine.now() - start;
     result.analysis = xpr::analyze(machine.xpr());
-    result.lazy_avoided = 0;
-    for (const auto &task : kernel.tasks())
-        result.lazy_avoided += task->pmap().shootdowns_avoided_lazy;
-    result.lazy_avoided +=
-        kernel.pmaps().kernelPmap().shootdowns_avoided_lazy;
+    result.lazy_avoided = kernel.pmaps().shoot().lazy_avoided;
     // analyze() above already warned if the xpr buffer overflowed; the
     // flag travels on result.analysis.overflowed for the driver.
     return result;

@@ -29,7 +29,11 @@ namespace mach::hw
 class InterruptController
 {
   public:
-    /** Invoked when a post makes a new interrupt pending on a CPU. */
+    /**
+     * Invoked when a post makes a new interrupt pending on a CPU. A
+     * callback because tests/hw_test.cc drives a controller with a
+     * fake one and no machine.
+     */
     using KickFn = std::function<void(CpuId)>;
 
     InterruptController(const MachineConfig *config, unsigned ncpus);

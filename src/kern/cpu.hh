@@ -138,8 +138,8 @@ class Cpu
 
     /**
      * Perform a data access to virtual address @p va requiring @p want
-     * rights: TLB probe, hardware (or software) reload on miss, page
-     * fault upcall into the VM system when the translation is absent or
+     * rights: TLB probe, hardware (or software) reload on miss, and a
+     * call to vm::Kernel::handleFault when the translation is absent or
      * insufficient. Returns the physical address, or !ok when the VM
      * system reports an unrecoverable fault (e.g. a write to a page
      * that is now read-only -- what the Section 5.1 tester's child
@@ -147,7 +147,10 @@ class Cpu
      */
     AccessResult access(VAddr va, Prot want);
 
-    /** Pick the pmap that translates @p va on this CPU. */
+    /**
+     * Pick the pmap that translates @p va on this CPU: the kernel pmap
+     * for kernel addresses, else the current task's (null when none).
+     */
     pmap::Pmap *pmapFor(VAddr va);
 
     // ---- Statistics ----------------------------------------------------
@@ -156,10 +159,6 @@ class Cpu
     std::uint64_t faults_taken = 0;
     /** Translated accesses that resolved to a remote node's frame. */
     std::uint64_t remote_mem_accesses = 0;
-
-    // ---- Scheduler hooks (used by Sched) -------------------------------
-
-    sim::FiberId idle_fiber = 0;
 
   private:
     friend class Machine;
@@ -176,7 +175,6 @@ class Cpu
     unsigned node_;
     hw::Tlb tlb_;
     hw::Spl spl_ = hw::Spl0;
-    bool in_poll_ = false;
 
     /** Fiber currently in preemptibleSleep on this CPU, if any. */
     sim::FiberId sleeping_fiber_ = 0;

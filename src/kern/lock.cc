@@ -35,13 +35,11 @@ SpinLock::rawLock(Cpu &cpu)
     MACH_ASSERT(holder_ != cpu.id()); // No recursive locking.
     cpu.advanceNoPoll(hw::kLockAcquireCost);
     if (holder_ >= 0) {
-        ++contended_acquires;
         hw::Bus::User user(cpu.bus());
         while (holder_ >= 0)
             cpu.spinOnce();
     }
     holder_ = cpu.id();
-    ++acquires;
 }
 
 void
@@ -70,7 +68,6 @@ Mutex::lock(Thread &thread)
         machine.sched().blockCurrent(thread.cpu());
     }
     holder_ = &thread;
-    ++acquires;
     if (waited)
         ++contended_acquires;
 }

@@ -70,9 +70,6 @@ class SpinLock
     const std::string &name() const { return name_; }
     hw::Spl level() const { return level_; }
 
-    std::uint64_t contended_acquires = 0;
-    std::uint64_t acquires = 0;
-
   private:
     std::string name_;
     hw::Spl level_;
@@ -104,7 +101,7 @@ class Mutex
     bool locked() const { return holder_ != nullptr; }
     const std::string &name() const { return name_; }
 
-    std::uint64_t acquires = 0;
+    /** Acquisitions that had to wait for another holder. */
     std::uint64_t contended_acquires = 0;
 
   private:

@@ -8,9 +8,9 @@
 namespace mach::kern
 {
 
-Machine::Machine(const hw::MachineConfig &config)
-    : config_((config.validate(), config)), topo_(&config_),
-      rng_(config.seed)
+Machine::Machine(const hw::MachineConfig &config, vm::Kernel &kernel)
+    : config_((config.validate(), config)), kernel_(kernel),
+      topo_(&config_), rng_(config.seed)
 {
     mem_ = std::make_unique<hw::PhysMem>(config_.phys_frames,
                                          topo_.nodes());
@@ -87,20 +87,6 @@ Machine::dispatchIrq(hw::Irq irq, Cpu &cpu)
     handler(cpu);
 }
 
-void
-Machine::setFaultHandler(FaultHandler handler)
-{
-    fault_handler_ = std::move(handler);
-}
-
-bool
-Machine::handleFault(Thread &thread, VAddr va, Prot want)
-{
-    if (!fault_handler_)
-        panic("page fault at 0x%08x with no VM system installed", va);
-    return fault_handler_(thread, va, want);
-}
-
 int
 Machine::poolOfKernelVpn(Vpn vpn) const
 {
@@ -114,19 +100,6 @@ Machine::poolOfKernelVpn(Vpn vpn) const
     const Vpn slice = (hi - lo) / pools;
     const int pool = static_cast<int>((vpn - lo) / slice);
     return pool < static_cast<int>(pools) ? pool : -1;
-}
-
-void
-Machine::setSpaceSwitchHook(SpaceSwitchHook hook)
-{
-    space_switch_ = std::move(hook);
-}
-
-void
-Machine::switchSpace(Cpu &cpu, Thread &from, Thread &to)
-{
-    if (space_switch_)
-        space_switch_(cpu, from, to);
 }
 
 void

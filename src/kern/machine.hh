@@ -1,12 +1,14 @@
 /**
  * @file
- * The simulated multiprocessor: CPUs, bus, memory, interrupt controller,
- * scheduler, and the registration points where the pmap and VM layers
- * plug in (fault handler, IRQ handlers, kernel pmap).
+ * The simulated multiprocessor: CPUs, bus, memory, interrupt controller
+ * and scheduler.
  *
- * Layering: kern knows nothing about the pmap module or the VM system
- * beyond opaque pointers and callbacks, mirroring Mach's separation of
- * machine-dependent from machine-independent code (Section 2).
+ * A Machine belongs to one vm::Kernel and calls it directly, as Mach's
+ * machine-dependent code calls the VM system and the pmap module: the
+ * trap path (Cpu::access) resolves faults with vm::Kernel::handleFault,
+ * a context switch deactivates and activates pmaps, and a processor
+ * leaving the idle set drains its queued consistency actions through
+ * the kernel's ShootdownController (Section 4).
  */
 
 #ifndef MACH_KERN_MACHINE_HH
@@ -27,11 +29,10 @@
 #include "numa/topology.hh"
 #include "sim/context.hh"
 
-namespace mach::pmap
+namespace mach::vm
 {
-class Pmap;
-class PmapSystem;
-} // namespace mach::pmap
+class Kernel;
+} // namespace mach::vm
 
 namespace mach::xpr
 {
@@ -47,19 +48,22 @@ namespace mach::kern
 {
 
 class Sched;
-class Thread;
 
 /** One simulated multiprocessor. */
 class Machine
 {
   public:
-    explicit Machine(const hw::MachineConfig &config);
+    /** Built by @p kernel, which owns the machine and outlives it. */
+    Machine(const hw::MachineConfig &config, vm::Kernel &kernel);
     ~Machine();
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
     const hw::MachineConfig &cfg() const { return config_; }
+
+    /** The VM system and pmap module this machine runs. */
+    vm::Kernel &kernel() { return kernel_; }
 
     sim::Context &ctx() { return ctx_; }
     hw::PhysMem &mem() { return *mem_; }
@@ -102,6 +106,11 @@ class Machine
 
     // ---- Interrupt dispatch -----------------------------------------
 
+    /**
+     * Service routine for an interrupt source. A table rather than a
+     * direct call because tests replace the shootdown handler
+     * (tests/kern_test.cc).
+     */
     using IrqHandler = std::function<void(Cpu &)>;
 
     /** Install the service routine for an interrupt source. */
@@ -109,35 +118,6 @@ class Machine
 
     /** Invoke the handler for @p irq on @p cpu (from Cpu::poll). */
     void dispatchIrq(hw::Irq irq, Cpu &cpu);
-
-    // ---- VM plug-in points -------------------------------------------
-
-    /**
-     * Page-fault upcall: resolve a fault at @p va for @p want rights on
-     * behalf of @p thread. Returns true when the translation was
-     * (re)established and the access should be retried; false for an
-     * unrecoverable fault.
-     */
-    using FaultHandler = std::function<bool(Thread &, VAddr, Prot)>;
-
-    void setFaultHandler(FaultHandler handler);
-    bool handleFault(Thread &thread, VAddr va, Prot want);
-
-    /**
-     * Address-space switch upcall, invoked by the scheduler whenever a
-     * CPU switches between threads of different tasks; the VM layer
-     * installs a hook that performs pmap deactivate/activate (and the
-     * context-switch TLB flush on hardware without address-space tags).
-     */
-    using SpaceSwitchHook = std::function<void(Cpu &, Thread &, Thread &)>;
-
-    void setSpaceSwitchHook(SpaceSwitchHook hook);
-    void switchSpace(Cpu &cpu, Thread &from, Thread &to);
-
-    /** The kernel pmap (set once by the pmap system at bring-up). */
-    pmap::Pmap *kernel_pmap = nullptr;
-    /** The pmap system owning shootdown state (set at bring-up). */
-    pmap::PmapSystem *pmap_sys = nullptr;
 
     /** First virtual address belonging to the shared kernel space. */
     static constexpr VAddr kKernelBase = 0xc0000000u;
@@ -217,6 +197,7 @@ class Machine
     static void timerTick(void *machine, std::uint64_t id);
 
     const hw::MachineConfig config_;
+    vm::Kernel &kernel_;
     numa::Topology topo_;
     sim::Context ctx_;
     Rng rng_;
@@ -228,8 +209,6 @@ class Machine
     std::unique_ptr<xpr::Buffer> xpr_;
     std::unique_ptr<obs::Recorder> recorder_;
     std::array<IrqHandler, hw::kNumIrqs> irq_handlers_{};
-    FaultHandler fault_handler_;
-    SpaceSwitchHook space_switch_;
     bool timers_on_ = false;
 };
 

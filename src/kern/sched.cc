@@ -5,6 +5,8 @@
 #include "base/logging.hh"
 #include "kern/machine.hh"
 #include "obs/probe.hh"
+#include "pmap/shootdown.hh"
+#include "vm/kernel.hh"
 
 namespace mach::kern
 {
@@ -37,7 +39,6 @@ Sched::start()
         cpu.idle_thread = thread;
         thread->fiber_ = machine_->ctx().spawn(
             thread->name(), [thread] { thread->body_(*thread); });
-        cpu.idle_fiber = thread->fiber_;
     }
 }
 
@@ -50,7 +51,6 @@ Sched::spawn(vm::Task *task, std::string name, Thread::Body body,
     Thread *thread = owned.get();
     thread->affinity_ = pin;
     threads_.push_back(std::move(owned));
-    ++spawn_count_;
 
     thread->state_ = ThreadState::Runnable;
     enqueue(placeThread(*thread), *thread);
@@ -126,7 +126,17 @@ Sched::dispatchNext(Cpu &cpu)
         rec.instant(rec.cpuTrack(cpu.id()), obs::kSchedDispatch, {}, {},
                     next->name().c_str());
     }
-    machine_->switchSpace(cpu, *prev, *next);
+    // A task switch deactivates the outgoing pmap (which flushes the
+    // TLB on hardware without address-space tags) and activates the
+    // incoming one.
+    vm::Task *from = prev->task();
+    vm::Task *to = next->task();
+    if (from != to) {
+        if (from != nullptr)
+            from->pmap().deactivate(cpu);
+        if (to != nullptr)
+            to->pmap().activate(cpu);
+    }
     cpu.cur_thread = next;
     next->cpu_ = &cpu;
     next->state_ = ThreadState::Running;
@@ -223,8 +233,7 @@ Sched::idleLoop(Thread &self)
         }
         // Leaving idle: execute queued consistency actions *before*
         // becoming active -- the idle-processor rule of Section 4.
-        if (idle_exit_)
-            idle_exit_(cpu);
+        machine_->kernel().pmaps().shoot().idleExit(cpu);
         if (rec.enabled())
             rec.end(rec.cpuTrack(cpu.id()), obs::kIdle);
         cpu.idle = false;

@@ -8,7 +8,9 @@
  * for the reproduction is the idle-set behaviour of Section 4: idle
  * processors do not receive shootdown interrupts, and must check for
  * queued consistency actions and execute them before becoming active.
- * The idle-exit hook is where that check happens.
+ * The idle loop does that check on its way out, with a direct call to
+ * the kernel's pmap::ShootdownController::idleExit; dispatch does the
+ * pmap deactivate/activate of an address-space switch the same way.
  */
 
 #ifndef MACH_KERN_SCHED_HH
@@ -16,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,13 +56,6 @@ class Sched
     /** Make a blocked thread runnable again. */
     void wakeup(Thread &thread);
 
-    /**
-     * Called by the pmap system so leaving idle can drain queued
-     * shootdown actions before the CPU rejoins the active set.
-     */
-    using IdleExitHook = std::function<void(Cpu &)>;
-    void setIdleExitHook(IdleExitHook hook) { idle_exit_ = std::move(hook); }
-
     /** All threads ever spawned (kept for join/inspection). */
     const std::vector<std::unique_ptr<Thread>> &threads() const
     {
@@ -82,7 +76,10 @@ class Sched
     Cpu &placeThread(Thread &thread);
     /** Enqueue on a specific CPU and un-idle it if necessary. */
     void enqueue(Cpu &cpu, Thread &thread);
-    /** Dispatch the next runnable thread (or idle) on @p cpu. */
+    /**
+     * Dispatch the next runnable thread (or idle) on @p cpu, switching
+     * pmaps when it runs in another task.
+     */
     void dispatchNext(Cpu &cpu);
     /** Body of each per-CPU idle thread. */
     void idleLoop(Thread &self);
@@ -91,14 +88,9 @@ class Sched
     /** Park the calling thread's fiber until it is Running again. */
     void parkUntilRunning(Thread &thread);
 
-    /** Address-space switch bookkeeping (pmap activate/deactivate). */
-    void switchSpace(Cpu &cpu, Thread &from, Thread &to);
-
     Machine *machine_;
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<std::deque<Thread *>> runq_;
-    IdleExitHook idle_exit_;
-    std::uint64_t spawn_count_ = 0;
     bool started_ = false;
 };
 

@@ -148,11 +148,17 @@ void setProcessTextTrace(std::uint32_t categories);
 class Recorder
 {
   public:
+    /**
+     * Reads the owning machine's simulated time. A callback because
+     * the obs tests run a recorder on a fake clock, with no machine.
+     */
     using Clock = std::function<Tick()>;
-    /** Receives one rendered text-trace line (no trailing newline). */
+    /**
+     * Receives one rendered text-trace line (no trailing newline); the
+     * trace tests capture lines with their own.
+     */
     using TextSink = std::function<void(const std::string &)>;
 
-    /** @p clock reads the owning machine's simulated time. */
     explicit Recorder(Clock clock);
 
     Recorder(const Recorder &) = delete;
@@ -198,7 +204,8 @@ class Recorder
      * stores the first event at or after each boundary (one call
      * covers every boundary that event passed). Sampling schedules no
      * event, so a sampled run dispatches exactly the events of an
-     * unsampled one. A null @p fn detaches.
+     * unsampled one. A null @p fn detaches. A callback because most
+     * recorders run with no sampler attached.
      */
     void sampleEvery(Tick interval, std::function<void()> fn);
 

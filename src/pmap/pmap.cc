@@ -8,6 +8,7 @@
 #include "kern/sched.hh"
 #include "obs/probe.hh"
 #include "pmap/shootdown.hh"
+#include "vm/kernel.hh"
 #include "xpr/xpr.hh"
 
 namespace mach::pmap
@@ -141,7 +142,7 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     if (need_consistency) {
         need_consistency = mayBeCached(cpu, start, end, &mapped);
         if (!need_consistency)
-            ++shootdowns_avoided_lazy;
+            ++sys_->shoot().lazy_avoided;
     }
     if (need_consistency &&
         sys_->shoot().reuseElideCheck(cpu, *this, start, end)) {
@@ -162,10 +163,8 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     auto consistency_actions = [&] {
         if (in_use_.test(cpu.id()))
             sys_->shoot().invalidateLocal(cpu, space_, start, end);
-        if (othersUsing(cpu.id())) {
-            ++shootdowns_initiated;
+        if (othersUsing(cpu.id()))
             sys_->shoot().shoot(cpu, *this, start, end, mapped);
-        }
     };
 
     ShootdownController::FlushSnapshot snapshot;
@@ -208,10 +207,8 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     // TLB entries").
     cpu.setSpl(saved);
 
-    if (need_consistency && delayed && !snapshot.empty()) {
-        ++shootdowns_initiated;
+    if (need_consistency && delayed && !snapshot.empty())
         sys_->shoot().delayedFlushWait(thread, *this, snapshot, mapped);
-    }
 
     if (sys_->post_op_hook_)
         sys_->post_op_hook_(*this);
@@ -342,15 +339,13 @@ PmapSystem::PmapSystem(kern::Machine &machine) : machine_(machine)
     // processors, so its pmap is permanently in use everywhere.
     for (CpuId id = 0; id < machine_.ncpus(); ++id)
         kernel_pmap_->in_use_.set(id);
-    machine_.kernel_pmap = kernel_pmap_.get();
-    machine_.pmap_sys = this;
 }
 
 PmapSystem::~PmapSystem()
 {
+    // The kernel pmap's teardown uses the pv table and the space map,
+    // so it must run before they are destroyed.
     kernel_pmap_.reset();
-    machine_.kernel_pmap = nullptr;
-    machine_.pmap_sys = nullptr;
 }
 
 std::unique_ptr<Pmap>
@@ -525,7 +520,7 @@ pmap::Pmap *
 Cpu::pmapFor(VAddr va)
 {
     if (va >= Machine::kKernelBase)
-        return machine_->kernel_pmap;
+        return &machine_->kernel().pmaps().kernelPmap();
     return cur_pmap;
 }
 
@@ -639,7 +634,7 @@ Cpu::access(VAddr va, Prot want)
 
         // Translation absent or insufficient: page fault.
         ++here.faults_taken;
-        if (!machine_->handleFault(*thread, va, want))
+        if (!machine_->kernel().handleFault(*thread, va, want))
             return {};
     }
     panic("Cpu::access: unresolvable fault loop at va 0x%08x", va);

@@ -142,11 +142,6 @@ class Pmap
      */
     void detachDevice(CpuId id) { in_use_.clear(id); }
 
-    // ---- Statistics --------------------------------------------------
-
-    std::uint64_t shootdowns_initiated = 0;
-    std::uint64_t shootdowns_avoided_lazy = 0;
-
   private:
     friend class ShootdownController;
     friend class PmapSystem;
@@ -190,9 +185,9 @@ struct PvEntry
 
 /**
  * Machine-wide pmap state: the kernel pmap, the shootdown controller,
- * space-id allocation, and the pv table. Install exactly one per
- * Machine; it registers the shootdown interrupt handler and the
- * idle-exit hook.
+ * space-id allocation, and the pv table. Exactly one per Machine (the
+ * vm::Kernel builds it); its controller registers the shootdown
+ * interrupt handler.
  */
 class PmapSystem
 {
@@ -237,7 +232,8 @@ class PmapSystem
      * pmap mapping operation (enter/remove/protect/collect), on the
      * initiator's fiber, once the pmap is unlocked and the initiator
      * has rejoined the active set. Consumes no simulated time; the
-     * checker's stale-translation oracle lives here.
+     * checker's stale-translation oracle lives here. A hook rather than
+     * a call because every run outside the checker has no oracle.
      */
     using PostOpHook = std::function<void(Pmap &)>;
     void setPostOpHook(PostOpHook hook) { post_op_hook_ = std::move(hook); }

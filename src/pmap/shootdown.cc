@@ -7,7 +7,6 @@
 #include "hw/bus.hh"
 #include "kern/cpu.hh"
 #include "kern/machine.hh"
-#include "kern/sched.hh"
 #include "obs/probe.hh"
 #include "pmap/pmap.hh"
 #include "xpr/xpr.hh"
@@ -25,8 +24,6 @@ ShootdownController::ShootdownController(PmapSystem &sys)
 
     machine_.setIrqHandler(hw::Irq::Shootdown,
                            [this](kern::Cpu &cpu) { respond(cpu); });
-    machine_.sched().setIdleExitHook(
-        [this](kern::Cpu &cpu) { idleExit(cpu); });
 }
 
 void

@@ -157,6 +157,7 @@ class ShootdownController
     /**
      * Drain queued actions on a processor leaving the idle set, before
      * it rejoins the active set (Section 4's idle-processor rule).
+     * Called by kern::Sched's idle loop.
      */
     void idleExit(kern::Cpu &cpu);
 
@@ -248,6 +249,12 @@ class ShootdownController
     // ---- Statistics --------------------------------------------------
 
     std::uint64_t initiated = 0;
+    /**
+     * Consistency steps the lazy-evaluation check skipped (no valid PTE
+     * in the range), on every pmap the machine ever had. Host-side,
+     * outside runDigest and the stats document.
+     */
+    std::uint64_t lazy_avoided = 0;
     std::uint64_t delayed_waits = 0;
     std::uint64_t interrupts_sent = 0;
     std::uint64_t responder_passes = 0;

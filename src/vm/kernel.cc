@@ -13,7 +13,7 @@ Kernel::Kernel(const hw::MachineConfig &config)
     : kernel_map_("kernel", kern::Machine::kKernelBase,
                   kern::Machine::kKernelHi)
 {
-    machine_ = std::make_unique<kern::Machine>(config);
+    machine_ = std::make_unique<kern::Machine>(config, *this);
     pmap_sys_ = std::make_unique<pmap::PmapSystem>(*machine_);
     io_ = std::make_unique<kern::IoDevice>(machine_.get());
     pager_ = std::make_unique<DefaultPager>(&machine_->mem());
@@ -28,23 +28,6 @@ Kernel::Kernel(const hw::MachineConfig &config)
             *machine_, *pmap_sys_, i));
         pmap_sys_->shoot().registerResponder(devices_.back().get());
     }
-
-    machine_->setFaultHandler(
-        [this](kern::Thread &thread, VAddr va, Prot want) {
-            return handleFault(thread, va, want);
-        });
-
-    machine_->setSpaceSwitchHook([](kern::Cpu &cpu, kern::Thread &from,
-                                    kern::Thread &to) {
-        Task *from_task = from.task();
-        Task *to_task = to.task();
-        if (from_task == to_task)
-            return;
-        if (from_task != nullptr)
-            from_task->pmap().deactivate(cpu);
-        if (to_task != nullptr)
-            to_task->pmap().activate(cpu);
-    });
 }
 
 Kernel::~Kernel()
@@ -64,8 +47,6 @@ kern::Thread *
 Kernel::spawnThread(Task *task, std::string name,
                     kern::Thread::Body body, std::int64_t pin)
 {
-    if (task != nullptr)
-        ++task->thread_count;
     return machine_->sched().spawn(task, std::move(name),
                                    std::move(body), pin);
 }
@@ -530,7 +511,7 @@ Kernel::deepCopyObject(kern::Thread &thread, const VmMapEntry &entry)
         machine_->mem().copyFrame(frame, found.page->pfn);
         kernelSection(thread, hw::kPageCopyCost);
         fresh->insertPage(p, frame);
-        pageable_.push_back({fresh, p});
+        notePageable(fresh, p);
         ++cow_copies;
     }
     return fresh;

@@ -200,11 +200,22 @@ class Kernel
 
     // ---- Pageout ---------------------------------------------------------
 
-    /** Start the pageout daemon thread. */
+    /**
+     * Start the pageout daemon thread. Call it before the first page
+     * the daemon's candidate list would take (a user zero-fill, copy or
+     * pagein; in practice right after start()): the list is filled only
+     * while pageout is enabled. A later call is fatal.
+     */
     void enablePageout();
 
-    // ---- Fault handling (installed into the machine) --------------------
+    // ---- Fault handling (called by kern::Cpu::access) -------------------
 
+    /**
+     * Resolve a fault at @p va for @p want rights on behalf of
+     * @p thread. Returns true when the translation was (re)established
+     * and the access should be retried; false for an unrecoverable
+     * fault.
+     */
     bool handleFault(kern::Thread &thread, VAddr va, Prot want);
 
     /**
@@ -267,6 +278,12 @@ class Kernel
     ObjectPtr deepCopyObject(kern::Thread &thread,
                              const VmMapEntry &entry);
 
+    /**
+     * Offer a new pageable page to the pageout daemon's list; only
+     * while pageout is enabled, since nothing else reads the list.
+     */
+    void notePageable(const ObjectPtr &object, std::uint32_t offset);
+
     /** Map and pmap for an address in the context of @p thread. */
     bool resolveSpace(kern::Thread &thread, VAddr va, VmMap **map,
                       pmap::Pmap **pmap);
@@ -289,6 +306,8 @@ class Kernel
     std::vector<std::unique_ptr<Task>> tasks_;
     std::deque<PageRef> pageable_;
     bool pageout_enabled_ = false;
+    /** notePageable() has passed over a page (pageout was off). */
+    bool pageable_skipped_ = false;
 };
 
 } // namespace mach::vm

@@ -46,9 +46,6 @@ class Task
     VmMap &map() { return map_; }
     pmap::Pmap &pmap() { return *pmap_; }
 
-    /** Threads ever created in this task (bookkeeping only). */
-    std::uint32_t thread_count = 0;
-
   private:
     // Atomic: tasks in concurrently farmed machines allocate from
     // one counter. IDs are identity-only (never ordered over), so

@@ -214,7 +214,7 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
                     continue;
                 }
                 page = top->insertPage(offset, copy);
-                pageable_.push_back({entry->object, offset});
+                notePageable(entry->object, offset);
                 ++cow_copies;
             } else {
                 // Read through the chain: map the backing page with
@@ -242,7 +242,7 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
                         allocPlacedFrame(thread, bottom_offset);
                     pager_->pageIn(bottom->id(), bottom_offset, frame);
                     bottom->insertPage(bottom_offset, frame);
-                    pageable_.push_back({bottom, bottom_offset});
+                    notePageable(bottom, bottom_offset);
                 }
                 continue; // Retry the whole lookup.
             }
@@ -262,7 +262,7 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
                 // steal it.
                 page->wired = true;
             } else {
-                pageable_.push_back({entry->object, offset});
+                notePageable(entry->object, offset);
             }
         }
 
@@ -278,10 +278,23 @@ Kernel::faultLocked(kern::Thread &thread, VmMap &map, pmap::Pmap &pmap,
 // ---------------------------------------------------------------------
 
 void
+Kernel::notePageable(const ObjectPtr &object, std::uint32_t offset)
+{
+    if (pageout_enabled_)
+        pageable_.push_back({object, offset});
+    else
+        pageable_skipped_ = true;
+}
+
+void
 Kernel::enablePageout()
 {
     if (pageout_enabled_)
         return;
+    if (pageable_skipped_) {
+        fatal("Kernel::enablePageout: a pageable page already exists; "
+              "enable pageout before the workload touches memory");
+    }
     pageout_enabled_ = true;
     spawnThread(nullptr, "pageout",
                 [this](kern::Thread &self) { pageoutDaemon(self); });

@@ -153,5 +153,36 @@ TEST(TesterApp, WorksOnTinyMachine)
     EXPECT_EQ(result.analysis.user_initiator.events, 1u);
 }
 
+/** Frees a range it never touched, then destroys the task. */
+class FreeUntouchedThenExit : public apps::Workload
+{
+  public:
+    std::string name() const override { return "free-untouched"; }
+
+    void
+    run(vm::Kernel &kernel, kern::Thread &driver) override
+    {
+        vm::Task *task = kernel.createTask("short-lived");
+        VAddr va = 0;
+        ASSERT_TRUE(
+            kernel.vmAllocate(driver, *task, &va, 8 * kPageSize, true));
+        ASSERT_TRUE(kernel.vmDeallocate(driver, *task, va, 8 * kPageSize));
+        kernel.destroyTask(driver, task);
+    }
+};
+
+TEST(WorkloadResult, CountsLazyAvoidanceOfDestroyedTasks)
+{
+    // The lazy-evaluation check skips the free's shootdown (no page
+    // of the range was ever mapped); the task is gone by the time the
+    // run ends, and the skipped shootdown still counts.
+    hw::MachineConfig config = appConfig();
+    vm::Kernel kernel(config);
+    FreeUntouchedThenExit app;
+    const apps::WorkloadResult result = app.execute(kernel);
+    EXPECT_TRUE(kernel.tasks().empty());
+    EXPECT_EQ(result.lazy_avoided, 1u);
+}
+
 } // namespace
 } // namespace mach

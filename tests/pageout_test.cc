@@ -225,5 +225,26 @@ TEST(Pageout, WiredKernelPagesAreNeverStolen)
     });
 }
 
+TEST(PageoutDeathTest, EnablingAfterAPageablePageIsFatal)
+{
+    // The daemon's list takes pages only while pageout is enabled, so
+    // a page zero-filled earlier could never be paged out.
+    const auto late = [] {
+        vm::Kernel kernel(tinyMemoryConfig());
+        kernel.start();
+        kernel.spawnThread(nullptr, "late", [&](kern::Thread &drv) {
+            vm::Task *task = kernel.createTask("early");
+            VAddr va = 0;
+            kernel.vmAllocate(drv, *task, &va, kPageSize, true);
+            const std::uint32_t word = 1;
+            kernel.vmWrite(drv, *task, va, &word, sizeof word);
+            kernel.enablePageout();
+            kernel.machine().ctx().requestStop();
+        });
+        kernel.machine().run();
+    };
+    EXPECT_EXIT(late(), ::testing::ExitedWithCode(1), "enablePageout");
+}
+
 } // namespace
 } // namespace mach

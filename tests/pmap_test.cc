@@ -263,10 +263,12 @@ TEST(PmapLazy, UntouchedRangeSkipsShootdown)
 {
     inKernel([](vm::Kernel &kernel, kern::Thread &drv) {
         auto pmap = kernel.pmaps().createPmap();
-        const std::uint64_t before = pmap->shootdowns_avoided_lazy;
+        const pmap::ShootdownController &shoot = kernel.pmaps().shoot();
+        const std::uint64_t avoided = shoot.lazy_avoided;
+        const std::uint64_t initiated = shoot.initiated;
         pmap->remove(drv, 1000, 1010); // Nothing mapped there.
-        EXPECT_EQ(pmap->shootdowns_avoided_lazy, before + 1);
-        EXPECT_EQ(pmap->shootdowns_initiated, 0u);
+        EXPECT_EQ(shoot.lazy_avoided, avoided + 1);
+        EXPECT_EQ(shoot.initiated, initiated);
     });
 }
 
@@ -284,9 +286,9 @@ TEST(PmapLazy, DisabledLazyShootsWhenLeafPresent)
         pmap->remove(drv, 50, 51);
         // Now the leaf exists but holds no valid PTE; without lazy
         // evaluation, removing again still shoots.
-        const std::uint64_t before = pmap->shootdowns_initiated;
+        const std::uint64_t before = kernel.pmaps().shoot().initiated;
         pmap->remove(drv, 52, 53);
-        EXPECT_EQ(pmap->shootdowns_initiated, before + 1);
+        EXPECT_EQ(kernel.pmaps().shoot().initiated, before + 1);
         kernel.machine().mem().freeFrame(frame);
     });
 }
@@ -300,9 +302,9 @@ TEST(PmapLazy, DisabledLazyStillSkipsMissingLeaves)
         pmap->activate(kernel.machine().cpu(1));
         // The residual structure knowledge: an entirely absent second-
         // level table still short-circuits the check (Section 7.2).
-        const std::uint64_t before = pmap->shootdowns_initiated;
+        const std::uint64_t before = kernel.pmaps().shoot().initiated;
         pmap->remove(drv, 5000, 5004);
-        EXPECT_EQ(pmap->shootdowns_initiated, before);
+        EXPECT_EQ(kernel.pmaps().shoot().initiated, before);
     });
 }
 
